@@ -30,7 +30,6 @@ from .detectors import (
     message_history,
     mmse_filter,
     mmse_prior_llr,
-    rbp_D,
     rbp_beta_update,
     sbp_beta_update,
     select_edges,
@@ -64,7 +63,7 @@ __all__ = [
     "DetectionResult", "DetectorSpec", "MessageState", "alpha_update",
     "bit_gains", "build_edge_sets", "detect", "interference_mean",
     "interference_variance", "log_likelihood_D", "message_history",
-    "mmse_filter", "mmse_prior_llr", "rbp_D", "rbp_beta_update",
+    "mmse_filter", "mmse_prior_llr", "rbp_beta_update",
     "sbp_beta_update", "select_edges", "soft_output",
     "DimensionTooLargeError", "IoFailure", "LengthMismatchError",
     "SingularMatrixError",

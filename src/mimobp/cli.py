@@ -18,7 +18,7 @@ import sys
 from .channel import SystemDims
 from .detectors import DetectorSpec
 from .metrics import complexity_counts
-from .presets import DEFAULT_SEED, PRESET_NAMES, get_preset
+from .presets import DEFAULT_SEED, PRESET_NAMES, get_preset, snr_grid
 from .selfcheck import run_selftest
 from .simulator import SweepConfig, run_convergence, run_sweep, write_csv
 
@@ -109,7 +109,7 @@ def _apply_config_file(settings: dict, path: str) -> None:
             lo = float(run.get("snr_min", min(settings["snr_points"])))
             hi = float(run.get("snr_max", max(settings["snr_points"])))
             step = float(run.get("snr_step", 2.0))
-            settings["snr_points"] = _build_grid(lo, hi, step)
+            settings["snr_points"] = snr_grid(lo, hi, step)
     detectors = []
     for section in parser.sections():
         if not section.startswith("detector:"):
@@ -129,17 +129,6 @@ def _apply_config_file(settings: dict, path: str) -> None:
         settings["detectors"] = detectors
 
 
-def _build_grid(lo: float, hi: float, step: float) -> list:
-    if step <= 0:
-        raise ValueError("snr step must be > 0")
-    out = []
-    v = lo
-    while v <= hi + 1e-9:
-        out.append(round(v, 6))
-        v += step
-    return out
-
-
 def _apply_flags(settings: dict, args: argparse.Namespace) -> None:
     for key in ("nt", "nr", "m", "l", "seed", "workers", "errors_target",
                 "bits_max", "trials_min", "out", "snr", "l_max"):
@@ -152,7 +141,7 @@ def _apply_flags(settings: dict, args: argparse.Namespace) -> None:
         lo = grid_flags[0] if grid_flags[0] is not None else min(settings["snr_points"])
         hi = grid_flags[1] if grid_flags[1] is not None else max(settings["snr_points"])
         step = grid_flags[2] if grid_flags[2] is not None else 2.0
-        settings["snr_points"] = _build_grid(lo, hi, step)
+        settings["snr_points"] = snr_grid(lo, hi, step)
     if getattr(args, "detectors", None):
         settings["detectors"] = [
             _parse_detector_label(part) for part in _DETECTOR_SEP.split(args.detectors)
@@ -247,6 +236,11 @@ def _cmd_sweep(args: argparse.Namespace, record_ami: bool) -> int:
     records = run_sweep(cfg, workers=settings["workers"], progress=True)
     write_csv(records, settings["out"])
     print(f"[mimobp] wrote {settings['out']} ({len(records)} records)", file=sys.stderr)
+    expected = len(cfg.detectors) * len(cfg.snr_points_db)
+    if len(records) < expected:
+        print(f"[mimobp] error: {expected - len(records)} of {expected} points failed",
+              file=sys.stderr)
+        return 1
     return 0
 
 

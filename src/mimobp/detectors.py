@@ -126,10 +126,11 @@ class DetectionResult:
 
 
 class _ConfigTable(NamedTuple):
+    """Every joint configuration; x_t = +1 exactly when bit t of the index is 0."""
+
     bits: np.ndarray       # (C, n_bits) int8, +1/-1
     xpos: np.ndarray       # (C, n_bits) float64, 1 where bit is +1
     symbols: np.ndarray    # (C, n_tx) complex128
-    pos_mask: np.ndarray   # (n_bits, C) bool, configs with bit i = +1
 
 
 @lru_cache(maxsize=8)
@@ -148,8 +149,7 @@ def _config_table(m: int, n_tx: int) -> _ConfigTable:
     bits = (1 - 2 * ((cc >> tt) & 1)).astype(np.int8)
     xpos = (bits > 0).astype(np.float64)
     symbols = modulate(bits.astype(np.float64), m)
-    pos_mask = (bits.T > 0)
-    return _ConfigTable(bits, xpos, symbols, pos_mask)
+    return _ConfigTable(bits, xpos, symbols)
 
 
 @lru_cache(maxsize=32)
@@ -186,6 +186,27 @@ def log_likelihood_D(s: np.ndarray, j: int, h: np.ndarray, y: np.ndarray,
     return float(-(abs(resid) ** 2) / (2.0 * sigma2))
 
 
+def _sbp_max_marginals(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bit max of t over configs with x_i = +1 and x_i = -1: (pos, neg).
+
+    t has the config axis first, (C, ...), in _config_table order, so bit i
+    is the top bit of the block left once bits i+1.. are maxed out: its first
+    half holds x_i = +1, its second x_i = -1. Outputs are (..., n_bits).
+    """
+    n_bits = t.shape[0].bit_length() - 1
+    pos = np.empty(t.shape[1:] + (n_bits,))
+    neg = np.empty_like(pos)
+    cur = t
+    for i in range(n_bits - 1, -1, -1):
+        half = cur.shape[0] // 2
+        lo, hi = cur[:half], cur[half:]
+        pos[..., i] = lo.max(axis=0)
+        neg[..., i] = hi.max(axis=0)
+        if i:
+            cur = np.maximum(lo, hi)
+    return pos, neg
+
+
 def sbp_beta_update(alpha: np.ndarray, h: np.ndarray, y: np.ndarray,
                     sigma2: float, m: int = 1) -> np.ndarray:
     """One standard-BP factor-to-bit update by exhaustive enumeration.
@@ -197,20 +218,15 @@ def sbp_beta_update(alpha: np.ndarray, h: np.ndarray, y: np.ndarray,
         raise ValueError("sigma2 must be > 0")
     h = np.asarray(h, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
-    n_rx, n_tx = h.shape
-    tbl = _config_table(m, n_tx)
-    n_bits = m * n_tx
+    tbl = _config_table(m, h.shape[1])
 
     hs = h @ tbl.symbols.T                                    # (Nr, C)
     d = -np.abs(y[:, None] - hs) ** 2 / (2.0 * sigma2)
-    priors = tbl.xpos @ alpha                                 # (C, Nr)
-    t = d + priors.T                                          # (Nr, C)
-
-    beta = np.empty((n_rx, n_bits))
-    for i in range(n_bits):
-        mask = tbl.pos_mask[i]
-        # the x_i = +1 branch double-counts alpha[i, :]; subtract it back out
-        beta[:, i] = t[:, mask].max(axis=1) - alpha[i, :] - t[:, ~mask].max(axis=1)
+    t = d.T + tbl.xpos @ alpha                                # (C, Nr)
+    beta, neg = _sbp_max_marginals(t)                         # (Nr, Nbits)
+    # the x_i = +1 branch double-counts alpha[i, :]; subtract it back out
+    beta -= alpha.T
+    beta -= neg
     return beta
 
 
@@ -281,20 +297,17 @@ def build_edge_sets(h: np.ndarray, spec: DetectorSpec, m: int = 1) -> np.ndarray
 
 
 def _exclusion_mask(edge_sets: np.ndarray, n_bits: int) -> np.ndarray:
-    """Float mask over (j, i, t): 1 where bit t is lumped into the Gaussian.
+    """Float mask over (..., j, i, t): 1 where bit t is lumped into the Gaussian.
 
     Lumped means t != i and t not in Psi_{j,i}. Summing through this mask
     gives exact zeros (empty sums) when nothing is lumped, which keeps the
-    full-selection configuration identical to standard BP.
+    full-selection configuration identical to standard BP. Leading batch
+    axes of edge_sets (..., Nr, Nbits, R_D) carry through.
     """
-    n_rx, nb, rd = edge_sets.shape
-    mask = np.ones((n_rx, n_bits, n_bits), dtype=np.float64)
+    mask = np.ones(edge_sets.shape[:-1] + (n_bits,))
     idx = np.arange(n_bits)
-    mask[:, idx, idx] = 0.0
-    if rd:
-        jj = np.arange(n_rx)[:, None, None]
-        ii = idx[None, :, None]
-        mask[jj, ii, edge_sets] = 0.0
+    mask[..., idx, idx] = 0.0
+    np.put_along_axis(mask, edge_sets, 0.0, axis=-1)
     return mask
 
 
@@ -350,22 +363,6 @@ def _interference_variances(gains: np.ndarray, lump_mask: np.ndarray,
     if bit_var is not None:
         power = power * bit_var[None, :]
     return np.einsum("jit,jt->ji", lump_mask, power) + sigma2
-
-
-def rbp_D(h_row: np.ndarray, i: int, psi: np.ndarray, x_i: int,
-          x_psi: np.ndarray, y_j: complex, u: complex, sigma2_z: float,
-          m: int = 1) -> float:
-    """Relaxed factor metric for one hypothesis over bit i and its Psi bits.
-
-    D = -|y_j - g[i] x_i - sum_{t in Psi} g[t] x_t - u|^2 / (2 sigma2_z).
-    """
-    if sigma2_z <= 0.0:
-        raise ValueError("sigma2_z must be > 0")
-    gains = bit_gains(np.asarray(h_row)[None, :], m)[0]
-    resid = y_j - gains[i] * x_i - u
-    for t, x in zip(np.asarray(psi, dtype=np.intp), np.asarray(x_psi)):
-        resid -= gains[t] * x
-    return float(-(abs(resid) ** 2) / (2.0 * sigma2_z))
 
 
 def rbp_beta_update(alpha: np.ndarray, gains: np.ndarray, edge_sets: np.ndarray,

@@ -24,19 +24,22 @@ class Preset:
     l_values: tuple | None = None
 
 
-def _grid(lo: float, hi: float, step: float) -> tuple:
+def snr_grid(lo: float, hi: float, step: float) -> list:
+    """lo, lo + step, ... up to hi (inclusive, 1e-9 slack), rounded to 6 places."""
+    if step <= 0:
+        raise ValueError("snr step must be > 0")
     out = []
     v = lo
     while v <= hi + 1e-9:
         out.append(round(v, 6))
         v += step
-    return tuple(out)
+    return out
 
 
 def _fig3(seed: int) -> Preset:
     cfg = SweepConfig(
         dims=SystemDims(4, 4, 1),
-        snr_points_db=_grid(0, 14, 2),
+        snr_points_db=snr_grid(0, 14, 2),
         detectors=(DetectorSpec.ml(), DetectorSpec.sbp(iterations=5)),
         errors_target=500,
         bits_max=20_000_000,
@@ -48,7 +51,7 @@ def _fig3(seed: int) -> Preset:
 def _fig5(seed: int) -> Preset:
     cfg = SweepConfig(
         dims=SystemDims(4, 4, 1),
-        snr_points_db=_grid(0, 16, 2),
+        snr_points_db=snr_grid(0, 16, 2),
         detectors=(
             DetectorSpec.sbp(iterations=7),
             DetectorSpec.rbp(2, 0, iterations=7),
@@ -68,7 +71,7 @@ def _fig5(seed: int) -> Preset:
 def _fig6(seed: int) -> Preset:
     cfg = SweepConfig(
         dims=SystemDims(8, 8, 1),
-        snr_points_db=_grid(0, 16, 2),
+        snr_points_db=snr_grid(0, 16, 2),
         detectors=(
             DetectorSpec.sbp(iterations=5),
             DetectorSpec.rbp(1, 0, iterations=5),
@@ -88,7 +91,7 @@ def _fig7(seed: int) -> Preset:
     dims = SystemDims(4, 4, 1)
     cfg = SweepConfig(
         dims=dims,
-        snr_points_db=_grid(0, 12, 2),
+        snr_points_db=snr_grid(0, 12, 2),
         detectors=(
             DetectorSpec.sbp(iterations=5),
             DetectorSpec.rbp(1, 0, iterations=5),

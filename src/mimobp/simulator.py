@@ -8,8 +8,12 @@ realizations at a given (seed, SNR) - useful for paired comparisons.
 
 Detection inside a batch is vectorized across trials (the per-trial
 detectors.detect() is the reference; the batched kernels here are pinned to
-it by equivalence tests). Early stopping is evaluated at batch boundaries
-in batch order, which keeps the stopping point deterministic too.
+it by equivalence tests). Standard BP is config-major: factor metrics and
+priors are (C, B, Nr) arrays over the C = 2^Nbits joint configurations, and
+each bit's two max-marginals come from halving the config axis from the top
+bit down (detectors._sbp_max_marginals, shared with detect()). Early
+stopping is evaluated at batch boundaries in batch order, which keeps the
+stopping point deterministic too.
 """
 from __future__ import annotations
 
@@ -25,9 +29,12 @@ import numpy as np
 from .channel import SystemDims, modulate, demodulate, snr_to_noise_variance
 from .detectors import (
     LLR_CLAMP,
+    MAX_RELAX_EDGES,
     DetectorSpec,
     _config_table,
+    _exclusion_mask,
     _hypothesis_table,
+    _sbp_max_marginals,
     bit_gains,
 )
 from .errors import IoFailure
@@ -65,6 +72,12 @@ class SweepConfig:
             raise ValueError("need at least one detector")
         if self.errors_target < 1 or self.bits_max < 1 or self.trials_min < 1:
             raise ValueError("stopping budgets must be >= 1")
+        for spec in self.detectors:  # fail at the start, not once per SNR point
+            name = f"{spec.label}({spec.rd1},{spec.rd2})"
+            if spec.relaxed and not 0 <= spec.rd1 < self.dims.n_tx:
+                raise ValueError(f"{name}: rd1 must be in 0..{self.dims.n_tx - 1}")
+            if spec.relaxed and spec.relax_degree(self.dims.bits_per_symbol) > MAX_RELAX_EDGES:
+                raise ValueError(f"{name}: more than {MAX_RELAX_EDGES} explicit edges")
 
 
 @dataclass
@@ -208,18 +221,16 @@ def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, want_iters=False):
 
     if spec.kind == "SBP":
         tbl = _config_table(m, n_tx)
-        hs = np.einsum("bjk,ck->bjc", h, tbl.symbols)
-        d = -np.abs(y[:, :, None] - hs) ** 2 / (2.0 * sigma2)
+        hs = np.einsum("bjk,ck->cbj", h, tbl.symbols)
+        d = -np.abs(y - hs) ** 2 / (2.0 * sigma2)             # (C, B, Nr)
         alpha = np.zeros((b, n_bits, n_rx))
         beta = np.zeros((b, n_rx, n_bits))
         for _ in range(spec.iterations):
-            p = np.einsum("ct,btj->bcj", tbl.xpos, alpha)
-            t = d + p.transpose(0, 2, 1)
-            for i in range(n_bits):
-                mask = tbl.pos_mask[i]
-                beta[:, :, i] = (
-                    t[:, :, mask].max(axis=2) - alpha[:, i, :] - t[:, :, ~mask].max(axis=2)
-                )
+            t = np.einsum("ct,btj->cbj", tbl.xpos, alpha)
+            t += d
+            beta, neg = _sbp_max_marginals(t)                 # (B, Nr, Nbits)
+            beta -= alpha.transpose(0, 2, 1)
+            beta -= neg
             total = beta.sum(axis=1)
             alpha = np.clip(total[:, :, None] - beta.transpose(0, 2, 1),
                             -LLR_CLAMP, LLR_CLAMP)
@@ -231,14 +242,7 @@ def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, want_iters=False):
     gains = bit_gains(h, m)
     sets = _engine_edge_sets(h, spec, m)
     rd = sets.shape[-1]
-    lump = np.ones((b, n_rx, n_bits, n_bits))
-    idx = np.arange(n_bits)
-    lump[:, :, idx, idx] = 0.0
-    if rd:
-        bb = np.arange(b)[:, None, None, None]
-        jj = np.arange(n_rx)[None, :, None, None]
-        ii = idx[None, None, :, None]
-        lump[bb, jj, ii, sets] = 0.0
+    lump = _exclusion_mask(sets, n_bits)
     power = np.abs(gains) ** 2
 
     cascaded = spec.kind == "MMSE_RBP"
@@ -305,16 +309,22 @@ def _ami_sum(soft: np.ndarray, bits: np.ndarray) -> float:
     return float((1.0 - np.log2(1.0 + np.exp(arg))).sum())
 
 
+def _count_errors(soft: np.ndarray, bits: np.ndarray) -> int:
+    """Bit errors of the hard decisions (ties toward +1); non-finite LLRs raise."""
+    if not np.isfinite(soft).all():
+        raise FloatingPointError(
+            f"{np.count_nonzero(~np.isfinite(soft))} non-finite LLRs in a batch")
+    return int(np.count_nonzero(np.where(soft >= 0.0, 1, -1) != bits))
+
+
 def _run_batch(dims: SystemDims, spec: DetectorSpec, snr_db: float, sigma2: float,
                master_seed: int, batch_index: int, count: int, want_ami: bool):
     """(bits, errors, ami_sum) over one batch of trials."""
     rng = _batch_rng(master_seed, snr_db, batch_index)
     bits, h, y = _draw_batch(dims, sigma2, rng, count)
     soft = _engine_soft(spec, h, y, sigma2, dims.bits_per_symbol)
-    hard = np.where(soft >= 0.0, 1, -1)
-    errors = int(np.count_nonzero(hard != bits))
-    total = bits.size
-    return total, errors, _ami_sum(soft, bits) if want_ami else 0.0
+    errors = _count_errors(soft, bits)
+    return bits.size, errors, _ami_sum(soft, bits) if want_ami else 0.0
 
 
 def _run_batch_multi_l(dims: SystemDims, spec: DetectorSpec, snr_db: float,
@@ -328,8 +338,7 @@ def _run_batch_multi_l(dims: SystemDims, spec: DetectorSpec, snr_db: float,
     amis = []
     for l in l_values:
         soft = iters[l - 1]
-        hard = np.where(soft >= 0.0, 1, -1)
-        errors.append(int(np.count_nonzero(hard != bits)))
+        errors.append(_count_errors(soft, bits))
         amis.append(_ami_sum(soft, bits) if want_ami else 0.0)
     return bits.size, errors, amis
 
@@ -337,10 +346,10 @@ def _run_batch_multi_l(dims: SystemDims, spec: DetectorSpec, snr_db: float,
 # ---------------- points, sweeps, convergence ----------------
 
 
-def _point_loop(task_args, stop_check, merge, workers: int):
+def _point_loop(run_batch, task_args, stop_check, merge, workers: int):
     """Run batches 0, 1, 2, ... merging results strictly in batch order.
 
-    task_args(batch_index) builds the worker arguments; merge(result) folds
+    run_batch(*task_args(batch_index)) runs one batch; merge(result) folds
     one batch in; stop_check() decides at each batch boundary. With workers
     > 1, batches run speculatively in a process pool but are still merged in
     order, so the outcome is identical to the serial schedule.
@@ -348,9 +357,7 @@ def _point_loop(task_args, stop_check, merge, workers: int):
     if workers <= 1:
         index = 0
         while True:
-            args = task_args(index)
-            fn = _run_batch if len(args) == 8 else _run_batch_multi_l
-            merge(fn(*args))
+            merge(run_batch(*task_args(index)))
             index += 1
             if stop_check():
                 return
@@ -360,9 +367,7 @@ def _point_loop(task_args, stop_check, merge, workers: int):
         next_merge = 0
         while True:
             while len(pending) < 2 * workers:
-                args = task_args(next_submit)
-                fn = _run_batch if len(args) == 8 else _run_batch_multi_l
-                pending[next_submit] = pool.submit(fn, *args)
+                pending[next_submit] = pool.submit(run_batch, *task_args(next_submit))
                 next_submit += 1
             result = pending.pop(next_merge).result()
             next_merge += 1
@@ -409,7 +414,7 @@ def run_point(cfg: SweepConfig, detector: DetectorSpec, snr_db: float,
         return hit_target or state["bits"] >= cfg.bits_max
 
     start = time.perf_counter()
-    _point_loop(task_args, stop_check, merge, workers)
+    _point_loop(_run_batch, task_args, stop_check, merge, workers)
     wall = time.perf_counter() - start
 
     acc = BerAccumulator(state["bits"], state["errors"])
@@ -464,7 +469,7 @@ def run_convergence(cfg: SweepConfig, detector: DetectorSpec, snr_db: float,
         return hit_target or state["bits"] >= cfg.bits_max
 
     start = time.perf_counter()
-    _point_loop(task_args, stop_check, merge, workers)
+    _point_loop(_run_batch_multi_l, task_args, stop_check, merge, workers)
     wall = time.perf_counter() - start
 
     rd1, rd2 = _record_fields(deep)

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from mimobp.channel import modulate
+
 
 def naive_symbol_of_bit(i: int, m: int) -> int:
     """1-based symbol index of 1-based bit i: bits arrive in blocks of m."""
@@ -65,6 +67,42 @@ def naive_sbp_beta(alpha, h, y, sigma2, m=1):
                     best[bits[i]] = cand
             beta[j, i] = best[1] - best[-1]
     return beta
+
+
+def batched_sbp_mask_oracle(h, y, sigma2, m, iterations, clamp=30.0):
+    """Batched standard BP with one boolean-mask gather per bit and sign.
+
+    The trial-major formulation the package's SBP kernel replaced, kept with
+    the same arithmetic (einsum layouts, subtraction order, clamp) so that
+    the soft outputs must match it bit for bit. h is (B, Nr, Nt), y (B, Nr).
+    Returns the (B, Nbits) soft output after each iteration.
+    """
+    b, n_rx, n_tx = h.shape
+    n_bits = m * n_tx
+    cc = np.arange(1 << n_bits, dtype=np.int64)[:, None]
+    tt = np.arange(n_bits, dtype=np.int64)[None, :]
+    bits = (1 - 2 * ((cc >> tt) & 1)).astype(np.int8)
+    xpos = (bits > 0).astype(np.float64)
+    symbols = modulate(bits.astype(np.float64), m)
+    pos_mask = bits.T > 0
+
+    hs = np.einsum("bjk,ck->bjc", h, symbols)
+    d = -np.abs(y[:, :, None] - hs) ** 2 / (2.0 * sigma2)
+    alpha = np.zeros((b, n_bits, n_rx))
+    beta = np.zeros((b, n_rx, n_bits))
+    softs = []
+    for _ in range(iterations):
+        p = np.einsum("ct,btj->bcj", xpos, alpha)
+        t = d + p.transpose(0, 2, 1)
+        for i in range(n_bits):
+            mask = pos_mask[i]
+            beta[:, :, i] = (
+                t[:, :, mask].max(axis=2) - alpha[:, i, :] - t[:, :, ~mask].max(axis=2)
+            )
+        total = beta.sum(axis=1)
+        alpha = np.clip(total[:, :, None] - beta.transpose(0, 2, 1), -clamp, clamp)
+        softs.append(beta.sum(axis=1))
+    return softs
 
 
 def naive_edge_set(h_row, i, rd1, rd2, m=1):

@@ -56,6 +56,25 @@ class TestUsageErrors:
         assert main(["ber-sweep", "--detectors", "ZF"]) == 1
         assert "[mimobp] error:" in capsys.readouterr().err
 
+    def test_bad_relax_degree_fails_before_any_point(self, tmp_path, capsys):
+        out = tmp_path / "bad.csv"
+        assert main(["ber-sweep", "--nt", "4", "--nr", "4", "--detectors", "RBP(5,0)",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "rd1 must be in 0..3" in err
+        assert "point failed" not in err
+        assert not out.exists()
+
+    def test_failed_points_exit_1_and_keep_the_good_rows(self, tmp_path, capsys):
+        """ML at 13x13 QPSK is past the enumeration guard; MMSE still runs."""
+        out = tmp_path / "partial.csv"
+        code = main(["ber-sweep", "--nt", "13", "--nr", "13", "--m", "2",
+                     "--detectors", "ML,MMSE", "--snr-min", "0", "--snr-max", "0",
+                     "--errors-target", "1", "--seed", "3", "--out", str(out)])
+        assert code == 1
+        assert "1 of 2 points failed" in capsys.readouterr().err
+        assert [r.detector for r in read_csv(out)] == ["MMSE"]
+
 
 class TestResolutionOrder:
     def test_defaults(self):

@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mimobp import simulator
 from mimobp.channel import SystemDims, snr_to_noise_variance
 from mimobp.detectors import DetectorSpec, detect
 from mimobp.errors import IoFailure
@@ -51,6 +52,22 @@ class TestConfigValidation:
     def test_snr_points_coerced_to_floats(self):
         cfg = _cfg(snr_points_db=(4, 8))
         assert cfg.snr_points_db == (4.0, 8.0)
+
+    @pytest.mark.parametrize("spec", [DetectorSpec.rbp(4, 0), DetectorSpec.mmse_rbp(5, 0)],
+                             ids=lambda s: f"{s.label}({s.rd1},{s.rd2})")
+    def test_rejects_rd1_past_the_interferer_count(self, spec):
+        with pytest.raises(ValueError, match="rd1 must be in 0..3"):
+            _cfg(n_tx=4, n_rx=4, detectors=(spec,))
+
+    def test_accepts_full_relaxation_and_ignores_rd1_of_exhaustive_kinds(self):
+        _cfg(n_tx=4, n_rx=4, m=2, detectors=(DetectorSpec.rbp(3, 1),
+                                             DetectorSpec("SBP", 5, rd1=9)))
+
+    def test_rejects_more_explicit_edges_than_supported(self):
+        """RBP(10,1) at 11x11 QPSK keeps 21 explicit edges per message."""
+        _cfg(n_tx=11, n_rx=11, m=2, detectors=(DetectorSpec.rbp(10, 0),))
+        with pytest.raises(ValueError, match="explicit edges"):
+            _cfg(n_tx=11, n_rx=11, m=2, detectors=(DetectorSpec.rbp(10, 1),))
 
 
 class TestBatchStreams:
@@ -181,6 +198,39 @@ class TestRunPoint:
         rbp = run_point(cfg, cfg.detectors[1], 4.0)
         assert (ml.rd1, ml.rd2) == (None, None)
         assert (rbp.rd1, rbp.rd2) == (1, 0)
+
+
+class TestNonFiniteOutputs:
+    """A NaN or infinite LLR fails its batch instead of counting as a -1."""
+
+    @pytest.fixture(params=[np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def broken_engine(self, request, monkeypatch):
+        real = simulator._engine_soft
+
+        def engine(spec, h, y, sigma2, m, want_iters=False):
+            out = real(spec, h, y, sigma2, m, want_iters=want_iters)
+            last = out[-1] if want_iters else out
+            last[3, 0] = request.param
+            return out
+
+        monkeypatch.setattr(simulator, "_engine_soft", engine)
+
+    def test_run_point_raises(self, broken_engine):
+        cfg = _cfg(detectors=(DetectorSpec.sbp(2),))
+        with pytest.raises(FloatingPointError, match="1 non-finite"):
+            run_point(cfg, cfg.detectors[0], 4.0)
+
+    def test_run_convergence_raises(self, broken_engine):
+        cfg = _cfg(detectors=(DetectorSpec.sbp(),))
+        with pytest.raises(FloatingPointError):
+            run_convergence(cfg, DetectorSpec.sbp(), 4.0, [1, 2])
+
+    def test_run_sweep_reports_the_point_as_failed(self, broken_engine, capsys):
+        cfg = _cfg(detectors=(DetectorSpec.mmse(),), snr_points_db=(0.0, 4.0))
+        assert run_sweep(cfg) == []
+        err = capsys.readouterr().err
+        assert err.count("point failed") == 2
+        assert "non-finite LLR" in err
 
 
 class TestRunSweep:
