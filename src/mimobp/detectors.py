@@ -260,39 +260,32 @@ def select_edges(h_row: np.ndarray, i: int, spec: DetectorSpec, m: int = 1) -> n
     Takes the rd1 interferer symbols with the largest |h_{j,k}|, k != k(i)
     (ties toward the smaller symbol index), expands them to bits, and, when
     rd2 = 1, appends the other M-1 bits of bit i's own symbol. The set is
-    fixed per channel realization.
+    fixed per channel realization. A view of build_edge_sets.
     """
-    h_row = np.asarray(h_row)
-    n_tx = h_row.shape[0]
-    if not 0 <= spec.rd1 <= n_tx - 1:
-        raise ValueError(f"rd1 must be in 0..{n_tx - 1}")
-    k0 = i // m
-    order = np.argsort(-np.abs(h_row), kind="stable")
-    chosen = [k for k in order if k != k0][: spec.rd1]
-    bits = [k * m + b for k in chosen for b in range(m)]
-    if spec.rd2 == 1:
-        bits.extend(k0 * m + b for b in range(m) if k0 * m + b != i)
-    return np.asarray(bits, dtype=np.intp)
+    return build_edge_sets(np.asarray(h_row)[None, :], spec, m)[0, i]
 
 
 def build_edge_sets(h: np.ndarray, spec: DetectorSpec, m: int = 1) -> np.ndarray:
-    """select_edges for every (j, i), shape (Nr, Nbits, R_D)."""
+    """select_edges for every (j, i), shape (..., Nr, Nbits, R_D).
+
+    Leading batch axes of h (..., Nr, Nt) carry through; rd1 = 0 sorts nothing.
+    """
     h = np.asarray(h)
-    n_rx, n_tx = h.shape
-    n_bits = m * n_tx
+    lead, n_tx = h.shape[:-1], h.shape[-1]
     if not 0 <= spec.rd1 <= n_tx - 1:
         raise ValueError(f"rd1 must be in 0..{n_tx - 1}")
-    rd = spec.relax_degree(m)
-    sets = np.empty((n_rx, n_bits, rd), dtype=np.intp)
-    for j in range(n_rx):
-        order = np.argsort(-np.abs(h[j]), kind="stable")
-        for i in range(n_bits):
-            k0 = i // m
-            chosen = [k for k in order if k != k0][: spec.rd1]
-            bits = [k * m + b for k in chosen for b in range(m)]
-            if spec.rd2 == 1:
-                bits.extend(k0 * m + b for b in range(m) if k0 * m + b != i)
-            sets[j, i, :] = bits
+    rd1 = spec.rd1
+    sets = np.empty(lead + (m * n_tx, spec.relax_degree(m)), dtype=np.intp)
+    if rd1:
+        order = np.argsort(-np.abs(h), axis=-1, kind="stable")
+        offs = np.arange(m, dtype=np.intp)
+        for k0 in range(n_tx):
+            chosen = order[order != k0].reshape(lead + (n_tx - 1,))[..., :rd1]
+            bits = chosen[..., None] * m + offs
+            sets[..., k0 * m:(k0 + 1) * m, :rd1 * m] = bits.reshape(lead + (1, rd1 * m))
+    if spec.rd2:
+        sets[..., rd1 * m:] = [[t for t in range(i - i % m, i - i % m + m) if t != i]
+                               for i in range(m * n_tx)]
     return sets
 
 
@@ -344,25 +337,50 @@ def interference_variance(psi: np.ndarray, h_row: np.ndarray, i: int,
 
 def _interference_means(alpha: np.ndarray, gains: np.ndarray,
                         lump_mask: np.ndarray) -> np.ndarray:
-    """interference_mean for every (j, i) at once, shape (Nr, Nbits)."""
-    expect = np.tanh(alpha / 2.0)                 # (Nbits, Nr)
-    ge = gains * expect.T                         # (Nr, Nbits)
-    return np.einsum("jit,jt->ji", lump_mask, ge)
+    """interference_mean for every (j, i) at once, shape (..., Nr, Nbits).
+
+    Leading batch axes carry through. Two real einsums give one complex
+    einsum's sums in its order, bit for bit, and run faster.
+    """
+    ge = gains * np.swapaxes(np.tanh(alpha / 2.0), -1, -2)   # (..., Nr, Nbits)
+    u = np.empty_like(ge)
+    np.einsum("...jit,...jt->...ji", lump_mask, ge.real, out=u.real)
+    np.einsum("...jit,...jt->...ji", lump_mask, ge.imag, out=u.imag)
+    return u
 
 
 def _interference_variances(gains: np.ndarray, lump_mask: np.ndarray,
                             sigma2: float,
                             bit_var: np.ndarray | None = None) -> np.ndarray:
-    """interference_variance for every (j, i) at once, shape (Nr, Nbits).
+    """interference_variance for every (j, i) at once, shape (..., Nr, Nbits).
 
-    bit_var replaces the unit per-bit prior variance when the run starts
-    from informative priors (the MMSE cascade); entries are 1 - tanh^2 of
-    half the prior LLR.
+    bit_var (..., Nbits) replaces the unit per-bit prior variance when the
+    run starts from informative priors (the MMSE cascade); entries are
+    1 - tanh^2 of half the prior LLR. Leading batch axes carry through.
     """
     power = np.abs(gains) ** 2
     if bit_var is not None:
-        power = power * bit_var[None, :]
-    return np.einsum("jit,jt->ji", lump_mask, power) + sigma2
+        power = power * bit_var[..., None, :]
+    return np.einsum("...jit,...jt->...ji", lump_mask, power) + sigma2
+
+
+def _rbp_max_marginals(base: np.ndarray, own: np.ndarray, half: np.ndarray,
+                       priors: np.ndarray, diff: np.ndarray,
+                       score: np.ndarray) -> np.ndarray:
+    """Relaxed beta: best hypothesis score with x_i = +1 minus best with x_i = -1.
+
+    A hypothesis scores priors - |base -+ own|^2 / half. base and priors are
+    hypothesis-major, (H, ...), so both maxima run over contiguous slabs.
+    diff (complex) and score (real) are scratch arrays of base's shape.
+    """
+    best = []
+    for combine in (np.subtract, np.add):
+        np.abs(combine(base, own, out=diff), out=score)
+        np.square(score, out=score)
+        score /= half
+        np.subtract(priors, score, out=score)
+        best.append(score.max(axis=0))
+    return best[0] - best[1]
 
 
 def rbp_beta_update(alpha: np.ndarray, gains: np.ndarray, edge_sets: np.ndarray,
@@ -390,14 +408,11 @@ def rbp_beta_update(alpha: np.ndarray, gains: np.ndarray, edge_sets: np.ndarray,
     jj = np.arange(n_rx)[:, None, None]
     g_sel = gains[jj, edge_sets]                              # (Nr, Nbits, R)
     a_sel = alpha.T[jj, edge_sets]                            # (Nr, Nbits, R)
-    interf = np.einsum("jir,hr->jih", g_sel, xh)
-    priors = np.einsum("jir,hr->jih", a_sel, xh_pos)
-    base = y[:, None, None] - u[:, :, None] - interf
-    half = 2.0 * sigma2_z[:, :, None]
-    own = gains[:, :, None]
-    score_pos = -np.abs(base - own) ** 2 / half + priors
-    score_neg = -np.abs(base + own) ** 2 / half + priors
-    return score_pos.max(axis=2) - score_neg.max(axis=2)
+    interf = np.einsum("jir,hr->hji", g_sel, xh)              # (H, Nr, Nbits)
+    priors = np.einsum("jir,hr->hji", a_sel, xh_pos)
+    base = (y[:, None] - u) - interf
+    return _rbp_max_marginals(base, gains, 2.0 * sigma2_z, priors,
+                              np.empty_like(base), np.empty_like(priors))
 
 
 # ---------------- linear front ends ----------------

@@ -11,13 +11,18 @@ detectors.detect() is the reference; the batched kernels here are pinned to
 it by equivalence tests). Standard BP is config-major: factor metrics and
 priors are (C, B, Nr) arrays over the C = 2^Nbits joint configurations, and
 each bit's two max-marginals come from halving the config axis from the top
-bit down (detectors._sbp_max_marginals, shared with detect()). Early
-stopping is evaluated at batch boundaries in batch order, which keeps the
-stopping point deterministic too.
+bit down (detectors._sbp_max_marginals, shared with detect()). Relaxed BP
+is hypothesis-major: its scores are (H, B, Nr, Nbits) over the H = 2^R_D
+explicit-edge hypotheses, maxed over contiguous slabs by
+detectors._rbp_max_marginals, also shared with detect(). Early stopping is
+evaluated at batch boundaries in batch order, which keeps the stopping point
+deterministic too.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -34,8 +39,12 @@ from .detectors import (
     _config_table,
     _exclusion_mask,
     _hypothesis_table,
+    _interference_means,
+    _interference_variances,
+    _rbp_max_marginals,
     _sbp_max_marginals,
     bit_gains,
+    build_edge_sets,
 )
 from .errors import IoFailure
 from .metrics import AMI_EXP_CLAMP, BerAccumulator
@@ -188,32 +197,16 @@ def _engine_mmse_sic(h, y, sigma2, m):
 
 def _engine_edge_sets(h, spec: DetectorSpec, m: int) -> np.ndarray:
     """build_edge_sets for a batch, shape (B, Nr, Nbits, R_D)."""
-    b, n_rx, n_tx = h.shape
-    if not 0 <= spec.rd1 <= n_tx - 1:
-        raise ValueError(f"rd1 must be in 0..{n_tx - 1}")
-    n_bits = m * n_tx
-    rd = spec.relax_degree(m)
-    order = np.argsort(-np.abs(h), axis=-1, kind="stable")
-    sets = np.empty((b, n_rx, n_bits, rd), dtype=np.intp)
-    offs = np.arange(m, dtype=np.intp)
-    for i in range(n_bits):
-        k0 = i // m
-        others = order[order != k0].reshape(b, n_rx, n_tx - 1)
-        chosen = others[:, :, : spec.rd1]
-        bits = (chosen[:, :, :, None] * m + offs).reshape(b, n_rx, spec.rd1 * m)
-        if spec.rd2 == 1 and m > 1:
-            own = [k0 * m + c for c in range(m) if k0 * m + c != i]
-            pad = np.broadcast_to(np.asarray(own, dtype=np.intp), (b, n_rx, len(own)))
-            bits = np.concatenate([bits, pad], axis=-1)
-        sets[:, :, i, :] = bits
-    return sets
+    return build_edge_sets(h, spec, m)
 
 
 def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, want_iters=False):
     """Soft outputs for the BP family over a batch.
 
     Returns the final (B, Nbits) soft matrix, or the per-iteration list when
-    want_iters is set (entry l-1 matches a run with iterations=l).
+    want_iters is set (entry l-1 matches a run with iterations=l). The
+    relaxed kinds are hypothesis-major, (H, B, Nr, Nbits) with H = 2^R_D,
+    in buffers allocated once and refilled every iteration.
     """
     b, n_rx, n_tx = h.shape
     n_bits = m * n_tx
@@ -243,40 +236,35 @@ def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, want_iters=False):
     sets = _engine_edge_sets(h, spec, m)
     rd = sets.shape[-1]
     lump = _exclusion_mask(sets, n_bits)
-    power = np.abs(gains) ** 2
-
     cascaded = spec.kind == "MMSE_RBP"
     if cascaded:
         prior = np.clip(_engine_mmse_prior(h, y, sigma2, m), -LLR_CLAMP, LLR_CLAMP)
-        power = power * (1.0 - np.tanh(prior / 2.0) ** 2)[:, None, :]
+        bit_var = 1.0 - np.tanh(prior / 2.0) ** 2
     else:
-        prior = np.zeros((b, n_bits))
-    sigma2_z = np.einsum("bjit,bjt->bji", lump, power) + sigma2
+        prior, bit_var = np.zeros((b, n_bits)), None
+    sigma2_z = _interference_variances(gains, lump, sigma2, bit_var)
     alpha = np.repeat(prior[:, :, None], n_rx, axis=2)
 
     if rd:
         xh, xh_pos = _hypothesis_table(rd)
         bb = np.arange(b)[:, None, None, None]
         jj = np.arange(n_rx)[None, :, None, None]
-        g_sel = gains[bb, jj, sets]
-        interf = np.einsum("bjir,hr->bjih", g_sel, xh)
-        own = gains[:, :, :, None]
-        half = 2.0 * sigma2_z[:, :, :, None]
+        # hypothesis-major (H, B, Nr, Nbits); r stays contiguous in the operands
+        interf = np.einsum("bjir,hr->hbji", gains[bb, jj, sets], xh)
+        half = 2.0 * sigma2_z
+        priors = np.empty(interf.shape)
+        base, diff, score = np.empty_like(interf), np.empty_like(interf), np.empty_like(priors)
 
     beta = np.zeros((b, n_rx, n_bits))
     for _ in range(spec.iterations):
-        expect = np.tanh(alpha / 2.0)
-        ge = gains * expect.transpose(0, 2, 1)
-        u = np.einsum("bjit,bjt->bji", lump, ge)
+        u = _interference_means(alpha, gains, lump)
         if rd == 0:
             beta = (2.0 / sigma2_z) * (gains.conj() * (y[:, :, None] - u)).real
         else:
             a_sel = alpha.transpose(0, 2, 1)[bb, jj, sets]
-            priors = np.einsum("bjir,hr->bjih", a_sel, xh_pos)
-            base = y[:, :, None, None] - u[:, :, :, None] - interf
-            score_pos = -np.abs(base - own) ** 2 / half + priors
-            score_neg = -np.abs(base + own) ** 2 / half + priors
-            beta = score_pos.max(axis=3) - score_neg.max(axis=3)
+            np.einsum("bjir,hr->hbji", a_sel, xh_pos, out=priors)
+            np.subtract(y[:, :, None] - u, interf, out=base)
+            beta = _rbp_max_marginals(base, gains, half, priors, diff, score)
         total = beta.sum(axis=1)
         ext = total[:, :, None] - beta.transpose(0, 2, 1)
         if cascaded:
@@ -525,15 +513,24 @@ def _fmt(value) -> str:
 
 
 def write_csv(records: Sequence[SweepRecord], path) -> None:
-    """Write records with the fixed header; floats carry 6 significant digits."""
+    """Write records with the fixed header; floats carry 6 significant digits.
+
+    Writes a temporary file beside `path` and renames it over `path`, so a
+    failed write leaves an older file intact.
+    """
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
-        with open(path, "w", newline="") as fh:
+        with open(tmp, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_FIELDS)
             for rec in records:
                 writer.writerow([_fmt(getattr(rec, name)) for name in CSV_FIELDS])
+        os.replace(tmp, path)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):  # already gone once renamed
+            os.remove(tmp)
 
 
 def read_csv(path) -> list[SweepRecord]:

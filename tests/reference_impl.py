@@ -105,6 +105,92 @@ def batched_sbp_mask_oracle(h, y, sigma2, m, iterations, clamp=30.0):
     return softs
 
 
+def batched_rbp_trial_major_oracle(h, y, sigma2, m, rd1, rd2, iterations,
+                                   cascaded=False, clamp=30.0):
+    """Batched relaxed BP (or its MMSE cascade) with the hypothesis axis last.
+
+    The trial-major formulation the package's relaxed kernel replaced, kept
+    with the same arithmetic (bit gains, per-bit edge selection, dense lump
+    mask, einsum layouts, operation order, clamp and cascade prior) so that
+    the soft outputs must match it bit for bit. h is (B, Nr, Nt), y (B, Nr).
+    Returns the (B, Nbits) soft output after each iteration.
+    """
+    b, n_rx, n_tx = h.shape
+    n_bits = m * n_tx
+    if m == 1:
+        gains = h
+    else:
+        gains = np.repeat(h, m, axis=-1) * (np.tile(np.array([1.0, 1.0j]), n_tx) / np.sqrt(m))
+
+    rd = rd1 * m + rd2 * (m - 1)
+    order = np.argsort(-np.abs(h), axis=-1, kind="stable")
+    sets = np.empty((b, n_rx, n_bits, rd), dtype=np.intp)
+    offs = np.arange(m, dtype=np.intp)
+    for i in range(n_bits):
+        k0 = i // m
+        others = order[order != k0].reshape(b, n_rx, n_tx - 1)
+        chosen = others[:, :, :rd1]
+        bits = (chosen[:, :, :, None] * m + offs).reshape(b, n_rx, rd1 * m)
+        if rd2 == 1 and m > 1:
+            own = [k0 * m + c for c in range(m) if k0 * m + c != i]
+            pad = np.broadcast_to(np.asarray(own, dtype=np.intp), (b, n_rx, len(own)))
+            bits = np.concatenate([bits, pad], axis=-1)
+        sets[:, :, i, :] = bits
+    lump = np.ones((b, n_rx, n_bits, n_bits))
+    lump[..., np.arange(n_bits), np.arange(n_bits)] = 0.0
+    np.put_along_axis(lump, sets, 0.0, axis=-1)
+    power = np.abs(gains) ** 2
+
+    if cascaded:
+        a = np.einsum("bja,bjc->bac", h.conj(), h) + sigma2 * np.eye(n_tx)
+        hty = np.einsum("bjk,bj->bk", h.conj(), y)
+        s_hat = np.linalg.solve(a, hty[:, :, None])[:, :, 0]
+        mse = np.diagonal(np.linalg.inv(a), axis1=1, axis2=2).real
+        if m == 1:
+            prior = 2.0 * s_hat.real / mse
+        else:
+            prior = np.empty((b, n_bits))
+            prior[:, 0::2] = 2.0 * np.sqrt(2.0) * s_hat.real / mse
+            prior[:, 1::2] = 2.0 * np.sqrt(2.0) * s_hat.imag / mse
+        prior = np.clip(prior, -clamp, clamp)
+        power = power * (1.0 - np.tanh(prior / 2.0) ** 2)[:, None, :]
+    else:
+        prior = np.zeros((b, n_bits))
+    sigma2_z = np.einsum("bjit,bjt->bji", lump, power) + sigma2
+    alpha = np.repeat(prior[:, :, None], n_rx, axis=2)
+
+    if rd:
+        cc = np.arange(1 << rd, dtype=np.int64)[:, None]
+        xh = (1 - 2 * ((cc >> np.arange(rd, dtype=np.int64)[None, :]) & 1)).astype(np.float64)
+        xh_pos = (xh > 0).astype(np.float64)
+        bb = np.arange(b)[:, None, None, None]
+        jj = np.arange(n_rx)[None, :, None, None]
+        interf = np.einsum("bjir,hr->bjih", gains[bb, jj, sets], xh)
+        own = gains[:, :, :, None]
+        half = 2.0 * sigma2_z[:, :, :, None]
+
+    softs = []
+    for _ in range(iterations):
+        ge = gains * np.tanh(alpha / 2.0).transpose(0, 2, 1)
+        u = np.einsum("bjit,bjt->bji", lump, ge)
+        if rd == 0:
+            beta = (2.0 / sigma2_z) * (gains.conj() * (y[:, :, None] - u)).real
+        else:
+            a_sel = alpha.transpose(0, 2, 1)[bb, jj, sets]
+            priors = np.einsum("bjir,hr->bjih", a_sel, xh_pos)
+            base = y[:, :, None, None] - u[:, :, :, None] - interf
+            score_pos = -np.abs(base - own) ** 2 / half + priors
+            score_neg = -np.abs(base + own) ** 2 / half + priors
+            beta = score_pos.max(axis=3) - score_neg.max(axis=3)
+        total = beta.sum(axis=1)
+        ext = total[:, :, None] - beta.transpose(0, 2, 1)
+        if cascaded:
+            ext = prior[:, :, None] + ext
+        alpha = np.clip(ext, -clamp, clamp)
+        softs.append(beta.sum(axis=1))
+    return softs
+
+
 def naive_edge_set(h_row, i, rd1, rd2, m=1):
     """Explicit-edge bit indices for message (j, i), 0-based.
 

@@ -331,6 +331,26 @@ class TestCsv:
         with pytest.raises(IoFailure):
             write_csv([], tmp_path / "no" / "such" / "dir" / "x.csv")
 
+    @pytest.mark.parametrize("fault,raised", [(OSError, IoFailure), (RuntimeError, RuntimeError)])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, fault, raised):
+        path = tmp_path / "out.csv"
+        records = self._records()
+        write_csv(records, path)
+        before = path.read_bytes()
+        calls = []
+
+        def failing_fmt(value):
+            calls.append(value)
+            if len(calls) > len(CSV_FIELDS):  # fail on the second row
+                raise fault("disk full")
+            return ""
+
+        monkeypatch.setattr(simulator, "_fmt", failing_fmt)
+        with pytest.raises(raised):
+            write_csv(records, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
     def test_read_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
