@@ -152,14 +152,31 @@ def _config_table(m: int, n_tx: int) -> _ConfigTable:
     return _ConfigTable(bits, xpos, symbols)
 
 
-@lru_cache(maxsize=32)
-def _hypothesis_table(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """All +-1 patterns over r explicit edges: (2^r, r) values and 0/1 copy."""
-    count = 1 << r
-    cc = np.arange(count, dtype=np.int64)[:, None]
-    rr = np.arange(r, dtype=np.int64)[None, :]
-    xh = (1 - 2 * ((cc >> rr) & 1)).astype(np.float64)
-    return xh, (xh > 0).astype(np.float64)
+def _config_products(g: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """np.einsum("...k,ck->c...", g, symbols), bit for bit, shape (C, ...).
+
+    symbols is a _config_table symbol table, whose symbol k is digit k of
+    the config index, symbol 0 lowest. Doubling over symbols: the block for
+    symbols 0..k holds the block for 0..k-1 plus g[..., k] v for each value
+    v of symbol k. As in einsum, each product takes the plain real formula
+    (numpy's complex g * v may fuse a multiply-add and round differently)
+    and each sum starts from +0 and adds the terms in ascending k.
+    """
+    count, n_sym = symbols.shape
+    q = 1 << ((count.bit_length() - 1) // max(n_sym, 1))   # values per symbol
+    out = np.empty((count,) + g.shape[:-1], dtype=np.complex128)
+    out[0] = 0.0
+    prod = np.empty(g.shape[:-1], dtype=np.complex128)
+    size = 1
+    for k in range(n_sym):
+        gr, gi = g[..., k].real, g[..., k].imag
+        for v in range(q - 1, -1, -1):  # block 0 is the others' base, so it goes last
+            sr, si = symbols[v * size, k].real, symbols[v * size, k].imag
+            np.subtract(gr * sr, gi * si, out=prod.real)
+            np.add(gr * si, gi * sr, out=prod.imag)
+            np.add(out[:size], prod, out=out[v * size:(v + 1) * size])
+        size *= q
+    return out
 
 
 def bit_gains(h: np.ndarray, m: int = 1) -> np.ndarray:
@@ -186,12 +203,14 @@ def log_likelihood_D(s: np.ndarray, j: int, h: np.ndarray, y: np.ndarray,
     return float(-(abs(resid) ** 2) / (2.0 * sigma2))
 
 
-def _sbp_max_marginals(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sbp_max_marginals(t: np.ndarray,
+                       scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-bit max of t over configs with x_i = +1 and x_i = -1: (pos, neg).
 
     t has the config axis first, (C, ...), in _config_table order, so bit i
     is the top bit of the block left once bits i+1.. are maxed out: its first
     half holds x_i = +1, its second x_i = -1. Outputs are (..., n_bits).
+    scratch, (C/2, ...), if given, takes the folded blocks; t is never written.
     """
     n_bits = t.shape[0].bit_length() - 1
     pos = np.empty(t.shape[1:] + (n_bits,))
@@ -203,7 +222,7 @@ def _sbp_max_marginals(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pos[..., i] = lo.max(axis=0)
         neg[..., i] = hi.max(axis=0)
         if i:
-            cur = np.maximum(lo, hi)
+            cur = np.maximum(lo, hi, out=None if scratch is None else scratch[:half])
     return pos, neg
 
 
@@ -404,12 +423,12 @@ def rbp_beta_update(alpha: np.ndarray, gains: np.ndarray, edge_sets: np.ndarray,
     if rd == 0 and use_closed_form:
         return (2.0 / sigma2_z) * (np.conj(gains) * (y[:, None] - u)).real
 
-    xh, xh_pos = _hypothesis_table(rd)
+    hyp = _config_table(1, rd)                                # the +-1 patterns
     jj = np.arange(n_rx)[:, None, None]
     g_sel = gains[jj, edge_sets]                              # (Nr, Nbits, R)
     a_sel = alpha.T[jj, edge_sets]                            # (Nr, Nbits, R)
-    interf = np.einsum("jir,hr->hji", g_sel, xh)              # (H, Nr, Nbits)
-    priors = np.einsum("jir,hr->hji", a_sel, xh_pos)
+    interf = _config_products(g_sel, hyp.symbols)             # (H, Nr, Nbits)
+    priors = np.einsum("jir,hr->hji", a_sel, hyp.xpos)
     base = (y[:, None] - u) - interf
     return _rbp_max_marginals(base, gains, 2.0 * sigma2_z, priors,
                               np.empty_like(base), np.empty_like(priors))

@@ -14,9 +14,15 @@ each bit's two max-marginals come from halving the config axis from the top
 bit down (detectors._sbp_max_marginals, shared with detect()). Relaxed BP
 is hypothesis-major: its scores are (H, B, Nr, Nbits) over the H = 2^R_D
 explicit-edge hypotheses, maxed over contiguous slabs by
-detectors._rbp_max_marginals, also shared with detect(). Early stopping is
-evaluated at batch boundaries in batch order, which keeps the stopping point
-deterministic too.
+detectors._rbp_max_marginals, also shared with detect(). The tables of
+products, H s for every configuration (standard BP, ML) and the explicit-edge
+interference for every hypothesis (relaxed BP), come from one doubling
+helper, detectors._config_products, which returns einsum's floats bit for
+bit. The BP kernels build their tables and buffers once per batch and refill
+them in place every iteration; where the messages start at +0, the first
+iteration skips the priors (and the soft cancellation), whose values are
+known to be +0. Early stopping is evaluated at batch boundaries in batch
+order, which keeps the stopping point deterministic too.
 """
 from __future__ import annotations
 
@@ -36,9 +42,9 @@ from .detectors import (
     LLR_CLAMP,
     MAX_RELAX_EDGES,
     DetectorSpec,
+    _config_products,
     _config_table,
     _exclusion_mask,
-    _hypothesis_table,
     _interference_means,
     _interference_variances,
     _rbp_max_marginals,
@@ -140,11 +146,21 @@ def _draw_batch(dims: SystemDims, sigma2: float, rng: np.random.Generator,
 # ---------------- batched detection kernels ----------------
 
 
+def _ml_metric(h, y, symbols):
+    """|y - H s|^2 for every configuration s in symbols, shape (C, B)."""
+    resid = _config_products(h, symbols)                      # (C, B, Nr)
+    np.subtract(y, resid, out=resid)
+    sq = np.abs(resid)
+    np.square(sq, out=sq)
+    metric = sq[..., 0].copy()  # antennas summed in order, as a middle-axis sum does
+    for j in range(1, h.shape[1]):
+        metric += sq[..., j]
+    return metric
+
+
 def _engine_ml(h, y, m):
     tbl = _config_table(m, h.shape[2])
-    hs = np.einsum("bjk,ck->bjc", h, tbl.symbols)
-    metric = (np.abs(y[:, :, None] - hs) ** 2).sum(axis=1)
-    best = np.argmin(metric, axis=1)
+    best = np.argmin(_ml_metric(h, y, tbl.symbols), axis=0)
     hard = tbl.bits[best].astype(np.float64)
     return hard * LLR_CLAMP
 
@@ -204,9 +220,16 @@ def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, want_iters=False):
     """Soft outputs for the BP family over a batch.
 
     Returns the final (B, Nbits) soft matrix, or the per-iteration list when
-    want_iters is set (entry l-1 matches a run with iterations=l). The
-    relaxed kinds are hypothesis-major, (H, B, Nr, Nbits) with H = 2^R_D,
-    in buffers allocated once and refilled every iteration.
+    want_iters is set (entry l-1 matches a run with iterations=l). SBP is
+    config-major, (C, B, Nr); the relaxed kinds are hypothesis-major,
+    (H, B, Nr, Nbits) with H = 2^R_D. Both build their product tables with
+    detectors._config_products and work in buffers allocated once per batch
+    and refilled every iteration; h and y are only read. Every result is
+    bit-identical to the plain formulation (tests/test_sbp_kernel.py,
+    tests/test_rbp_kernel.py): d is built in the table's buffer with the
+    roundings of -|y - Hs|^2 / (2 sigma^2), and on the first iteration,
+    where alpha is +0 (SBP, RBP), the priors and the lump mean are set to
+    +0 instead of computed.
     """
     b, n_rx, n_tx = h.shape
     n_bits = m * n_tx
@@ -214,14 +237,24 @@ def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, want_iters=False):
 
     if spec.kind == "SBP":
         tbl = _config_table(m, n_tx)
-        hs = np.einsum("bjk,ck->cbj", h, tbl.symbols)
-        d = -np.abs(y - hs) ** 2 / (2.0 * sigma2)             # (C, B, Nr)
+        # d = -|y - Hs|^2 / (2 sigma^2) in the product buffer; rounding is
+        # sign-symmetric, so dividing by -(2 sigma^2) equals negating first
+        d = _config_products(h, tbl.symbols)                  # (C, B, Nr)
+        np.subtract(y, d, out=d)
+        d = np.abs(d)
+        np.square(d, out=d)
+        d /= -(2.0 * sigma2)
+        t = np.empty_like(d)
+        scratch = np.empty((d.shape[0] // 2,) + d.shape[1:])
         alpha = np.zeros((b, n_bits, n_rx))
         beta = np.zeros((b, n_rx, n_bits))
-        for _ in range(spec.iterations):
-            t = np.einsum("ct,btj->cbj", tbl.xpos, alpha)
-            t += d
-            beta, neg = _sbp_max_marginals(t)                 # (B, Nr, Nbits)
+        for it in range(spec.iterations):
+            if it:
+                np.einsum("ct,btj->cbj", tbl.xpos, alpha, out=t)
+                t += d
+            else:  # alpha is +0, so the priors are +0
+                np.add(d, 0.0, out=t)
+            beta, neg = _sbp_max_marginals(t, scratch)        # (B, Nr, Nbits)
             beta -= alpha.transpose(0, 2, 1)
             beta -= neg
             total = beta.sum(axis=1)
@@ -246,23 +279,28 @@ def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, want_iters=False):
     alpha = np.repeat(prior[:, :, None], n_rx, axis=2)
 
     if rd:
-        xh, xh_pos = _hypothesis_table(rd)
-        bb = np.arange(b)[:, None, None, None]
-        jj = np.arange(n_rx)[None, :, None, None]
+        hyp = _config_table(1, rd)                            # the +-1 patterns
+        # flat (b, j, sets) positions in (B, Nr, Nbits) order, for gains and alpha^T
+        flat = np.arange(b * n_rx).reshape(b, n_rx, 1, 1) * n_bits + sets
         # hypothesis-major (H, B, Nr, Nbits); r stays contiguous in the operands
-        interf = np.einsum("bjir,hr->hbji", gains[bb, jj, sets], xh)
+        interf = _config_products(np.take(gains, flat), hyp.symbols)
         half = 2.0 * sigma2_z
         priors = np.empty(interf.shape)
         base, diff, score = np.empty_like(interf), np.empty_like(interf), np.empty_like(priors)
 
     beta = np.zeros((b, n_rx, n_bits))
-    for _ in range(spec.iterations):
-        u = _interference_means(alpha, gains, lump)
+    for it in range(spec.iterations):
+        # without a cascade, alpha starts at +0: u and the priors are +0
+        fresh = it == 0 and not cascaded
+        u = 0.0 if fresh else _interference_means(alpha, gains, lump)
         if rd == 0:
             beta = (2.0 / sigma2_z) * (gains.conj() * (y[:, :, None] - u)).real
         else:
-            a_sel = alpha.transpose(0, 2, 1)[bb, jj, sets]
-            np.einsum("bjir,hr->hbji", a_sel, xh_pos, out=priors)
+            if fresh:
+                priors.fill(0.0)
+            else:
+                a_sel = np.take(alpha.transpose(0, 2, 1), flat)
+                np.einsum("bjir,hr->hbji", a_sel, hyp.xpos, out=priors)
             np.subtract(y[:, :, None] - u, interf, out=base)
             beta = _rbp_max_marginals(base, gains, half, priors, diff, score)
         total = beta.sum(axis=1)

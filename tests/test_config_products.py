@@ -1,0 +1,77 @@
+"""The shared product-table helper against np.einsum, bit for bit.
+
+detectors._config_products builds H s for every joint configuration (SBP,
+ML) and g_sel x for every +-1 hypothesis (relaxed BP) by doubling over
+symbols. The kernels pinned elsewhere are exact only if the helper returns
+the very floats einsum returns, so these tests compare int64 views, which
+also tell +0 from -0.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from mimobp.channel import SystemDims, snr_to_noise_variance
+from mimobp.detectors import LLR_CLAMP, _config_products, _config_table
+from mimobp.simulator import _batch_rng, _draw_batch, _engine_ml, _ml_metric
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n_tx", range(1, 7))
+@pytest.mark.parametrize("count", [1, 7, 512])
+def test_channel_products_equal_einsum(m, n_tx, count):
+    symbols = _config_table(m, n_tx).symbols
+    h = _gaussian(np.random.default_rng(n_tx * 10 + m), (count, 2, n_tx))
+    _assert_same_bits(_config_products(h, symbols), np.einsum("bjk,ck->cbj", h, symbols))
+
+
+@pytest.mark.parametrize("rd", range(0, 9))
+def test_hypothesis_products_equal_einsum(rd):
+    hyp = _config_table(1, rd)
+    xh = hyp.bits.astype(np.float64)          # the real +-1 patterns, as einsum saw them
+    g_sel = _gaussian(np.random.default_rng(rd), (16, 3, 4, rd))
+    _assert_same_bits(_config_products(g_sel, hyp.symbols),
+                      np.einsum("bjir,hr->hbji", g_sel, xh))
+
+
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                   st.floats(-1e150, 1e150, allow_nan=False))
+
+
+@given(
+    m=st.sampled_from([1, 2]),
+    n_tx=st.integers(1, 4),
+    re=arrays(np.float64, (3, 2, 4), elements=_PARTS),
+    im=arrays(np.float64, (3, 2, 4), elements=_PARTS),
+)
+def test_products_equal_einsum_property(m, n_tx, re, im):
+    g = np.empty(re.shape, dtype=np.complex128)
+    g.real, g.imag = re, im                   # re + 1j * im would lose signs of zero
+    g = g[..., :n_tx]
+    symbols = _config_table(m, n_tx).symbols
+    _assert_same_bits(_config_products(g, symbols), np.einsum("...k,ck->c...", g, symbols))
+
+
+@pytest.mark.parametrize("n_tx,n_rx,m", [
+    (4, 4, 1), (4, 4, 2), (8, 8, 1), (3, 5, 1), (3, 5, 2), (5, 3, 1), (5, 3, 2),
+], ids=lambda v: str(v))
+@pytest.mark.parametrize("snr_db", [0.0, 10.0, 30.0])
+def test_ml_metric_and_decisions_equal_the_einsum_form(n_tx, n_rx, m, snr_db):
+    dims = SystemDims(n_tx, n_rx, m)
+    sigma2 = snr_to_noise_variance(snr_db, dims).variance
+    _, h, y = _draw_batch(dims, sigma2, _batch_rng(7, snr_db, 0), 64)
+    tbl = _config_table(m, n_tx)
+    hs = np.einsum("bjk,ck->bjc", h, tbl.symbols)
+    want = (np.abs(y[:, :, None] - hs) ** 2).sum(axis=1)              # (B, C)
+    assert np.array_equal(_ml_metric(h, y, tbl.symbols), want.T)
+    hard = tbl.bits[np.argmin(want, axis=1)].astype(np.float64) * LLR_CLAMP
+    assert np.array_equal(_engine_ml(h, y, m), hard)

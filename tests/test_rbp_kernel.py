@@ -8,7 +8,7 @@ iteration, not just to a tolerance.
 """
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from mimobp.channel import SystemDims, snr_to_noise_variance
 from mimobp.detectors import DetectorSpec, build_edge_sets
@@ -49,7 +49,6 @@ def test_engine_equals_trial_major_oracle_on_every_iteration(kind, n_tx, n_rx, m
         _assert_bit_identical(kind, n_tx, n_rx, m, rd1, rd2, sigma2, 5, 64, batch_index)
 
 
-@settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(KINDS),
     n_tx=st.integers(1, 5),

@@ -7,7 +7,7 @@ every iteration, not just to a tolerance.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from mimobp.channel import SystemDims, snr_to_noise_variance
 from mimobp.detectors import DetectorSpec, _config_table, _sbp_max_marginals
@@ -35,7 +35,6 @@ def test_engine_equals_mask_oracle_on_every_iteration(n_tx, n_rx, m, snr_db):
         _assert_bit_identical(n_tx, n_rx, m, sigma2, 6, 128, batch_index)
 
 
-@settings(max_examples=40, deadline=None)
 @given(
     n_tx=st.integers(1, 4),
     n_rx=st.integers(1, 6),

@@ -118,6 +118,24 @@ class TestEngineMatchesPerTrialDetector:
             np.testing.assert_allclose(batched[b], single.soft_llrs,
                                        rtol=1e-9, atol=1e-9)
 
+    @pytest.mark.parametrize("spec", [
+        DetectorSpec.ml(),
+        DetectorSpec.mmse(),
+        DetectorSpec.mmse_sic(),
+        DetectorSpec.sbp(3),
+        DetectorSpec.rbp(0, 0, 3),
+        DetectorSpec.rbp(1, 1, 3),
+        DetectorSpec.mmse_rbp(0, 0, 3),
+        DetectorSpec.mmse_rbp(1, 1, 3),
+    ], ids=lambda s: f"{s.label}{(s.rd1, s.rd2) if s.relaxed else ''}")
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_kernels_leave_h_and_y_untouched(self, spec, m):
+        """The kernels work in buffers of their own; the caller's arrays stay as drawn."""
+        _, h, y = _draw_batch(SystemDims(3, 4, m), 0.4, _batch_rng(12, 8.0, 0), 16)
+        h_bytes, y_bytes = h.tobytes(), y.tobytes()
+        _engine_soft(spec, h, y, 0.4, m)
+        assert h.tobytes() == h_bytes and y.tobytes() == y_bytes
+
 
 class TestRunPoint:
     def test_deterministic_across_repeats(self):
