@@ -39,10 +39,8 @@ from .errors import (
     DimensionTooLargeError,
     IoFailure,
     LengthMismatchError,
-    SingularMatrixError,
 )
 from .metrics import BerAccumulator, OpCounts, ami, ber_accumulate, complexity_counts
-from .numerics import gram, hermitian_solve, max_log
 from .presets import Preset, get_preset
 from .simulator import (
     SweepConfig,
@@ -66,9 +64,7 @@ __all__ = [
     "mmse_filter", "mmse_prior_llr", "rbp_beta_update",
     "sbp_beta_update", "select_edges", "soft_output",
     "DimensionTooLargeError", "IoFailure", "LengthMismatchError",
-    "SingularMatrixError",
     "BerAccumulator", "OpCounts", "ami", "ber_accumulate", "complexity_counts",
-    "gram", "hermitian_solve", "max_log",
     "Preset", "get_preset",
     "SweepConfig", "SweepRecord", "read_csv", "run_convergence", "run_point",
     "run_sweep", "write_csv",

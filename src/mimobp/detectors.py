@@ -25,6 +25,12 @@ which is what lets the cascade track the MMSE-SIC baseline instead of
 relaxing back to the uninformed fixed point. The soft output remains the
 plain column sum of beta; re-adding the prior there would double-count
 information already fed back through the cancellation.
+
+Each detector has one implementation, the batched engine in
+mimobp.simulator, built from the batch steps here. detect() and
+message_history() run it on a batch of one; the per-message helpers
+(sbp_beta_update, rbp_beta_update, interference_mean, ...) are views of the
+same steps, so every path returns the same floats.
 """
 from __future__ import annotations
 
@@ -35,7 +41,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionTooLargeError, LengthMismatchError
-from .numerics import gram, hermitian_solve
 
 # Hard clamp applied to bit-to-factor LLRs (and to exponent arguments wherever
 # an LLR is converted to a probability-domain quantity).
@@ -75,6 +80,10 @@ class DetectorSpec:
     @property
     def relaxed(self) -> bool:
         return self.kind in ("RBP", "MMSE_RBP")
+
+    @property
+    def iterative(self) -> bool:
+        return self.kind in ("SBP", "RBP", "MMSE_RBP")
 
     @property
     def label(self) -> str:
@@ -199,7 +208,7 @@ def log_likelihood_D(s: np.ndarray, j: int, h: np.ndarray, y: np.ndarray,
     """D_j(s) = -|y_j - h_j s|^2 / (2 sigma^2)."""
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be > 0")
-    resid = y[j] - h[j, :] @ np.asarray(s, dtype=np.complex128)
+    resid = y[j] - np.einsum("k,k->", h[j, :], np.asarray(s, dtype=np.complex128))
     return float(-(abs(resid) ** 2) / (2.0 * sigma2))
 
 
@@ -226,46 +235,74 @@ def _sbp_max_marginals(t: np.ndarray,
     return pos, neg
 
 
+def _sbp_step(h: np.ndarray, y: np.ndarray, sigma2: float, m: int):
+    """The standard-BP beta update of a batch (h (B, Nr, Nt), y (B, Nr)),
+    as step(alpha (B, Nbits, Nr), fresh=False) -> beta (B, Nr, Nbits).
+
+    beta[j, i] = max over configs with x_i = +1 of {D_j(s) + sum of alpha[t, j]
+    over t != i with x_t = +1} minus the analogous max with x_i = -1. D
+    (C, B, Nr) is built once in the product table's buffer, with the
+    roundings of -|y - Hs|^2 / (2 sigma^2) (rounding is sign-symmetric, so
+    dividing by -(2 sigma^2) equals negating first); the score buffers are
+    reused. fresh says alpha is +0: the priors are +0, not computed.
+    """
+    tbl = _config_table(m, h.shape[-1])
+    d = _config_products(h, tbl.symbols)
+    np.subtract(y, d, out=d)
+    d = np.abs(d)
+    np.square(d, out=d)
+    d /= -(2.0 * sigma2)
+    t = np.empty_like(d)
+    scratch = np.empty((d.shape[0] // 2,) + d.shape[1:])
+
+    def step(alpha, fresh=False):
+        if fresh:
+            np.add(d, 0.0, out=t)
+        else:
+            np.einsum("ct,btj->cbj", tbl.xpos, alpha, out=t)
+            np.add(t, d, out=t)
+        beta, neg = _sbp_max_marginals(t, scratch)
+        # the x_i = +1 branch double-counts alpha[i, :]; subtract it back out
+        beta -= alpha.transpose(0, 2, 1)
+        beta -= neg
+        return beta
+
+    return step
+
+
 def sbp_beta_update(alpha: np.ndarray, h: np.ndarray, y: np.ndarray,
                     sigma2: float, m: int = 1) -> np.ndarray:
     """One standard-BP factor-to-bit update by exhaustive enumeration.
 
-    beta[j, i] = max over configs with x_i = +1 of {D_j(s) + sum of alpha[t, j]
-    over t != i with x_t = +1} minus the analogous max with x_i = -1.
+    alpha is (Nbits, Nr), beta (Nr, Nbits); _sbp_step on a batch of one.
     """
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be > 0")
-    h = np.asarray(h, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    tbl = _config_table(m, h.shape[1])
-
-    hs = h @ tbl.symbols.T                                    # (Nr, C)
-    d = -np.abs(y[:, None] - hs) ** 2 / (2.0 * sigma2)
-    t = d.T + tbl.xpos @ alpha                                # (C, Nr)
-    beta, neg = _sbp_max_marginals(t)                         # (Nr, Nbits)
-    # the x_i = +1 branch double-counts alpha[i, :]; subtract it back out
-    beta -= alpha.T
-    beta -= neg
-    return beta
+    step = _sbp_step(np.asarray(h, dtype=np.complex128)[None],
+                     np.asarray(y, dtype=np.complex128)[None], sigma2, m)
+    return step(np.asarray(alpha, dtype=np.float64)[None])[0]
 
 
 def alpha_update(beta: np.ndarray, prior: np.ndarray | None = None) -> np.ndarray:
     """alpha[i, j] = sum of beta[t, i] over factors t != j, clamped to +-30.
 
     A per-bit prior, when given, stays as an additive intrinsic term in
-    every outgoing alpha (the bit node's own degree-one factor).
+    every outgoing alpha (the bit node's own degree-one factor). Leading
+    batch axes of beta (..., Nr, Nbits) and prior (..., Nbits) carry through.
     """
-    total = beta.sum(axis=0)
-    alpha = total[:, None] - beta.T
+    total = beta.sum(axis=-2)
+    alpha = total[..., :, None] - np.swapaxes(beta, -1, -2)
     if prior is not None:
-        alpha = prior[:, None] + alpha
+        alpha = prior[..., :, None] + alpha
     return np.clip(alpha, -LLR_CLAMP, LLR_CLAMP)
 
 
 def soft_output(beta: np.ndarray, iterations_run: int = 0,
                 per_iteration_soft: list | None = None) -> DetectionResult:
-    """Final per-bit LLRs (column sums of beta) and hard signs (sign(0) = +1)."""
-    soft = beta.sum(axis=0)
+    """Final per-bit LLRs (column sums of beta) and hard signs (sign(0) = +1).
+
+    Leading batch axes of beta (..., Nr, Nbits) carry through."""
+    soft = beta.sum(axis=-2)
     hard = np.where(soft >= 0.0, 1, -1)
     return DetectionResult(hard, soft, iterations_run, per_iteration_soft)
 
@@ -323,20 +360,26 @@ def _exclusion_mask(edge_sets: np.ndarray, n_bits: int) -> np.ndarray:
     return mask
 
 
+def _one_factor(psi: np.ndarray, h_row: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gains (1, Nbits) and lump mask (1, Nbits, Nbits) of one factor whose
+    messages all keep psi explicit; row i of the mask is message (j, i)'s."""
+    gains = bit_gains(np.asarray(h_row)[None, :], m)
+    psi = np.asarray(psi, dtype=np.intp)
+    sets = np.broadcast_to(psi, (1, gains.shape[1], psi.size))
+    return gains, _exclusion_mask(sets, gains.shape[1])
+
+
 def interference_mean(alpha_col: np.ndarray, psi: np.ndarray, h_row: np.ndarray,
                       i: int, m: int = 1) -> complex:
     """Soft-cancellation mean of the lumped interferers for one message.
 
     u = sum over t not in Psi, t != i of g[t] * tanh(alpha[t]/2), where
-    alpha_col holds the bit-to-factor LLRs heading to this factor.
+    alpha_col holds the bit-to-factor LLRs heading to this factor. A view of
+    _interference_means.
     """
-    gains = bit_gains(np.asarray(h_row)[None, :], m)[0]
-    n_bits = gains.shape[0]
-    keep = np.ones(n_bits, dtype=bool)
-    keep[np.asarray(psi, dtype=np.intp)] = False
-    keep[i] = False
-    e = np.tanh(np.asarray(alpha_col, dtype=np.float64) / 2.0)
-    return complex((gains[keep] * e[keep]).sum())
+    gains, lump = _one_factor(psi, h_row, m)
+    alpha = np.asarray(alpha_col, dtype=np.float64)[:, None]
+    return complex(_interference_means(alpha, gains, lump)[0, i])
 
 
 def interference_variance(psi: np.ndarray, h_row: np.ndarray, i: int,
@@ -344,14 +387,11 @@ def interference_variance(psi: np.ndarray, h_row: np.ndarray, i: int,
     """Variance of the Gaussian lump: prior unit bit variance plus noise.
 
     sigma2_z = sum over t not in Psi, t != i of |g[t]|^2 + sigma^2. Computed
-    once per channel realization; never updated from the feedback.
+    once per channel realization; never updated from the feedback. A view
+    of _interference_variances.
     """
-    gains = bit_gains(np.asarray(h_row)[None, :], m)[0]
-    n_bits = gains.shape[0]
-    keep = np.ones(n_bits, dtype=bool)
-    keep[np.asarray(psi, dtype=np.intp)] = False
-    keep[i] = False
-    return float((np.abs(gains[keep]) ** 2).sum() + sigma2)
+    gains, lump = _one_factor(psi, h_row, m)
+    return float(_interference_variances(gains, lump, sigma2)[0, i])
 
 
 def _interference_means(alpha: np.ndarray, gains: np.ndarray,
@@ -383,205 +423,128 @@ def _interference_variances(gains: np.ndarray, lump_mask: np.ndarray,
     return np.einsum("...jit,...jt->...ji", lump_mask, power) + sigma2
 
 
-def _rbp_max_marginals(base: np.ndarray, own: np.ndarray, half: np.ndarray,
-                       priors: np.ndarray, diff: np.ndarray,
-                       score: np.ndarray) -> np.ndarray:
-    """Relaxed beta: best hypothesis score with x_i = +1 minus best with x_i = -1.
+def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray,
+                  y: np.ndarray, closed_form: bool = True):
+    """The relaxed beta update of a batch (gains, sigma2_z (B, Nr, Nbits),
+    edge_sets (B, Nr, Nbits, R_D), y (B, Nr)), as step(alpha (B, Nbits, Nr),
+    u (B, Nr, Nbits), fresh=False) -> beta (B, Nr, Nbits).
 
-    A hypothesis scores priors - |base -+ own|^2 / half. base and priors are
-    hypothesis-major, (H, ...), so both maxima run over contiguous slabs.
-    diff (complex) and score (real) are scratch arrays of base's shape.
+    Bit i is enumerated jointly with its explicit edges; lumped interferers
+    enter only through the mean u and the variance sigma2_z. With no
+    explicit edges the update has the closed matched-filter form
+    beta = (2/sigma2_z) Re(g* (y - u)), unless closed_form is False. The
+    interference of every hypothesis and the score buffers are built once
+    and reused. fresh says alpha is +0: the priors are +0, not computed.
     """
-    best = []
-    for combine in (np.subtract, np.add):
-        np.abs(combine(base, own, out=diff), out=score)
-        np.square(score, out=score)
-        score /= half
-        np.subtract(priors, score, out=score)
-        best.append(score.max(axis=0))
-    return best[0] - best[1]
-
-
-def rbp_beta_update(alpha: np.ndarray, gains: np.ndarray, edge_sets: np.ndarray,
-                    u: np.ndarray, sigma2_z: np.ndarray, y: np.ndarray,
-                    use_closed_form: bool = True) -> np.ndarray:
-    """One relaxed factor-to-bit update for every message.
-
-    Enumerates bit i jointly with its explicit edges; lumped interferers
-    enter only through the mean u (from the previous alphas) and the fixed
-    variance sigma2_z. With no explicit edges the update has the closed
-    matched-filter form beta = (2/sigma2_z) Re(g* (y - u)), used by default;
-    use_closed_form=False forces the general enumeration (the two must
-    agree, which the tests pin).
-    """
-    n_rx, n_bits, rd = edge_sets.shape
+    b, n_rx, n_bits, rd = edge_sets.shape
     if rd > MAX_RELAX_EDGES:
         raise DimensionTooLargeError(
             f"{rd} explicit edges means 2^{rd + 1} hypotheses per message; "
             f"at most {MAX_RELAX_EDGES} supported"
         )
-    if rd == 0 and use_closed_form:
-        return (2.0 / sigma2_z) * (np.conj(gains) * (y[:, None] - u)).real
+    y = y[:, :, None]
+    if rd == 0 and closed_form:
+        return lambda alpha, u, fresh=False: (2.0 / sigma2_z) * (gains.conj() * (y - u)).real
 
     hyp = _config_table(1, rd)                                # the +-1 patterns
-    jj = np.arange(n_rx)[:, None, None]
-    g_sel = gains[jj, edge_sets]                              # (Nr, Nbits, R)
-    a_sel = alpha.T[jj, edge_sets]                            # (Nr, Nbits, R)
-    interf = _config_products(g_sel, hyp.symbols)             # (H, Nr, Nbits)
-    priors = np.einsum("jir,hr->hji", a_sel, hyp.xpos)
-    base = (y[:, None] - u) - interf
-    return _rbp_max_marginals(base, gains, 2.0 * sigma2_z, priors,
-                              np.empty_like(base), np.empty_like(priors))
+    # flat (b, j, sets) positions in (B, Nr, Nbits) order, for gains and alpha^T
+    flat = np.arange(b * n_rx).reshape(b, n_rx, 1, 1) * n_bits + edge_sets
+    # hypothesis-major (H, B, Nr, Nbits); r stays contiguous in the operands
+    interf = _config_products(np.take(gains, flat), hyp.symbols)
+    half = 2.0 * sigma2_z
+    priors = np.empty(interf.shape)
+    base, diff, score = np.empty_like(interf), np.empty_like(interf), np.empty_like(priors)
+
+    def step(alpha, u, fresh=False):
+        if fresh:
+            priors.fill(0.0)
+        else:
+            a_sel = np.take(alpha.transpose(0, 2, 1), flat)
+            np.einsum("bjir,hr->hbji", a_sel, hyp.xpos, out=priors)
+        np.subtract(y - u, interf, out=base)
+        # a hypothesis scores priors - |base -+ g_i|^2 / half; beta is the best
+        # with x_i = +1 minus the best with x_i = -1, each over contiguous slabs
+        best = []
+        for combine in (np.subtract, np.add):
+            np.abs(combine(base, gains, out=diff), out=score)
+            np.square(score, out=score)
+            np.divide(score, half, out=score)
+            np.subtract(priors, score, out=score)
+            best.append(score.max(axis=0))
+        return best[0] - best[1]
+
+    return step
+
+
+def rbp_beta_update(alpha: np.ndarray, gains: np.ndarray, edge_sets: np.ndarray,
+                    u: np.ndarray, sigma2_z: np.ndarray, y: np.ndarray,
+                    use_closed_form: bool = True) -> np.ndarray:
+    """One relaxed factor-to-bit update for every message: alpha (Nbits, Nr),
+    gains, u, sigma2_z (Nr, Nbits), edge_sets (Nr, Nbits, R_D), beta (Nr, Nbits).
+
+    _relaxed_step on a batch of one. use_closed_form=False forces the general
+    enumeration without explicit edges (the two must agree, which the tests pin).
+    """
+    step = _relaxed_step(gains[None], edge_sets[None], sigma2_z[None], y[None],
+                         use_closed_form)
+    return step(alpha[None], u[None])[0]
 
 
 # ---------------- linear front ends ----------------
 
 
+def _mmse_estimate(h: np.ndarray, y: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """MMSE estimates of a batch: s_hat = A^-1 H^H y (B, Nt) and K = A^-1
+    (B, Nt, Nt), with A = H^H H + sigma^2 I."""
+    a = np.einsum("bja,bjc->bac", h.conj(), h) + sigma2 * np.eye(h.shape[2])
+    hty = np.einsum("bjk,bj->bk", h.conj(), y)
+    return np.linalg.solve(a, hty[:, :, None])[:, :, 0], np.linalg.inv(a)
+
+
+def _mmse_llrs(s_hat: np.ndarray, mse: np.ndarray, m: int) -> np.ndarray:
+    """Per-bit pseudo-LLRs (..., Nbits) from estimates and error variances (..., Nt).
+
+    2 Re(s_hat_k)/K_kk at M = 1. At M = 2 the first bit of a symbol reads the
+    real part and the second the imaginary part, both scaled by sqrt(2) for
+    the unit-energy mapping.
+    """
+    if m == 1:
+        return 2.0 * s_hat.real / mse
+    out = np.empty(s_hat.shape[:-1] + (m * s_hat.shape[-1],))
+    out[..., 0::2] = 2.0 * np.sqrt(2.0) * s_hat.real / mse
+    out[..., 1::2] = 2.0 * np.sqrt(2.0) * s_hat.imag / mse
+    return out
+
+
 def mmse_filter(h: np.ndarray, y: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
     """MMSE estimate s_hat = (H^H H + sigma^2 I)^-1 H^H y and that inverse K."""
-    h = np.asarray(h, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    n_tx = h.shape[1]
-    a = gram(h) + sigma2 * np.eye(n_tx)
-    s_hat = hermitian_solve(a, h.conj().T @ y)
-    k = hermitian_solve(a, np.eye(n_tx, dtype=np.complex128))
-    k = 0.5 * (k + k.conj().T)
-    return s_hat, k
-
-
-def _component_llr(value: complex, mse: float, component: int, m: int) -> float:
-    if mse <= 0.0:
-        raise ValueError("MMSE error variance must be > 0")
-    part = value.real if component == 0 else value.imag
-    return 2.0 * np.sqrt(m) * part / mse
+    s_hat, k = _mmse_estimate(np.asarray(h, dtype=np.complex128)[None],
+                              np.asarray(y, dtype=np.complex128)[None], sigma2)
+    return s_hat[0], k[0]
 
 
 def mmse_prior_llr(s_hat: np.ndarray, k: np.ndarray, i: int, m: int = 1) -> float:
-    """Pseudo-LLR of bit i from the MMSE output: 2 Re(s_hat_k)/K_kk at M = 1.
-
-    At M = 2 the first bit of a symbol reads the real part and the second
-    the imaginary part, both scaled by sqrt(2) for the unit-energy mapping.
-    """
-    k0 = i // m
-    return _component_llr(complex(s_hat[k0]), float(k[k0, k0].real), i % m, m)
+    """Pseudo-LLR of bit i from the MMSE output (see _mmse_llrs)."""
+    return float(_mmse_llrs(np.asarray(s_hat), np.diagonal(k).real, m)[i])
 
 
 # ---------------- whole-vector detection ----------------
 
 
-def _detect_ml(h: np.ndarray, y: np.ndarray, m: int) -> DetectionResult:
-    n_tx = h.shape[1]
-    tbl = _config_table(m, n_tx)
-    hs = h @ tbl.symbols.T
-    metric = (np.abs(y[:, None] - hs) ** 2).sum(axis=0)
-    best = int(np.argmin(metric))
-    hard = tbl.bits[best].astype(int)
-    # synthetic saturated LLRs; AMI is not defined for the hard-decision ML
-    return DetectionResult(hard, hard * LLR_CLAMP, 0)
-
-
-def _detect_mmse(h: np.ndarray, y: np.ndarray, sigma2: float, m: int) -> DetectionResult:
-    s_hat, k = mmse_filter(h, y, sigma2)
-    n_bits = m * h.shape[1]
-    soft = np.array([mmse_prior_llr(s_hat, k, i, m) for i in range(n_bits)])
-    hard = np.where(soft >= 0.0, 1, -1)
-    return DetectionResult(hard, soft, 0)
-
-
-def _detect_mmse_sic(h: np.ndarray, y: np.ndarray, sigma2: float, m: int) -> DetectionResult:
-    """Ordered successive cancellation: best post-MMSE stream first,
-    hard-decision re-encode, subtract, re-filter the remainder."""
-    from .channel import demodulate, modulate
-
-    h = np.asarray(h, dtype=np.complex128)
-    n_tx = h.shape[1]
-    n_bits = m * n_tx
-    active = list(range(n_tx))
-    y_res = np.asarray(y, dtype=np.complex128).copy()
-    soft = np.empty(n_bits)
-    eye = np.eye(n_tx, dtype=np.complex128)
-    for _ in range(n_tx):
-        hs = h[:, active]
-        a = gram(hs) + sigma2 * eye[: len(active), : len(active)]
-        k = hermitian_solve(a, eye[: len(active), : len(active)])
-        k = 0.5 * (k + k.conj().T)
-        s_hat = hermitian_solve(a, hs.conj().T @ y_res)
-        p = int(np.argmin(k.diagonal().real))
-        sym = active[p]
-        est = complex(s_hat[p])
-        mse = float(k[p, p].real)
-        for b in range(m):
-            soft[sym * m + b] = _component_llr(est, mse, b, m)
-        sliced = modulate(demodulate(np.array([est]), m), m)[0]
-        y_res = y_res - h[:, sym] * sliced
-        active.pop(p)
-    hard = np.where(soft >= 0.0, 1, -1)
-    return DetectionResult(hard, soft, 0)
-
-
-def _bp_run(spec: DetectorSpec, h: np.ndarray, y: np.ndarray, sigma2: float,
-            m: int, want_messages: bool = False, want_soft: bool = False):
-    """Shared flooding loop for SBP, RBP and MMSE-RBP.
-
-    Returns (prior, beta, messages, softs): prior is the initial per-bit
-    belief (zeros except for the MMSE cascade), beta the final
-    factor-to-bit matrix. The cascade's pseudo-LLRs act as a fixed per-bit
-    prior factor: they seed the alphas, remain an additive intrinsic term
-    in every alpha update, and shrink the lump variances once up front.
-    The soft output stays the plain column sum of beta.
-    """
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be > 0 for message passing")
-    h = np.asarray(h, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    n_rx, n_tx = h.shape
-    n_bits = m * n_tx
-
-    if spec.kind == "MMSE_RBP":
-        s_hat, k = mmse_filter(h, y, sigma2)
-        prior = np.array([mmse_prior_llr(s_hat, k, i, m) for i in range(n_bits)])
-        prior = np.clip(prior, -LLR_CLAMP, LLR_CLAMP)
-    else:
-        prior = None
-
-    relaxed = spec.relaxed
-    if relaxed:
-        gains = bit_gains(h, m)
-        edge_sets = build_edge_sets(h, spec, m)
-        lump = _exclusion_mask(edge_sets, n_bits)
-        bit_var = None if prior is None else 1.0 - np.tanh(prior / 2.0) ** 2
-        sigma2_z = _interference_variances(gains, lump, sigma2, bit_var)
-
-    alpha0 = np.zeros(n_bits) if prior is None else prior
-    alpha = np.tile(alpha0[:, None], (1, n_rx))
-
-    beta = np.zeros((n_rx, n_bits))
-    messages: list[MessageState] = []
-    softs: list[np.ndarray] = []
-    for _ in range(spec.iterations):
-        if relaxed:
-            u = _interference_means(alpha, gains, lump)
-            beta = rbp_beta_update(alpha, gains, edge_sets, u, sigma2_z, y)
-        else:
-            beta = sbp_beta_update(alpha, h, y, sigma2, m)
-        alpha = alpha_update(beta, prior)
-        if want_messages:
-            messages.append(MessageState(alpha.copy(), beta.copy()))
-        if want_soft:
-            softs.append(beta.sum(axis=0))
-    return alpha0, beta, messages, softs
-
-
 def message_history(spec: DetectorSpec, h: np.ndarray, y: np.ndarray,
                     sigma2: float, m: int = 1) -> list[MessageState]:
     """Alpha/beta after each flooding iteration (for analysis and tests)."""
-    _, _, messages, _ = _bp_run(spec, h, y, sigma2, m, want_messages=True)
-    return messages
+    from .simulator import _bp_messages  # the simulator imports this module
+
+    h = np.asarray(h, dtype=np.complex128)[None]
+    y = np.asarray(y, dtype=np.complex128)[None]
+    return [MessageState(alpha[0], beta[0])
+            for alpha, beta in _bp_messages(spec, h, y, sigma2, m)]
 
 
 def detect(spec: DetectorSpec, h: np.ndarray, y: np.ndarray, sigma2: float,
            m: int = 1, record_iterations: bool = False) -> DetectionResult:
-    """Run one detector on one received vector.
+    """Run one detector on one received vector: the batched engine on a batch of one.
 
     h is (Nr, Nt) complex, y is (Nr,), sigma2 the complex noise variance, m
     the bits per symbol. With record_iterations=True the BP kinds also
@@ -590,22 +553,17 @@ def detect(spec: DetectorSpec, h: np.ndarray, y: np.ndarray, sigma2: float,
     their initial beliefs: zero LLRs for SBP/RBP, the MMSE pseudo-LLRs for
     MMSE-RBP.
     """
+    from .simulator import _engine_soft  # the simulator imports this module
+
     h = np.asarray(h, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (h.shape[0],):
         raise LengthMismatchError(
             f"y has shape {y.shape}, expected ({h.shape[0]},)")
-
-    if spec.kind == "ML":
-        return _detect_ml(h, y, m)
-    if spec.kind == "MMSE":
-        return _detect_mmse(h, y, sigma2, m)
-    if spec.kind == "MMSE_SIC":
-        return _detect_mmse_sic(h, y, sigma2, m)
-
-    prior, beta, _, softs = _bp_run(spec, h, y, sigma2, m, want_soft=record_iterations)
-    if spec.iterations == 0:
-        soft = prior.copy()
-        hard = np.where(soft >= 0.0, 1, -1)
-        return DetectionResult(hard, soft, 0, [] if record_iterations else None)
-    return soft_output(beta, spec.iterations, softs if record_iterations else None)
+    one = (spec, h[None], y[None], sigma2, m)
+    per = None
+    if record_iterations and spec.iterative:
+        per = [soft[0] for soft in _engine_soft(*one, want_iters=True)]
+    soft = per[-1] if per else _engine_soft(*one)[0]
+    return DetectionResult(np.where(soft >= 0.0, 1, -1), soft,
+                           spec.iterations if spec.iterative else 0, per)

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class SingularMatrixError(ValueError):
-    """A Cholesky pivot fell below the tolerance; the system is not solvable."""
-
-
 class DimensionTooLargeError(ValueError):
     """An exhaustive enumeration was requested beyond the supported size."""
 

@@ -77,8 +77,13 @@ def ami(soft_llrs: np.ndarray, true_bits: np.ndarray) -> float:
         raise LengthMismatchError(
             f"LLR shape {soft_llrs.shape} != bit shape {true_bits.shape}"
         )
+    return ami_sum(soft_llrs, true_bits) / soft_llrs.size
+
+
+def ami_sum(soft_llrs: np.ndarray, true_bits: np.ndarray) -> float:
+    """Sum over bits of 1 - log2(1 + exp(-b * L)), exponent clamped to +-30."""
     arg = np.clip(-true_bits * soft_llrs, -AMI_EXP_CLAMP, AMI_EXP_CLAMP)
-    return float(np.mean(1.0 - np.log2(1.0 + np.exp(arg))))
+    return float((1.0 - np.log2(1.0 + np.exp(arg))).sum())
 
 
 @dataclass(frozen=True)

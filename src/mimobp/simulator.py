@@ -6,23 +6,17 @@ batch index), so results are reproducible bit-for-bit regardless of worker
 count or scheduling, and every detector sees the same channel/noise
 realizations at a given (seed, SNR) - useful for paired comparisons.
 
-Detection inside a batch is vectorized across trials (the per-trial
-detectors.detect() is the reference; the batched kernels here are pinned to
-it by equivalence tests). Standard BP is config-major: factor metrics and
-priors are (C, B, Nr) arrays over the C = 2^Nbits joint configurations, and
-each bit's two max-marginals come from halving the config axis from the top
-bit down (detectors._sbp_max_marginals, shared with detect()). Relaxed BP
-is hypothesis-major: its scores are (H, B, Nr, Nbits) over the H = 2^R_D
-explicit-edge hypotheses, maxed over contiguous slabs by
-detectors._rbp_max_marginals, also shared with detect(). The tables of
-products, H s for every configuration (standard BP, ML) and the explicit-edge
-interference for every hypothesis (relaxed BP), come from one doubling
+The engine here is the only implementation of every detector;
+detectors.detect() and message_history() run it on a batch of one, and a
+row's result does not depend on the batch around it. The BP kinds share one
+flooding loop, _bp_messages, over the batch steps of mimobp.detectors:
+standard BP is config-major, (C, B, Nr) over the C = 2^Nbits joint
+configurations; relaxed BP is hypothesis-major, (H, B, Nr, Nbits) over the
+H = 2^R_D explicit-edge hypotheses. Product tables come from one doubling
 helper, detectors._config_products, which returns einsum's floats bit for
-bit. The BP kernels build their tables and buffers once per batch and refill
-them in place every iteration; where the messages start at +0, the first
-iteration skips the priors (and the soft cancellation), whose values are
-known to be +0. Early stopping is evaluated at batch boundaries in batch
-order, which keeps the stopping point deterministic too.
+bit, and the MMSE kinds share one solve and inverse,
+detectors._mmse_estimate. Early stopping is evaluated at batch boundaries
+in batch order, which keeps the stopping point deterministic too.
 """
 from __future__ import annotations
 
@@ -47,13 +41,17 @@ from .detectors import (
     _exclusion_mask,
     _interference_means,
     _interference_variances,
-    _rbp_max_marginals,
-    _sbp_max_marginals,
+    _mmse_estimate,
+    _mmse_llrs,
+    _relaxed_step,
+    _sbp_step,
+    alpha_update,
     bit_gains,
     build_edge_sets,
+    soft_output,
 )
 from .errors import IoFailure
-from .metrics import AMI_EXP_CLAMP, BerAccumulator
+from .metrics import BerAccumulator, ami_sum
 
 # Trials per batch; fixed so batch boundaries (and therefore stopping points
 # and RNG streams) do not depend on worker count.
@@ -167,20 +165,13 @@ def _engine_ml(h, y, m):
 
 def _engine_mmse_prior(h, y, sigma2, m):
     """Per-bit MMSE pseudo-LLRs for a batch, shape (B, Nbits). Unclamped."""
-    n_tx = h.shape[2]
-    a = np.einsum("bja,bjc->bac", h.conj(), h) + sigma2 * np.eye(n_tx)
-    hty = np.einsum("bjk,bj->bk", h.conj(), y)
-    s_hat = np.linalg.solve(a, hty[:, :, None])[:, :, 0]
-    mse = np.diagonal(np.linalg.inv(a), axis1=1, axis2=2).real
-    if m == 1:
-        return 2.0 * s_hat.real / mse
-    out = np.empty((h.shape[0], m * n_tx))
-    out[:, 0::2] = 2.0 * np.sqrt(2.0) * s_hat.real / mse
-    out[:, 1::2] = 2.0 * np.sqrt(2.0) * s_hat.imag / mse
-    return out
+    s_hat, k = _mmse_estimate(h, y, sigma2)
+    return _mmse_llrs(s_hat, np.diagonal(k, axis1=1, axis2=2).real, m)
 
 
 def _engine_mmse_sic(h, y, sigma2, m):
+    """Ordered successive cancellation: best post-MMSE stream first,
+    hard-decision re-encode, subtract, re-filter the remainder."""
     b, n_rx, n_tx = h.shape
     n_bits = m * n_tx
     rows = np.arange(b)
@@ -190,10 +181,8 @@ def _engine_mmse_sic(h, y, sigma2, m):
     for stage in range(n_tx):
         n_rem = n_tx - stage
         h_act = np.take_along_axis(h, active[:, None, :], axis=2)
-        a = np.einsum("bja,bjc->bac", h_act.conj(), h_act) + sigma2 * np.eye(n_rem)
-        mse = np.diagonal(np.linalg.inv(a), axis1=1, axis2=2).real
-        hty = np.einsum("bjk,bj->bk", h_act.conj(), y_res)
-        s_hat = np.linalg.solve(a, hty[:, :, None])[:, :, 0]
+        s_hat, k = _mmse_estimate(h_act, y_res, sigma2)
+        mse = np.diagonal(k, axis1=1, axis2=2).real
         p = np.argmin(mse, axis=1)
         sym = active[rows, p]
         est = s_hat[rows, p]
@@ -216,105 +205,78 @@ def _engine_edge_sets(h, spec: DetectorSpec, m: int) -> np.ndarray:
     return build_edge_sets(h, spec, m)
 
 
-def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, want_iters=False):
-    """Soft outputs for the BP family over a batch.
+def _cascade_prior(h, y, sigma2, m):
+    """The MMSE cascade's fixed per-bit prior (B, Nbits), clamped like alpha."""
+    return np.clip(_engine_mmse_prior(h, y, sigma2, m), -LLR_CLAMP, LLR_CLAMP)
 
-    Returns the final (B, Nbits) soft matrix, or the per-iteration list when
-    want_iters is set (entry l-1 matches a run with iterations=l). SBP is
-    config-major, (C, B, Nr); the relaxed kinds are hypothesis-major,
-    (H, B, Nr, Nbits) with H = 2^R_D. Both build their product tables with
-    detectors._config_products and work in buffers allocated once per batch
-    and refilled every iteration; h and y are only read. Every result is
-    bit-identical to the plain formulation (tests/test_sbp_kernel.py,
-    tests/test_rbp_kernel.py): d is built in the table's buffer with the
-    roundings of -|y - Hs|^2 / (2 sigma^2), and on the first iteration,
-    where alpha is +0 (SBP, RBP), the priors and the lump mean are set to
-    +0 instead of computed.
+
+def _bp_messages(spec: DetectorSpec, h, y, sigma2, m):
+    """The flooding iterations of SBP, RBP or MMSE-RBP over a batch.
+
+    Yields (alpha, beta) after each iteration, alpha (B, Nbits, Nr) and beta
+    (B, Nr, Nbits), both fresh arrays every time. SBP is config-major,
+    (C, B, Nr); the relaxed kinds are hypothesis-major, (H, B, Nr, Nbits)
+    with H = 2^R_D. Tables and score buffers are built once per batch and
+    refilled every iteration; h and y are only read. The cascade's
+    pseudo-LLRs act as a fixed per-bit prior factor: they seed the alphas,
+    remain an additive intrinsic term in every alpha update, and shrink the
+    lump variances once up front. Where alpha starts at +0 (SBP, RBP), the
+    first iteration sets the priors and the lump mean to +0 instead of
+    computing them.
     """
+    if sigma2 <= 0.0:
+        raise ValueError("sigma2 must be > 0 for message passing")
+    if not spec.iterations:
+        return
     b, n_rx, n_tx = h.shape
     n_bits = m * n_tx
-    iters: list[np.ndarray] = []
-
+    prior = None
     if spec.kind == "SBP":
-        tbl = _config_table(m, n_tx)
-        # d = -|y - Hs|^2 / (2 sigma^2) in the product buffer; rounding is
-        # sign-symmetric, so dividing by -(2 sigma^2) equals negating first
-        d = _config_products(h, tbl.symbols)                  # (C, B, Nr)
-        np.subtract(y, d, out=d)
-        d = np.abs(d)
-        np.square(d, out=d)
-        d /= -(2.0 * sigma2)
-        t = np.empty_like(d)
-        scratch = np.empty((d.shape[0] // 2,) + d.shape[1:])
-        alpha = np.zeros((b, n_bits, n_rx))
-        beta = np.zeros((b, n_rx, n_bits))
-        for it in range(spec.iterations):
-            if it:
-                np.einsum("ct,btj->cbj", tbl.xpos, alpha, out=t)
-                t += d
-            else:  # alpha is +0, so the priors are +0
-                np.add(d, 0.0, out=t)
-            beta, neg = _sbp_max_marginals(t, scratch)        # (B, Nr, Nbits)
-            beta -= alpha.transpose(0, 2, 1)
-            beta -= neg
-            total = beta.sum(axis=1)
-            alpha = np.clip(total[:, :, None] - beta.transpose(0, 2, 1),
-                            -LLR_CLAMP, LLR_CLAMP)
-            if want_iters:
-                iters.append(beta.sum(axis=1))
-        return iters if want_iters else beta.sum(axis=1)
-
-    # RBP / MMSE_RBP
-    gains = bit_gains(h, m)
-    sets = _engine_edge_sets(h, spec, m)
-    rd = sets.shape[-1]
-    lump = _exclusion_mask(sets, n_bits)
-    cascaded = spec.kind == "MMSE_RBP"
-    if cascaded:
-        prior = np.clip(_engine_mmse_prior(h, y, sigma2, m), -LLR_CLAMP, LLR_CLAMP)
-        bit_var = 1.0 - np.tanh(prior / 2.0) ** 2
+        step = _sbp_step(h, y, sigma2, m)
     else:
-        prior, bit_var = np.zeros((b, n_bits)), None
-    sigma2_z = _interference_variances(gains, lump, sigma2, bit_var)
-    alpha = np.repeat(prior[:, :, None], n_rx, axis=2)
+        gains = bit_gains(h, m)
+        sets = _engine_edge_sets(h, spec, m)
+        lump = _exclusion_mask(sets, n_bits)
+        bit_var = None
+        if spec.kind == "MMSE_RBP":
+            prior = _cascade_prior(h, y, sigma2, m)
+            bit_var = 1.0 - np.tanh(prior / 2.0) ** 2
+        sigma2_z = _interference_variances(gains, lump, sigma2, bit_var)
+        relaxed = _relaxed_step(gains, sets, sigma2_z, y)
 
-    if rd:
-        hyp = _config_table(1, rd)                            # the +-1 patterns
-        # flat (b, j, sets) positions in (B, Nr, Nbits) order, for gains and alpha^T
-        flat = np.arange(b * n_rx).reshape(b, n_rx, 1, 1) * n_bits + sets
-        # hypothesis-major (H, B, Nr, Nbits); r stays contiguous in the operands
-        interf = _config_products(np.take(gains, flat), hyp.symbols)
-        half = 2.0 * sigma2_z
-        priors = np.empty(interf.shape)
-        base, diff, score = np.empty_like(interf), np.empty_like(interf), np.empty_like(priors)
+        def step(alpha, fresh):
+            # without a cascade, alpha starts at +0: u and the priors are +0
+            u = 0.0 if fresh else _interference_means(alpha, gains, lump)
+            return relaxed(alpha, u, fresh)
 
-    beta = np.zeros((b, n_rx, n_bits))
+    alpha = (np.zeros((b, n_bits, n_rx)) if prior is None
+             else np.repeat(prior[:, :, None], n_rx, axis=2))
     for it in range(spec.iterations):
-        # without a cascade, alpha starts at +0: u and the priors are +0
-        fresh = it == 0 and not cascaded
-        u = 0.0 if fresh else _interference_means(alpha, gains, lump)
-        if rd == 0:
-            beta = (2.0 / sigma2_z) * (gains.conj() * (y[:, :, None] - u)).real
-        else:
-            if fresh:
-                priors.fill(0.0)
-            else:
-                a_sel = np.take(alpha.transpose(0, 2, 1), flat)
-                np.einsum("bjir,hr->hbji", a_sel, hyp.xpos, out=priors)
-            np.subtract(y[:, :, None] - u, interf, out=base)
-            beta = _rbp_max_marginals(base, gains, half, priors, diff, score)
-        total = beta.sum(axis=1)
-        ext = total[:, :, None] - beta.transpose(0, 2, 1)
-        if cascaded:
-            ext = prior[:, :, None] + ext
-        alpha = np.clip(ext, -LLR_CLAMP, LLR_CLAMP)
+        beta = step(alpha, fresh=it == 0 and prior is None)
+        alpha = alpha_update(beta, prior)
+        yield alpha, beta
+
+
+def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, want_iters=False):
+    """Soft outputs for the BP family over a batch, from _bp_messages.
+
+    Returns the final (B, Nbits) soft matrix, or the per-iteration list when
+    want_iters is set (entry l-1 matches a run with iterations=l). With no
+    iteration the soft output is the initial belief: +0, or the cascade's
+    prior. Every result is bit-identical to the plain formulation
+    (tests/test_sbp_kernel.py, tests/test_rbp_kernel.py).
+    """
+    iters, beta = [], None
+    for _, beta in _bp_messages(spec, h, y, sigma2, m):
         if want_iters:
-            iters.append(beta.sum(axis=1))
+            iters.append(soft_output(beta).soft_llrs)
     if want_iters:
         return iters
-    if spec.iterations == 0:
-        return prior
-    return beta.sum(axis=1)
+    if beta is not None:
+        return soft_output(beta).soft_llrs
+    if spec.kind == "MMSE_RBP":
+        return _cascade_prior(h, y, sigma2, m)
+    return np.zeros((h.shape[0], m * h.shape[2]))
 
 
 def _engine_soft(spec: DetectorSpec, h, y, sigma2, m, want_iters=False):
@@ -331,8 +293,7 @@ def _engine_soft(spec: DetectorSpec, h, y, sigma2, m, want_iters=False):
 
 
 def _ami_sum(soft: np.ndarray, bits: np.ndarray) -> float:
-    arg = np.clip(-bits * soft, -AMI_EXP_CLAMP, AMI_EXP_CLAMP)
-    return float((1.0 - np.log2(1.0 + np.exp(arg))).sum())
+    return ami_sum(soft, bits)  # a name of its own, so a traced run can time it
 
 
 def _count_errors(soft: np.ndarray, bits: np.ndarray) -> int:
@@ -465,7 +426,7 @@ def run_convergence(cfg: SweepConfig, detector: DetectorSpec, snr_db: float,
     every requested depth, so the estimates are paired. Runs until every
     depth has errors_target errors or the bit budget is out.
     """
-    if detector.kind not in ("SBP", "RBP", "MMSE_RBP"):
+    if not detector.iterative:
         raise ValueError("convergence sweeps need an iterative detector")
     l_values = tuple(sorted(set(int(v) for v in l_values)))
     if not l_values or l_values[0] < 1:

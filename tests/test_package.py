@@ -1,0 +1,31 @@
+"""The public surface: every exported name resolves, and removed names stay gone."""
+import importlib
+
+import pytest
+
+import mimobp
+from mimobp import detectors, errors
+
+REMOVED_EXPORTS = ("gram", "hermitian_solve", "max_log", "SingularMatrixError")
+
+
+def test_every_exported_name_resolves():
+    assert len(set(mimobp.__all__)) == len(mimobp.__all__)
+    for name in mimobp.__all__:
+        assert hasattr(mimobp, name), name
+
+
+@pytest.mark.parametrize("name", REMOVED_EXPORTS)
+def test_removed_names_are_not_exported(name):
+    assert name not in mimobp.__all__
+    assert not hasattr(mimobp, name)
+
+
+def test_one_implementation_per_detector():
+    """The per-vector detector stack and its Cholesky module are gone."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("mimobp.numerics")
+    for name in ("_detect_ml", "_detect_mmse", "_detect_mmse_sic", "_bp_run",
+                 "_component_llr"):
+        assert not hasattr(detectors, name), name
+    assert not hasattr(errors, "SingularMatrixError")

@@ -6,7 +6,7 @@ import pytest
 
 from mimobp import simulator
 from mimobp.channel import SystemDims, snr_to_noise_variance
-from mimobp.detectors import DetectorSpec, detect
+from mimobp.detectors import DetectorSpec, detect, sbp_beta_update
 from mimobp.errors import IoFailure
 from mimobp.metrics import ami
 from mimobp.simulator import (
@@ -92,7 +92,8 @@ class TestBatchStreams:
 
 
 class TestEngineMatchesPerTrialDetector:
-    """The batched kernels must agree with detect() trial by trial."""
+    """detect() is the engine on a batch of one: every trial's soft output is
+    the batched row, bit for bit, at ordinary and at vanishing noise."""
 
     @pytest.mark.parametrize("spec", [
         DetectorSpec.ml(),
@@ -105,18 +106,32 @@ class TestEngineMatchesPerTrialDetector:
         DetectorSpec.mmse_rbp(1, 0, 4),
     ], ids=lambda s: f"{s.label}{(s.rd1, s.rd2) if s.relaxed else ''}")
     @pytest.mark.parametrize("m", [1, 2])
-    def test_soft_outputs_match(self, spec, m):
+    @pytest.mark.parametrize("sigma2", [0.4, 1e-12])
+    def test_soft_outputs_match(self, spec, m, sigma2):
         dims = SystemDims(3, 3, m)
         rbp_like = spec.relaxed
         if rbp_like and m == 2 and spec.rd2 == 0 and spec.rd1 == 0:
             spec = DetectorSpec(spec.kind, spec.iterations, 0, 1)
-        sigma2 = 0.4
         bits, h, y = _draw_batch(dims, sigma2, _batch_rng(11, 8.0, 0), 32)
         batched = _engine_soft(spec, h, y, sigma2, m)
         for b in range(32):
             single = detect(spec, h[b], y[b], sigma2, m=m)
-            np.testing.assert_allclose(batched[b], single.soft_llrs,
-                                       rtol=1e-9, atol=1e-9)
+            assert np.array_equal(batched[b], single.soft_llrs), \
+                f"trial {b}: max diff {np.abs(batched[b] - single.soft_llrs).max()}"
+
+    @pytest.mark.parametrize("n_tx,n_rx,m", [(4, 4, 1), (4, 4, 2), (3, 5, 1), (5, 3, 1)],
+                             ids=lambda v: str(v))
+    @pytest.mark.parametrize("sigma2", [0.4, 1e-12])
+    def test_sbp_beta_update_is_the_engine_step(self, n_tx, n_rx, m, sigma2):
+        """Every iteration's engine beta is sbp_beta_update of the alpha before it."""
+        _, h, y = _draw_batch(SystemDims(n_tx, n_rx, m), sigma2, _batch_rng(13, 8.0, 0), 16)
+        alpha = np.zeros((16, m * n_tx, n_rx))  # the engine starts from +0
+        for next_alpha, beta in simulator._bp_messages(DetectorSpec.sbp(4), h, y, sigma2, m):
+            for b in range(16):
+                single = sbp_beta_update(alpha[b], h[b], y[b], sigma2, m)
+                assert np.array_equal(beta[b], single), \
+                    f"trial {b}: max diff {np.abs(beta[b] - single).max()}"
+            alpha = next_alpha
 
     @pytest.mark.parametrize("spec", [
         DetectorSpec.ml(),
