@@ -13,8 +13,9 @@ flooding loop, _bp_messages, over the batch steps of mimobp.detectors:
 standard BP is config-major, (C, B, Nr) over the C = 2^Nbits joint
 configurations; relaxed BP is hypothesis-major, (H, B, Nr, Nbits) over the
 H = 2^R_D explicit-edge hypotheses. Product tables come from one doubling
-helper, detectors._config_products, which returns einsum's floats bit for
-bit, and the MMSE kinds share one solve and inverse,
+helper, detectors._config_products, and the SBP and relaxed priors from
+another, detectors._prior_sums; both return einsum's floats bit for bit,
+without einsum. The MMSE kinds share one solve and inverse,
 detectors._mmse_estimate. Early stopping is evaluated at batch boundaries
 in batch order, which keeps the stopping point deterministic too.
 """
@@ -34,6 +35,7 @@ import numpy as np
 from .channel import SystemDims, modulate, demodulate, snr_to_noise_variance
 from .detectors import (
     LLR_CLAMP,
+    MAX_ENUM_BITS,
     MAX_RELAX_EDGES,
     DetectorSpec,
     _config_products,
@@ -50,12 +52,16 @@ from .detectors import (
     build_edge_sets,
     soft_output,
 )
-from .errors import IoFailure
+from .errors import DimensionTooLargeError, IoFailure
 from .metrics import BerAccumulator, ami_sum
 
 # Trials per batch; fixed so batch boundaries (and therefore stopping points
 # and RNG streams) do not depend on worker count.
 BATCH_TRIALS = 512
+
+# Largest (2^Nbits, BATCH_TRIALS, Nr) complex128 table one ML or SBP batch may
+# build; 8x8 QPSK would need 4.3 GB and 16x16 BPSK 8.6 GB.
+MAX_TABLE_BYTES = 1 << 30
 
 CSV_FIELDS = (
     "detector", "rd1", "rd2", "iterations", "snr_db", "bits", "errors",
@@ -85,12 +91,18 @@ class SweepConfig:
             raise ValueError("need at least one detector")
         if self.errors_target < 1 or self.bits_max < 1 or self.trials_min < 1:
             raise ValueError("stopping budgets must be >= 1")
+        n_bits = self.dims.n_bits
+        table = (1 << n_bits) * BATCH_TRIALS * self.dims.n_rx * 16  # ML/SBP, complex128
         for spec in self.detectors:  # fail at the start, not once per SNR point
             name = f"{spec.label}({spec.rd1},{spec.rd2})"
             if spec.relaxed and not 0 <= spec.rd1 < self.dims.n_tx:
                 raise ValueError(f"{name}: rd1 must be in 0..{self.dims.n_tx - 1}")
             if spec.relaxed and spec.relax_degree(self.dims.bits_per_symbol) > MAX_RELAX_EDGES:
                 raise ValueError(f"{name}: more than {MAX_RELAX_EDGES} explicit edges")
+            if spec.kind in ("ML", "SBP") and (n_bits > MAX_ENUM_BITS or table > MAX_TABLE_BYTES):
+                raise DimensionTooLargeError(
+                    f"{spec.label}: 2^{n_bits} configurations, {table / 2**30:.1f} GiB per "
+                    f"batch; at most 2^{MAX_ENUM_BITS} and {MAX_TABLE_BYTES >> 30} GiB")
 
 
 @dataclass

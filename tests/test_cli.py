@@ -3,6 +3,7 @@ import io
 
 import pytest
 
+from mimobp import simulator
 from mimobp.cli import (
     WORKERS_ENV,
     _defaults,
@@ -65,12 +66,31 @@ class TestUsageErrors:
         assert "point failed" not in err
         assert not out.exists()
 
-    def test_failed_points_exit_1_and_keep_the_good_rows(self, tmp_path, capsys):
-        """ML at 13x13 QPSK is past the enumeration guard; MMSE still runs."""
+    def test_oversized_enumeration_fails_before_any_point(self, tmp_path, capsys):
+        """ML at 13x13 QPSK enumerates 2^26 configurations: rejected at start."""
+        out = tmp_path / "big.csv"
+        assert main(["ber-sweep", "--nt", "13", "--nr", "13", "--m", "2",
+                     "--detectors", "ML,MMSE", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "2^26 configurations" in err
+        assert "point failed" not in err
+        assert not out.exists()
+
+    def test_failed_points_exit_1_and_keep_the_good_rows(self, tmp_path, capsys, monkeypatch):
+        """ML fails at run time; MMSE still runs."""
+        real = simulator._engine_soft
+
+        def engine(spec, *args, **kwargs):
+            if spec.kind == "ML":
+                raise MemoryError("no room for the ML table")
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_engine_soft", engine)
         out = tmp_path / "partial.csv"
-        code = main(["ber-sweep", "--nt", "13", "--nr", "13", "--m", "2",
+        code = main(["ber-sweep", "--nt", "4", "--nr", "4", "--m", "2",
                      "--detectors", "ML,MMSE", "--snr-min", "0", "--snr-max", "0",
-                     "--errors-target", "1", "--seed", "3", "--out", str(out)])
+                     "--errors-target", "1", "--seed", "3", "--workers", "1",
+                     "--out", str(out)])
         assert code == 1
         assert "1 of 2 points failed" in capsys.readouterr().err
         assert [r.detector for r in read_csv(out)] == ["MMSE"]

@@ -49,6 +49,14 @@ def test_engine_equals_trial_major_oracle_on_every_iteration(kind, n_tx, n_rx, m
         _assert_bit_identical(kind, n_tx, n_rx, m, rd1, rd2, sigma2, 5, 64, batch_index)
 
 
+@pytest.mark.parametrize("kind,rd1,rd2", [("RBP", 4, 0), ("MMSE_RBP", 4, 1)])
+@pytest.mark.parametrize("snr_db", [0.0, 12.0])
+def test_engine_equals_trial_major_oracle_with_eight_or_more_edges(kind, rd1, rd2, snr_db):
+    """5x5 QPSK, R_D = 8 and 9: the prior sums run a block of 8 (and a tail)."""
+    sigma2 = snr_to_noise_variance(snr_db, SystemDims(5, 5, 2)).variance
+    _assert_bit_identical(kind, 5, 5, 2, rd1, rd2, sigma2, 4, 32)
+
+
 @given(
     kind=st.sampled_from(KINDS),
     n_tx=st.integers(1, 5),

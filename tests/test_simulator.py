@@ -1,5 +1,6 @@
 """Monte Carlo harness: determinism, pairing, stopping, CSV round-trips."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ import pytest
 from mimobp import simulator
 from mimobp.channel import SystemDims, snr_to_noise_variance
 from mimobp.detectors import DetectorSpec, detect, sbp_beta_update
-from mimobp.errors import IoFailure
+from mimobp.errors import DimensionTooLargeError, IoFailure
 from mimobp.metrics import ami
 from mimobp.simulator import (
     BATCH_TRIALS,
     CSV_FIELDS,
+    MAX_TABLE_BYTES,
     SweepConfig,
     SweepRecord,
     _batch_rng,
@@ -68,6 +70,27 @@ class TestConfigValidation:
         _cfg(n_tx=11, n_rx=11, m=2, detectors=(DetectorSpec.rbp(10, 0),))
         with pytest.raises(ValueError, match="explicit edges"):
             _cfg(n_tx=11, n_rx=11, m=2, detectors=(DetectorSpec.rbp(10, 1),))
+
+
+    @pytest.mark.parametrize("n_tx,n_rx,m,spec", [
+        (16, 16, 1, DetectorSpec.sbp(5)),   # 8.6 GB per batch
+        (8, 8, 2, DetectorSpec.ml()),       # 4.3 GB per batch
+        (7, 9, 2, DetectorSpec.sbp(5)),     # 1.125 GiB per batch
+        (13, 13, 2, DetectorSpec.ml()),     # 26 bits, past MAX_ENUM_BITS
+    ], ids=["16x16-BPSK-SBP", "8x8-QPSK-ML", "7x9-QPSK-SBP", "13x13-QPSK-ML"])
+    def test_rejects_oversized_enumeration_at_start(self, n_tx, n_rx, m, spec):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionTooLargeError):
+                _cfg(n_tx=n_tx, n_rx=n_rx, m=m, detectors=(spec,))
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20   # no table was built
+        finally:
+            tracemalloc.stop()
+
+    def test_accepts_a_table_of_exactly_the_cap(self):
+        """7x8 QPSK: 2^14 configurations x 512 trials x 8 antennas x 16 bytes."""
+        assert (1 << 14) * BATCH_TRIALS * 8 * 16 == MAX_TABLE_BYTES
+        _cfg(n_tx=7, n_rx=8, m=2, detectors=(DetectorSpec.ml(), DetectorSpec.sbp(5)))
 
 
 class TestBatchStreams:
@@ -283,9 +306,17 @@ class TestRunSweep:
             ok = cur.ber <= prev.ber or cur.ber_ci_low <= prev.ber_ci_high
             assert ok, (prev.snr_db, cur.snr_db)
 
-    def test_failing_point_is_skipped_not_fatal(self, capsys):
-        """Configurations past the enumeration guard drop out with a note."""
-        cfg = SweepConfig(dims=SystemDims(13, 13, 2), snr_points_db=(0.0,),
+    def test_failing_point_is_skipped_not_fatal(self, capsys, monkeypatch):
+        """A point whose detector raises drops out with a note; the rest still run."""
+        real = simulator._engine_soft
+
+        def engine(spec, *args, **kwargs):
+            if spec.kind == "ML":
+                raise MemoryError("no room for the ML table")
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_engine_soft", engine)
+        cfg = SweepConfig(dims=SystemDims(4, 4, 2), snr_points_db=(0.0,),
                           detectors=(DetectorSpec.ml(), DetectorSpec.mmse()),
                           errors_target=1, master_seed=3)
         records = run_sweep(cfg)
