@@ -40,7 +40,7 @@ from .errors import (
     IoFailure,
     LengthMismatchError,
 )
-from .metrics import BerAccumulator, OpCounts, ami, ber_accumulate, complexity_counts
+from .metrics import BerAccumulator, OpCounts, ami, complexity_counts
 from .presets import Preset, get_preset
 from .simulator import (
     SweepConfig,
@@ -64,7 +64,7 @@ __all__ = [
     "mmse_filter", "mmse_prior_llr", "rbp_beta_update",
     "sbp_beta_update", "select_edges", "soft_output",
     "DimensionTooLargeError", "IoFailure", "LengthMismatchError",
-    "BerAccumulator", "OpCounts", "ami", "ber_accumulate", "complexity_counts",
+    "BerAccumulator", "OpCounts", "ami", "complexity_counts",
     "Preset", "get_preset",
     "SweepConfig", "SweepRecord", "read_csv", "run_convergence", "run_point",
     "run_sweep", "write_csv",

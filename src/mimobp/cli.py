@@ -251,9 +251,11 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     cfg_settings["snr_points"] = [settings["snr"]]
     cfg = _build_sweep_config(cfg_settings, record_ami=False)
     l_values = tuple(range(1, settings["l_max"] + 1))
+    if not any(spec.iterative for spec in cfg.detectors):
+        raise ValueError("convergence needs an iterative detector (SBP, RBP or MMSE-RBP)")
     records = []
     for spec in cfg.detectors:
-        if spec.kind not in ("SBP", "RBP", "MMSE_RBP"):
+        if not spec.iterative:
             print(f"[mimobp] skipping {spec.label}: not iterative", file=sys.stderr)
             continue
         records.extend(run_convergence(cfg, spec, settings["snr"], l_values,

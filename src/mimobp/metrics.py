@@ -16,26 +16,10 @@ AMI_EXP_CLAMP = 30.0
 
 @dataclass
 class BerAccumulator:
-    """Running bit-error tally; merging two accumulators commutes."""
+    """A bit-error tally: the error rate and its Wilson interval."""
 
     bits_total: int = 0
     bit_errors: int = 0
-
-    def add(self, sent: np.ndarray, decided: np.ndarray) -> None:
-        sent = np.asarray(sent)
-        decided = np.asarray(decided)
-        if sent.shape != decided.shape:
-            raise LengthMismatchError(
-                f"sent has shape {sent.shape}, decided has shape {decided.shape}"
-            )
-        self.bits_total += sent.size
-        self.bit_errors += int(np.count_nonzero(sent != decided))
-
-    def merge(self, other: "BerAccumulator") -> "BerAccumulator":
-        return BerAccumulator(
-            self.bits_total + other.bits_total,
-            self.bit_errors + other.bit_errors,
-        )
 
     @property
     def ber(self) -> float:
@@ -54,14 +38,6 @@ class BerAccumulator:
         center = (p + z * z / (2.0 * n)) / denom
         half = z * np.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
         return max(0.0, center - half), min(1.0, center + half)
-
-
-def ber_accumulate(acc: BerAccumulator, sent: np.ndarray,
-                   decided: np.ndarray) -> BerAccumulator:
-    """Functional form: a new accumulator with this block counted in."""
-    out = BerAccumulator(acc.bits_total, acc.bit_errors)
-    out.add(sent, decided)
-    return out
 
 
 def ami(soft_llrs: np.ndarray, true_bits: np.ndarray) -> float:

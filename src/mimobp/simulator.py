@@ -16,18 +16,23 @@ H = 2^R_D explicit-edge hypotheses. Product tables come from one doubling
 helper, detectors._config_products, and the SBP and relaxed priors from
 another, detectors._prior_sums; both return einsum's floats bit for bit,
 without einsum. The MMSE kinds share one solve and inverse,
-detectors._mmse_estimate. Early stopping is evaluated at batch boundaries
-in batch order, which keeps the stopping point deterministic too.
+detectors._mmse_estimate.
+
+Every batch runs through one worker, _run_batch, which scores iteration
+"taps" on one set of trials (see there). One runner, _run_taps, behind
+run_point and run_convergence, tallies the batches in batch order and stops
+at a batch boundary, which keeps the stopping point deterministic too.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
+import itertools
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -69,7 +74,7 @@ CSV_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SweepConfig:
     """One experiment: dimensions, SNR grid, detectors, stopping budgets."""
 
@@ -105,7 +110,7 @@ class SweepConfig:
                     f"batch; at most 2^{MAX_ENUM_BITS} and {MAX_TABLE_BYTES >> 30} GiB")
 
 
-@dataclass
+@dataclasses.dataclass
 class SweepRecord:
     """One (detector, SNR) measurement; maps 1:1 onto a CSV row."""
 
@@ -317,70 +322,102 @@ def _count_errors(soft: np.ndarray, bits: np.ndarray) -> int:
 
 
 def _run_batch(dims: SystemDims, spec: DetectorSpec, snr_db: float, sigma2: float,
-               master_seed: int, batch_index: int, count: int, want_ami: bool):
-    """(bits, errors, ami_sum) over one batch of trials."""
+               master_seed: int, batch_index: int, count: int, want_ami: bool,
+               taps: tuple):
+    """(bits, errors per tap, ami sum per tap) over one batch of trials.
+
+    A tap is a point of the detector's output that gets scored. The empty
+    tuple () is the single tap of a plain point: the detector's own soft
+    output. A convergence run passes its sorted iteration depths, and depth
+    l scores entry l-1 of one want_iters engine call, which equals a run
+    with iterations = l.
+    """
     rng = _batch_rng(master_seed, snr_db, batch_index)
     bits, h, y = _draw_batch(dims, sigma2, rng, count)
-    soft = _engine_soft(spec, h, y, sigma2, dims.bits_per_symbol)
-    errors = _count_errors(soft, bits)
-    return bits.size, errors, _ami_sum(soft, bits) if want_ami else 0.0
-
-
-def _run_batch_multi_l(dims: SystemDims, spec: DetectorSpec, snr_db: float,
-                       sigma2: float, master_seed: int, batch_index: int,
-                       count: int, want_ami: bool, l_values: tuple):
-    """Per-iteration tallies over one batch (for convergence studies)."""
-    rng = _batch_rng(master_seed, snr_db, batch_index)
-    bits, h, y = _draw_batch(dims, sigma2, rng, count)
-    iters = _engine_soft(spec, h, y, sigma2, dims.bits_per_symbol, want_iters=True)
-    errors = []
-    amis = []
-    for l in l_values:
-        soft = iters[l - 1]
-        errors.append(_count_errors(soft, bits))
-        amis.append(_ami_sum(soft, bits) if want_ami else 0.0)
+    m = dims.bits_per_symbol
+    if taps:
+        iters = _engine_soft(spec, h, y, sigma2, m, want_iters=True)
+        outputs = [iters[l - 1] for l in taps]
+    else:
+        outputs = [_engine_soft(spec, h, y, sigma2, m)]
+    errors = [_count_errors(soft, bits) for soft in outputs]
+    amis = [_ami_sum(soft, bits) if want_ami else 0.0 for soft in outputs]
     return bits.size, errors, amis
+
+
+# perfbench's tracer resolves this name; every batch runs through _run_batch.
+_run_batch_multi_l = _run_batch
 
 
 # ---------------- points, sweeps, convergence ----------------
 
 
-def _point_loop(run_batch, task_args, stop_check, merge, workers: int):
-    """Run batches 0, 1, 2, ... merging results strictly in batch order.
+def _batch_results(task_args, workers: int):
+    """Yield _run_batch(*task_args(i)) for batches i = 0, 1, 2, ... in order.
 
-    run_batch(*task_args(batch_index)) runs one batch; merge(result) folds
-    one batch in; stop_check() decides at each batch boundary. With workers
-    > 1, batches run speculatively in a process pool but are still merged in
-    order, so the outcome is identical to the serial schedule.
+    With workers > 1, up to 2 x workers batches run speculatively in a
+    process pool but are still yielded in batch order, so the consumer sees
+    exactly the serial results. Closing the generator cancels the batches
+    still pending.
     """
+    indices = itertools.count()
     if workers <= 1:
-        index = 0
-        while True:
-            merge(run_batch(*task_args(index)))
-            index += 1
-            if stop_check():
-                return
+        for index in indices:
+            yield _run_batch(*task_args(index))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = {}
-        next_submit = 0
-        next_merge = 0
-        while True:
-            while len(pending) < 2 * workers:
-                pending[next_submit] = pool.submit(run_batch, *task_args(next_submit))
-                next_submit += 1
-            result = pending.pop(next_merge).result()
-            next_merge += 1
-            merge(result)
-            if stop_check():
-                for fut in pending.values():
-                    fut.cancel()
-                return
+        pending = []
+        try:
+            while True:
+                while len(pending) < 2 * workers:
+                    pending.append(pool.submit(_run_batch, *task_args(next(indices))))
+                yield pending.pop(0).result()
+        finally:
+            for fut in pending:
+                fut.cancel()
 
 
-def _record_fields(spec: DetectorSpec):
-    if spec.relaxed:
-        return spec.rd1, spec.rd2
-    return None, None
+def _run_taps(cfg: SweepConfig, spec: DetectorSpec, snr_db: float, taps: tuple,
+              workers: int) -> list[SweepRecord]:
+    """One record per tap (see _run_batch), all scored on shared trials.
+
+    Stops at the first batch boundary where every tap has errors_target
+    errors and trials_min trials have run, or where bits_max bits have.
+    """
+    dims = cfg.dims
+    sigma2 = snr_to_noise_variance(snr_db, dims).variance
+    depths = taps or (spec.iterations,)
+    bits = trials = 0
+    errors = [0] * len(depths)
+    amis = [0.0] * len(depths)
+
+    def task_args(index: int):
+        return (dims, spec, snr_db, sigma2, cfg.master_seed, index,
+                BATCH_TRIALS, cfg.record_ami, taps)
+
+    start = time.perf_counter()
+    with contextlib.closing(_batch_results(task_args, workers)) as batches:
+        for total, batch_errors, batch_amis in batches:
+            bits += total
+            trials += total // dims.n_bits
+            errors = [a + b for a, b in zip(errors, batch_errors)]
+            amis = [a + b for a, b in zip(amis, batch_amis)]
+            hit_target = min(errors) >= cfg.errors_target and trials >= cfg.trials_min
+            if hit_target or bits >= cfg.bits_max:
+                break
+    wall = time.perf_counter() - start
+
+    rd1, rd2 = (spec.rd1, spec.rd2) if spec.relaxed else (None, None)
+    records = []
+    for depth, err, ami in zip(depths, errors, amis):
+        acc = BerAccumulator(bits, err)
+        lo, hi = acc.wilson_interval()
+        records.append(SweepRecord(
+            detector=spec.label, rd1=rd1, rd2=rd2, iterations=depth,
+            snr_db=float(snr_db), bits=bits, errors=err, ber=acc.ber,
+            ber_ci_low=lo, ber_ci_high=hi, wall_seconds=wall,
+            ami=(ami / bits) if cfg.record_ami else None,
+            budget_exhausted=err < cfg.errors_target))
+    return records
 
 
 def run_point(cfg: SweepConfig, detector: DetectorSpec, snr_db: float,
@@ -392,42 +429,7 @@ def run_point(cfg: SweepConfig, detector: DetectorSpec, snr_db: float,
     Deterministic given (master_seed, detector, snr_db) for any worker
     count.
     """
-    dims = cfg.dims
-    sigma2 = snr_to_noise_variance(snr_db, dims).variance
-    state = {"bits": 0, "errors": 0, "ami": 0.0, "trials": 0}
-
-    def task_args(index: int):
-        return (dims, detector, snr_db, sigma2, cfg.master_seed, index,
-                BATCH_TRIALS, cfg.record_ami)
-
-    def merge(result):
-        total, errors, ami_sum = result
-        state["bits"] += total
-        state["errors"] += errors
-        state["ami"] += ami_sum
-        state["trials"] += total // dims.n_bits
-
-    def stop_check():
-        hit_target = (state["errors"] >= cfg.errors_target
-                      and state["trials"] >= cfg.trials_min)
-        return hit_target or state["bits"] >= cfg.bits_max
-
-    start = time.perf_counter()
-    _point_loop(_run_batch, task_args, stop_check, merge, workers)
-    wall = time.perf_counter() - start
-
-    acc = BerAccumulator(state["bits"], state["errors"])
-    lo, hi = acc.wilson_interval()
-    rd1, rd2 = _record_fields(detector)
-    return SweepRecord(
-        detector=detector.label, rd1=rd1, rd2=rd2,
-        iterations=detector.iterations, snr_db=float(snr_db),
-        bits=state["bits"], errors=state["errors"], ber=acc.ber,
-        ber_ci_low=lo, ber_ci_high=hi,
-        ami=(state["ami"] / state["bits"]) if cfg.record_ami else None,
-        wall_seconds=wall,
-        budget_exhausted=state["errors"] < cfg.errors_target,
-    )
+    return _run_taps(cfg, detector, snr_db, (), workers)[0]
 
 
 def run_convergence(cfg: SweepConfig, detector: DetectorSpec, snr_db: float,
@@ -443,49 +445,8 @@ def run_convergence(cfg: SweepConfig, detector: DetectorSpec, snr_db: float,
     l_values = tuple(sorted(set(int(v) for v in l_values)))
     if not l_values or l_values[0] < 1:
         raise ValueError("iteration counts must be >= 1")
-    deep = DetectorSpec(detector.kind, iterations=max(l_values),
-                        rd1=detector.rd1, rd2=detector.rd2)
-    dims = cfg.dims
-    sigma2 = snr_to_noise_variance(snr_db, dims).variance
-    state = {"bits": 0, "trials": 0,
-             "errors": [0] * len(l_values), "ami": [0.0] * len(l_values)}
-
-    def task_args(index: int):
-        return (dims, deep, snr_db, sigma2, cfg.master_seed, index,
-                BATCH_TRIALS, cfg.record_ami, l_values)
-
-    def merge(result):
-        total, errors, amis = result
-        state["bits"] += total
-        state["trials"] += total // dims.n_bits
-        for pos, err in enumerate(errors):
-            state["errors"][pos] += err
-            state["ami"][pos] += amis[pos]
-
-    def stop_check():
-        hit_target = (min(state["errors"]) >= cfg.errors_target
-                      and state["trials"] >= cfg.trials_min)
-        return hit_target or state["bits"] >= cfg.bits_max
-
-    start = time.perf_counter()
-    _point_loop(_run_batch_multi_l, task_args, stop_check, merge, workers)
-    wall = time.perf_counter() - start
-
-    rd1, rd2 = _record_fields(deep)
-    records = []
-    for pos, l in enumerate(l_values):
-        acc = BerAccumulator(state["bits"], state["errors"][pos])
-        lo, hi = acc.wilson_interval()
-        records.append(SweepRecord(
-            detector=deep.label, rd1=rd1, rd2=rd2, iterations=l,
-            snr_db=float(snr_db), bits=state["bits"],
-            errors=state["errors"][pos], ber=acc.ber,
-            ber_ci_low=lo, ber_ci_high=hi,
-            ami=(state["ami"][pos] / state["bits"]) if cfg.record_ami else None,
-            wall_seconds=wall,
-            budget_exhausted=state["errors"][pos] < cfg.errors_target,
-        ))
-    return records
+    deep = dataclasses.replace(detector, iterations=max(l_values))
+    return _run_taps(cfg, deep, snr_db, l_values, workers)
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1, progress: bool = False) -> list[SweepRecord]:

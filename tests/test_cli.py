@@ -66,6 +66,16 @@ class TestUsageErrors:
         assert "point failed" not in err
         assert not out.exists()
 
+    def test_convergence_without_an_iterative_detector_fails_before_any_point(
+            self, tmp_path, capsys):
+        out = tmp_path / "conv.csv"
+        assert main(["convergence", "--detectors", "ML,MMSE", "--snr", "6",
+                     "--l-max", "3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "needs an iterative detector" in err
+        assert "skipping" not in err
+        assert not out.exists()
+
     def test_oversized_enumeration_fails_before_any_point(self, tmp_path, capsys):
         """ML at 13x13 QPSK enumerates 2^26 configurations: rejected at start."""
         out = tmp_path / "big.csv"

@@ -324,6 +324,10 @@ class TestRunSweep:
         assert "point failed" in capsys.readouterr().err
 
 
+_SPECS = {"SBP": DetectorSpec.sbp(), "RBP(1,0)": DetectorSpec.rbp(1, 0),
+          "MMSE-RBP(1,1)": DetectorSpec.mmse_rbp(1, 1)}
+
+
 class TestRunConvergence:
     def test_depths_are_sorted_deduplicated_and_share_trials(self):
         cfg = _cfg(n_tx=4, n_rx=4, detectors=(DetectorSpec.sbp(),),
@@ -332,17 +336,28 @@ class TestRunConvergence:
         assert [r.iterations for r in records] == [1, 3, 5]
         assert len({r.bits for r in records}) == 1
 
-    def test_each_depth_matches_an_independent_run(self):
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("kind", ["SBP", "RBP(1,0)", "MMSE-RBP(1,1)"])
+    def test_each_depth_matches_an_independent_run(self, kind, m):
         """Scoring depth l mid-run equals a separate run with iterations=l."""
-        budget = 2 * BATCH_TRIALS * 4
-        cfg = _cfg(n_tx=4, n_rx=4, detectors=(DetectorSpec.sbp(),),
-                   errors_target=10 ** 9, bits_max=budget, master_seed=41,
-                   record_ami=True)
-        records = run_convergence(cfg, DetectorSpec.sbp(), 8.0, [1, 2, 4])
+        spec = _SPECS[kind]
+        cfg = _cfg(n_tx=4, n_rx=4, m=m, detectors=(spec,), errors_target=10 ** 9,
+                   bits_max=2 * BATCH_TRIALS * 4 * m, master_seed=41, record_ami=True)
+        records = run_convergence(cfg, spec, 8.0, [1, 2, 4])
         for rec in records:
-            solo = run_point(cfg, DetectorSpec.sbp(rec.iterations), 8.0)
-            assert (rec.bits, rec.errors) == (solo.bits, solo.errors)
-            assert rec.ami == pytest.approx(solo.ami, rel=1e-12)
+            solo = run_point(cfg, dataclasses.replace(spec, iterations=rec.iterations), 8.0)
+            assert (rec.bits, rec.errors, rec.ami) == (solo.bits, solo.errors, solo.ami)
+
+    @pytest.mark.parametrize("kind", ["SBP", "MMSE-RBP(1,1)"])
+    def test_worker_count_does_not_change_any_depth(self, kind):
+        spec = _SPECS[kind]
+        cfg = _cfg(n_tx=4, n_rx=4, m=2, detectors=(spec,), snr_points_db=(14.0,),
+                   errors_target=300, master_seed=43, record_ami=True)
+        serial, pooled = (run_convergence(cfg, spec, 14.0, [1, 3], workers=w)
+                          for w in (1, 2))
+        assert [(r.bits, r.errors, r.ami) for r in serial] == \
+               [(r.bits, r.errors, r.ami) for r in pooled]
+        assert serial[0].bits > 4 * BATCH_TRIALS * 8  # past the first 2 x workers batches
 
     def test_rejects_non_iterative_detectors_and_bad_depths(self):
         cfg = _cfg()
