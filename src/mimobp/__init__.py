@@ -5,17 +5,7 @@ relaxed BP (configurable number of explicit interferer edges per message,
 optionally seeded by MMSE pseudo-priors), plus a reproducible Monte Carlo
 BER/AMI harness and closed-form operation counts.
 """
-from .channel import (
-    NoiseSpec,
-    SystemDims,
-    bit_to_symbol_index,
-    demodulate,
-    generate_bits,
-    modulate,
-    sample_channel,
-    snr_to_noise_variance,
-    transmit,
-)
+from .channel import SystemDims, demodulate, modulate, snr_to_noise_variance
 from .detectors import (
     DetectionResult,
     DetectorSpec,
@@ -26,14 +16,9 @@ from .detectors import (
     detect,
     interference_mean,
     interference_variance,
-    log_likelihood_D,
     message_history,
-    mmse_filter,
-    mmse_prior_llr,
     rbp_beta_update,
     sbp_beta_update,
-    select_edges,
-    soft_output,
 )
 from .errors import (
     DimensionTooLargeError,
@@ -55,14 +40,11 @@ from .simulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "NoiseSpec", "SystemDims", "bit_to_symbol_index", "demodulate",
-    "generate_bits", "modulate", "sample_channel", "snr_to_noise_variance",
-    "transmit",
+    "SystemDims", "demodulate", "modulate", "snr_to_noise_variance",
     "DetectionResult", "DetectorSpec", "MessageState", "alpha_update",
     "bit_gains", "build_edge_sets", "detect", "interference_mean",
-    "interference_variance", "log_likelihood_D", "message_history",
-    "mmse_filter", "mmse_prior_llr", "rbp_beta_update",
-    "sbp_beta_update", "select_edges", "soft_output",
+    "interference_variance", "message_history", "rbp_beta_update",
+    "sbp_beta_update",
     "DimensionTooLargeError", "IoFailure", "LengthMismatchError",
     "BerAccumulator", "OpCounts", "ami", "complexity_counts",
     "Preset", "get_preset",

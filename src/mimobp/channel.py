@@ -1,10 +1,11 @@
-"""Bit/symbol mapping and the flat Rayleigh MIMO channel.
+"""Link dimensions, bit/symbol mapping and the SNR convention.
 
 Conventions:
   * bits are +1/-1 integers; M bits per symbol with M in {1, 2}
   * M=1 maps a bit straight to a real BPSK symbol
   * M=2 Gray-maps a bit pair (x1, x2) to the unit-energy point (x1 + i x2)/sqrt(2)
-  * channel entries and noise are circularly-symmetric complex Gaussian
+  * channel entries and noise are circularly-symmetric complex Gaussian; the
+    one Rayleigh draw, y = H s + n, is simulator._draw_batch
   * SNR gamma (dB) fixes the noise variance as sigma^2 = Nt / 10^(gamma/10),
     i.e. total received signal power over per-antenna noise power
 """
@@ -34,32 +35,6 @@ class SystemDims:
         return self.bits_per_symbol * self.n_tx
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Complex noise variance per receive antenna (sigma^2/2 per real part)."""
-
-    variance: float
-
-    def __post_init__(self) -> None:
-        if not (self.variance >= 0.0):
-            raise ValueError("noise variance must be >= 0")
-
-
-def bit_to_symbol_index(i: int, m: int) -> int:
-    """Symbol k carrying bit i, both 1-based: k(i) = 1 + floor((i - 0.5)/M).
-
-    Evaluated in exact integer arithmetic as 1 + (2i - 1) // (2M).
-    """
-    if i < 1:
-        raise ValueError("bit index is 1-based")
-    return 1 + (2 * i - 1) // (2 * m)
-
-
-def generate_bits(n_bits: int, rng: np.random.Generator) -> np.ndarray:
-    """Equiprobable +1/-1 bits."""
-    return rng.integers(0, 2, size=n_bits) * 2 - 1
-
-
 def modulate(bits: np.ndarray, m: int) -> np.ndarray:
     """Map +1/-1 bits to unit-energy symbols; works on the last axis."""
     bits = np.asarray(bits)
@@ -87,30 +62,6 @@ def demodulate(symbols: np.ndarray, m: int) -> np.ndarray:
     raise ValueError("bits_per_symbol must be 1 or 2")
 
 
-def sample_channel(dims: SystemDims, rng: np.random.Generator) -> np.ndarray:
-    """One flat-fading realization: i.i.d. CN(0, 1) entries, shape (Nr, Nt)."""
-    shape = (dims.n_rx, dims.n_tx)
-    return np.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
-def transmit(
-    h: np.ndarray,
-    symbols: np.ndarray,
-    noise: NoiseSpec,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """y = H s + n with n ~ CN(0, sigma^2 I).
-
-    The noise draw happens even at variance 0 (scaled by exactly 0) so the
-    generator state advances identically for every noise level.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    n_rx = h.shape[0]
-    scale = np.sqrt(noise.variance / 2.0)
-    n = scale * (rng.standard_normal(n_rx) + 1j * rng.standard_normal(n_rx))
-    return h @ np.asarray(symbols, dtype=np.complex128) + n
-
-
-def snr_to_noise_variance(snr_db: float, dims: SystemDims) -> NoiseSpec:
+def snr_to_noise_variance(snr_db: float, dims: SystemDims) -> float:
     """sigma^2 = Nt / 10^(snr_db/10) under unit-energy symbols and CN(0,1) gains."""
-    return NoiseSpec(variance=dims.n_tx / 10.0 ** (snr_db / 10.0))
+    return dims.n_tx / 10.0 ** (snr_db / 10.0)

@@ -24,14 +24,6 @@ from .simulator import SweepConfig, run_convergence, run_sweep, write_csv
 
 WORKERS_ENV = "MIMOBP_WORKERS"
 
-_LABEL_TO_KIND = {
-    "ML": "ML",
-    "MMSE": "MMSE",
-    "MMSE-SIC": "MMSE_SIC",
-    "SBP": "SBP",
-    "RBP": "RBP",
-    "MMSE-RBP": "MMSE_RBP",
-}
 _DETECTOR_RE = re.compile(r"^(ML|MMSE|MMSE-SIC|SBP|RBP|MMSE-RBP)(?:\((\d+),(\d+)\))?$")
 # split a comma list on the commas between entries, not the ones inside (..)
 _DETECTOR_SEP = re.compile(r",(?![^(]*\))")
@@ -43,8 +35,7 @@ def _parse_detector_label(text: str) -> dict:
         raise ValueError(
             f"cannot parse detector {text!r}; expected e.g. SBP, ML, RBP(1,0), MMSE-RBP(0,0)"
         )
-    kind = _LABEL_TO_KIND[match.group(1)]
-    out = {"kind": kind, "rd1": 0, "rd2": 0, "l": None}
+    out = {"kind": match.group(1).replace("-", "_"), "rd1": 0, "rd2": 0, "l": None}
     if match.group(2) is not None:
         out["rd1"] = int(match.group(2))
         out["rd2"] = int(match.group(3))
@@ -148,7 +139,7 @@ def _apply_flags(settings: dict, args: argparse.Namespace) -> None:
         ]
     if getattr(args, "rd1", None) is not None or getattr(args, "rd2", None) is not None:
         for entry in settings["detectors"]:
-            if entry["kind"] in ("RBP", "MMSE_RBP"):
+            if DetectorSpec(entry["kind"]).relaxed:
                 if args.rd1 is not None:
                     entry["rd1"] = args.rd1
                 if args.rd2 is not None:
@@ -174,7 +165,7 @@ def _detector_specs(settings: dict) -> tuple:
     specs = []
     for entry in settings["detectors"]:
         kind = entry["kind"]
-        iterations = entry["l"] if kind in ("SBP", "RBP", "MMSE_RBP") else 0
+        iterations = entry["l"] if DetectorSpec(kind).iterative else 0
         specs.append(DetectorSpec(kind, iterations=iterations,
                                   rd1=entry["rd1"], rd2=entry["rd2"]))
     return tuple(specs)

@@ -248,15 +248,6 @@ def bit_gains(h: np.ndarray, m: int = 1) -> np.ndarray:
     return np.repeat(h, m, axis=-1) * axis
 
 
-def log_likelihood_D(s: np.ndarray, j: int, h: np.ndarray, y: np.ndarray,
-                     sigma2: float) -> float:
-    """D_j(s) = -|y_j - h_j s|^2 / (2 sigma^2)."""
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be > 0")
-    resid = y[j] - np.einsum("k,k->", h[j, :], np.asarray(s, dtype=np.complex128))
-    return float(-(abs(resid) ** 2) / (2.0 * sigma2))
-
-
 def _sbp_max_marginals(t: np.ndarray,
                        scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-bit max of t over configs with x_i = +1 and x_i = -1: (pos, neg).
@@ -344,34 +335,17 @@ def alpha_update(beta: np.ndarray, prior: np.ndarray | None = None) -> np.ndarra
     return np.clip(alpha, -LLR_CLAMP, LLR_CLAMP)
 
 
-def soft_output(beta: np.ndarray, iterations_run: int = 0,
-                per_iteration_soft: list | None = None) -> DetectionResult:
-    """Final per-bit LLRs (column sums of beta) and hard signs (sign(0) = +1).
-
-    Leading batch axes of beta (..., Nr, Nbits) carry through."""
-    soft = beta.sum(axis=-2)
-    hard = np.where(soft >= 0.0, 1, -1)
-    return DetectionResult(hard, soft, iterations_run, per_iteration_soft)
-
-
 # ---------------- relaxation: edge selection and the Gaussian lump ----------------
 
 
-def select_edges(h_row: np.ndarray, i: int, spec: DetectorSpec, m: int = 1) -> np.ndarray:
-    """Explicit-edge set Psi for message (j, i), as 0-based bit indices.
-
-    Takes the rd1 interferer symbols with the largest |h_{j,k}|, k != k(i)
-    (ties toward the smaller symbol index), expands them to bits, and, when
-    rd2 = 1, appends the other M-1 bits of bit i's own symbol. The set is
-    fixed per channel realization. A view of build_edge_sets.
-    """
-    return build_edge_sets(np.asarray(h_row)[None, :], spec, m)[0, i]
-
-
 def build_edge_sets(h: np.ndarray, spec: DetectorSpec, m: int = 1) -> np.ndarray:
-    """select_edges for every (j, i), shape (..., Nr, Nbits, R_D).
+    """Explicit-edge sets Psi of every message (j, i), shape (..., Nr, Nbits, R_D).
 
-    Leading batch axes of h (..., Nr, Nt) carry through; rd1 = 0 sorts nothing.
+    Psi holds 0-based bit indices: the rd1 interferer symbols with the
+    largest |h_{j,k}|, k != k(i) (ties toward the smaller symbol index),
+    expanded to bits, and, when rd2 = 1, the other M-1 bits of bit i's own
+    symbol. The sets are fixed per channel realization. Leading batch axes
+    of h (..., Nr, Nt) carry through; rd1 = 0 sorts nothing.
     """
     h = np.asarray(h)
     lead, n_tx = h.shape[:-1], h.shape[-1]
@@ -563,18 +537,6 @@ def _mmse_llrs(s_hat: np.ndarray, mse: np.ndarray, m: int) -> np.ndarray:
     out[..., 0::2] = 2.0 * np.sqrt(2.0) * s_hat.real / mse
     out[..., 1::2] = 2.0 * np.sqrt(2.0) * s_hat.imag / mse
     return out
-
-
-def mmse_filter(h: np.ndarray, y: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
-    """MMSE estimate s_hat = (H^H H + sigma^2 I)^-1 H^H y and that inverse K."""
-    s_hat, k = _mmse_estimate(np.asarray(h, dtype=np.complex128)[None],
-                              np.asarray(y, dtype=np.complex128)[None], sigma2)
-    return s_hat[0], k[0]
-
-
-def mmse_prior_llr(s_hat: np.ndarray, k: np.ndarray, i: int, m: int = 1) -> float:
-    """Pseudo-LLR of bit i from the MMSE output (see _mmse_llrs)."""
-    return float(_mmse_llrs(np.asarray(s_hat), np.diagonal(k).real, m)[i])
 
 
 # ---------------- whole-vector detection ----------------

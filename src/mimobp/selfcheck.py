@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .channel import SystemDims, modulate
+from .channel import SystemDims, modulate, snr_to_noise_variance
 from .detectors import (
     DetectorSpec,
     message_history,
@@ -27,6 +27,7 @@ from .detectors import (
     _interference_variances,
 )
 from .metrics import OpCounts, complexity_counts
+from .simulator import _draw_batch
 
 
 def _naive_sbp_beta(alpha, h, y, sigma2, m=1):
@@ -49,22 +50,18 @@ def _naive_sbp_beta(alpha, h, y, sigma2, m=1):
 
 
 def _random_instance(rng, n_tx, n_rx, m=1, snr_db=10.0):
+    """(h, y, sigma2) of one trial, drawn as the engine draws its batches."""
     dims = SystemDims(n_tx, n_rx, m)
-    bits = rng.integers(0, 2, size=dims.n_bits) * 2 - 1
-    h = np.sqrt(0.5) * (rng.standard_normal((n_rx, n_tx))
-                        + 1j * rng.standard_normal((n_rx, n_tx)))
-    sigma2 = n_tx / 10.0 ** (snr_db / 10.0)
-    noise = np.sqrt(sigma2 / 2.0) * (rng.standard_normal(n_rx)
-                                     + 1j * rng.standard_normal(n_rx))
-    y = h @ modulate(bits, m) + noise
-    return bits, h, y, sigma2
+    sigma2 = snr_to_noise_variance(snr_db, dims)
+    _, h, y = _draw_batch(dims, sigma2, rng, 1)
+    return h[0], y[0], sigma2
 
 
 def _check_sbp_oracle(rng) -> tuple[bool, str]:
     worst = 0.0
     for trial in range(40):
         n = 2 + trial % 2
-        _, h, y, sigma2 = _random_instance(rng, n, n)
+        h, y, sigma2 = _random_instance(rng, n, n)
         alpha = rng.uniform(-4, 4, size=(n, n))
         got = sbp_beta_update(alpha, h, y, sigma2)
         want = _naive_sbp_beta(alpha, h, y, sigma2)
@@ -75,7 +72,7 @@ def _check_sbp_oracle(rng) -> tuple[bool, str]:
 def _check_full_relaxation_is_sbp(rng) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(20):
-        _, h, y, sigma2 = _random_instance(rng, 4, 4)
+        h, y, sigma2 = _random_instance(rng, 4, 4)
         sbp = message_history(DetectorSpec.sbp(5), h, y, sigma2)
         rbp = message_history(DetectorSpec.rbp(3, 1, 5), h, y, sigma2)
         for a, b in zip(sbp, rbp):
@@ -90,7 +87,7 @@ def _check_closed_form(rng) -> tuple[bool, str]:
     spec = DetectorSpec.rbp(0, 0, 1)
     worst = 0.0
     for _ in range(200):
-        _, h, y, sigma2 = _random_instance(rng, 4, 4)
+        h, y, sigma2 = _random_instance(rng, 4, 4)
         gains = bit_gains(h, 1)
         sets = build_edge_sets(h, spec, 1)
         lump = _exclusion_mask(sets, 4)

@@ -55,7 +55,6 @@ from .detectors import (
     alpha_update,
     bit_gains,
     build_edge_sets,
-    soft_output,
 )
 from .errors import DimensionTooLargeError, IoFailure
 from .metrics import BerAccumulator, ami_sum
@@ -92,6 +91,8 @@ class SweepConfig:
         object.__setattr__(self, "detectors", tuple(self.detectors))
         if not self.snr_points_db:
             raise ValueError("need at least one SNR point")
+        if not np.isfinite(self.snr_points_db).all():
+            raise ValueError(f"SNR points must be finite, got {self.snr_points_db}")
         if not self.detectors:
             raise ValueError("need at least one detector")
         if self.errors_target < 1 or self.bits_max < 1 or self.trials_min < 1:
@@ -286,11 +287,11 @@ def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, want_iters=False):
     iters, beta = [], None
     for _, beta in _bp_messages(spec, h, y, sigma2, m):
         if want_iters:
-            iters.append(soft_output(beta).soft_llrs)
+            iters.append(beta.sum(axis=-2))
     if want_iters:
         return iters
     if beta is not None:
-        return soft_output(beta).soft_llrs
+        return beta.sum(axis=-2)
     if spec.kind == "MMSE_RBP":
         return _cascade_prior(h, y, sigma2, m)
     return np.zeros((h.shape[0], m * h.shape[2]))
@@ -384,7 +385,7 @@ def _run_taps(cfg: SweepConfig, spec: DetectorSpec, snr_db: float, taps: tuple,
     errors and trials_min trials have run, or where bits_max bits have.
     """
     dims = cfg.dims
-    sigma2 = snr_to_noise_variance(snr_db, dims).variance
+    sigma2 = snr_to_noise_variance(snr_db, dims)
     depths = taps or (spec.iterations,)
     bits = trials = 0
     errors = [0] * len(depths)

@@ -2,8 +2,10 @@
 
 Everything here is written with plain Python loops and itertools so the
 vectorized package code can be checked against an independently derived
-computation. Nothing in this module imports from the package's internals
-beyond the public constellation mapper (whose own tests are table-driven).
+computation. From the package this module takes only the public
+constellation mapper (whose own tests are table-driven) and the naive
+standard-BP oracle naive_sbp_beta, which lives in mimobp.selfcheck so that
+an installed `mimobp selftest` can run it; it shares no code with the engine.
 """
 import itertools
 import math
@@ -11,11 +13,7 @@ import math
 import numpy as np
 
 from mimobp.channel import modulate
-
-
-def naive_symbol_of_bit(i: int, m: int) -> int:
-    """1-based symbol index of 1-based bit i: bits arrive in blocks of m."""
-    return (i - 1) // m + 1
+from mimobp.selfcheck import _naive_sbp_beta as naive_sbp_beta  # noqa: F401
 
 
 def naive_modulate(bits, m):
@@ -41,32 +39,6 @@ def naive_bit_gains(h_row, m):
             gains.append(h_row[k] / math.sqrt(2.0))
             gains.append(1j * h_row[k] / math.sqrt(2.0))
     return np.asarray(gains, dtype=np.complex128)
-
-
-def naive_sbp_beta(alpha, h, y, sigma2, m=1):
-    """Factor-to-bit messages by exhaustive enumeration.
-
-    beta[j, i] = max over bit vectors with x_i = +1 of
-                 {D_j(s) + sum of alpha[t, j] over t != i with x_t = +1}
-               - the same max over vectors with x_i = -1,
-    with D_j(s) = -|y_j - h_j s|^2 / (2 sigma^2).
-    """
-    n_rx, n_tx = h.shape
-    n_bits = m * n_tx
-    beta = np.zeros((n_rx, n_bits))
-    for j in range(n_rx):
-        for i in range(n_bits):
-            best = {1: -np.inf, -1: -np.inf}
-            for bits in itertools.product((1, -1), repeat=n_bits):
-                s = naive_modulate(bits, m)
-                d = -abs(y[j] - np.dot(h[j], s)) ** 2 / (2.0 * sigma2)
-                prior = sum(alpha[t, j] for t in range(n_bits)
-                            if t != i and bits[t] == 1)
-                cand = d + prior
-                if cand > best[bits[i]]:
-                    best[bits[i]] = cand
-            beta[j, i] = best[1] - best[-1]
-    return beta
 
 
 def batched_sbp_mask_oracle(h, y, sigma2, m, iterations, clamp=30.0):

@@ -1,19 +1,13 @@
-"""Bit mapping, constellation, fading, and noise conventions."""
+"""Bit mapping, constellation, fading, and noise conventions.
+
+The Rayleigh draw is the engine's own batch draw, simulator._draw_batch.
+"""
 import numpy as np
 import pytest
 
-from mimobp.channel import (
-    NoiseSpec,
-    SystemDims,
-    bit_to_symbol_index,
-    demodulate,
-    generate_bits,
-    modulate,
-    sample_channel,
-    snr_to_noise_variance,
-    transmit,
-)
-from reference_impl import naive_modulate, naive_symbol_of_bit
+from mimobp.channel import SystemDims, demodulate, modulate, snr_to_noise_variance
+from mimobp.simulator import _draw_batch
+from reference_impl import naive_modulate
 
 
 class TestSystemDims:
@@ -37,54 +31,26 @@ class TestSystemDims:
             dims.n_tx = 3
 
 
-class TestNoiseSpec:
-    def test_rejects_negative_variance(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(-0.1)
-
-    def test_zero_allowed(self):
-        assert NoiseSpec(0.0).variance == 0.0
-
-
-class TestBitToSymbolIndex:
-    def test_identity_at_one_bit_per_symbol(self):
-        assert [bit_to_symbol_index(i, 1) for i in range(1, 9)] == list(range(1, 9))
-
-    def test_pairs_at_two_bits_per_symbol(self):
-        got = [bit_to_symbol_index(i, 2) for i in range(1, 9)]
-        assert got == [1, 1, 2, 2, 3, 3, 4, 4]
-
-    def test_matches_blockwise_rule(self):
-        for m in (1, 2):
-            for i in range(1, 33):
-                assert bit_to_symbol_index(i, m) == naive_symbol_of_bit(i, m)
-
-    def test_rejects_zero_based_input(self):
-        with pytest.raises(ValueError):
-            bit_to_symbol_index(0, 1)
-
-
 class TestModulation:
     def test_bpsk_is_identity_embedding(self):
         bits = np.array([1, -1, -1, 1])
         np.testing.assert_array_equal(modulate(bits, 1), bits.astype(complex))
 
     def test_qpsk_points_have_unit_energy(self):
-        rng = np.random.default_rng(10)
-        bits = generate_bits(64, rng)
+        bits = np.array([1, 1, 1, -1, -1, 1, -1, -1])
         s = modulate(bits, 2)
         np.testing.assert_allclose(np.abs(s), 1.0, rtol=0, atol=1e-15)
 
     def test_matches_naive_mapper(self):
         rng = np.random.default_rng(11)
         for m in (1, 2):
-            bits = generate_bits(12 * m, rng)
+            bits = rng.integers(0, 2, size=12 * m) * 2 - 1
             np.testing.assert_array_equal(modulate(bits, m), naive_modulate(bits, m))
 
     def test_roundtrip_is_exact(self):
         rng = np.random.default_rng(12)
         for m in (1, 2):
-            bits = generate_bits(40 * m, rng)
+            bits = rng.integers(0, 2, size=40 * m) * 2 - 1
             np.testing.assert_array_equal(demodulate(modulate(bits, m), m), bits)
 
     def test_operates_on_last_axis(self):
@@ -102,72 +68,59 @@ class TestModulation:
         np.testing.assert_array_equal(demodulate(np.array([0.0 + 0.0j]), 1), [1])
 
 
-class TestGenerateBits:
-    def test_values_and_shape(self):
-        rng = np.random.default_rng(14)
-        bits = generate_bits(1000, rng)
-        assert bits.shape == (1000,)
+class TestDrawBatch:
+    def test_bits_are_balanced_signs(self):
+        bits, _, _ = _draw_batch(SystemDims(4, 4, 1), 0.5, np.random.default_rng(14), 25_000)
+        assert bits.shape == (25_000, 4)
         assert set(np.unique(bits)) == {-1, 1}
-
-    def test_seeded_determinism(self):
-        a = generate_bits(64, np.random.default_rng(15))
-        b = generate_bits(64, np.random.default_rng(15))
-        np.testing.assert_array_equal(a, b)
-
-    def test_roughly_balanced(self):
-        bits = generate_bits(100_000, np.random.default_rng(16))
         assert abs(bits.mean()) < 0.02
 
+    def test_seeded_determinism(self):
+        dims = SystemDims(3, 4, 2)
+        a = _draw_batch(dims, 0.5, np.random.default_rng(15), 8)
+        b = _draw_batch(dims, 0.5, np.random.default_rng(15), 8)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
-class TestChannelAndNoise:
     def test_channel_shape_and_moments(self):
-        rng = np.random.default_rng(17)
-        dims = SystemDims(4, 6, 1)
-        h = np.stack([sample_channel(dims, rng) for _ in range(2000)])
-        assert h.shape[1:] == (6, 4)
+        _, h, y = _draw_batch(SystemDims(4, 6, 1), 0.5, np.random.default_rng(17), 2000)
+        assert h.shape == (2000, 6, 4)
+        assert y.shape == (2000, 6)
         assert abs(h.mean()) < 0.01
         np.testing.assert_allclose(np.mean(np.abs(h) ** 2), 1.0, rtol=0.03)
 
-    def test_noiseless_transmit_is_exact_product(self):
-        rng = np.random.default_rng(18)
-        dims = SystemDims(3, 3, 1)
-        h = sample_channel(dims, rng)
-        s = modulate(generate_bits(3, rng), 1)
-        y = transmit(h, s, NoiseSpec(0.0), rng)
-        np.testing.assert_array_equal(y, h @ s)
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_noiseless_draw_is_exact_product(self, m):
+        bits, h, y = _draw_batch(SystemDims(3, 3, m), 0.0, np.random.default_rng(18), 16)
+        np.testing.assert_array_equal(y, np.einsum("bjk,bk->bj", h, modulate(bits, m)))
 
     def test_noise_draw_happens_even_at_zero_variance(self):
         """Generator state advances identically for every noise level."""
         dims = SystemDims(3, 3, 1)
         rng_a = np.random.default_rng(19)
         rng_b = np.random.default_rng(19)
-        h = sample_channel(dims, np.random.default_rng(20))
-        s = modulate(np.array([1, 1, -1]), 1)
-        transmit(h, s, NoiseSpec(0.0), rng_a)
-        transmit(h, s, NoiseSpec(2.0), rng_b)
+        bits_a, h_a, _ = _draw_batch(dims, 0.0, rng_a, 4)
+        bits_b, h_b, _ = _draw_batch(dims, 2.0, rng_b, 4)
+        np.testing.assert_array_equal(bits_a, bits_b)
+        np.testing.assert_array_equal(h_a, h_b)
         np.testing.assert_array_equal(
             rng_a.standard_normal(8), rng_b.standard_normal(8)
         )
 
-    def test_noise_power_matches_spec(self):
-        rng = np.random.default_rng(21)
-        dims = SystemDims(2, 2, 1)
-        h = np.zeros((2, 2), dtype=complex)
-        s = np.zeros(2, dtype=complex)
-        y = np.stack(
-            [transmit(h, s, NoiseSpec(3.0), rng) for _ in range(20000)]
-        )
-        np.testing.assert_allclose(np.mean(np.abs(y) ** 2), 3.0, rtol=0.05)
+    def test_noise_power_matches_variance(self):
+        bits, h, y = _draw_batch(SystemDims(2, 2, 1), 3.0, np.random.default_rng(21), 20000)
+        noise = y - np.einsum("bjk,bk->bj", h, modulate(bits, 1))
+        np.testing.assert_allclose(np.mean(np.abs(noise) ** 2), 3.0, rtol=0.05)
 
 
 class TestSnrConversion:
     def test_reference_points(self):
         dims = SystemDims(4, 4, 1)
-        assert snr_to_noise_variance(0.0, dims).variance == pytest.approx(4.0)
-        assert snr_to_noise_variance(10.0, dims).variance == pytest.approx(0.4)
-        assert snr_to_noise_variance(60.0, dims).variance == pytest.approx(4e-6)
+        assert snr_to_noise_variance(0.0, dims) == pytest.approx(4.0)
+        assert snr_to_noise_variance(10.0, dims) == pytest.approx(0.4)
+        assert snr_to_noise_variance(60.0, dims) == pytest.approx(4e-6)
 
     def test_scales_with_transmit_antennas(self):
-        v2 = snr_to_noise_variance(6.0, SystemDims(2, 4, 1)).variance
-        v8 = snr_to_noise_variance(6.0, SystemDims(8, 4, 1)).variance
+        v2 = snr_to_noise_variance(6.0, SystemDims(2, 4, 1))
+        v8 = snr_to_noise_variance(6.0, SystemDims(8, 4, 1))
         assert v8 == pytest.approx(4.0 * v2)

@@ -66,6 +66,21 @@ class TestUsageErrors:
         assert "point failed" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ber-sweep", "convergence"])
+    def test_non_finite_snr_fails_before_any_point(self, tmp_path, capsys, command):
+        out = tmp_path / "nan.csv"
+        if command == "ber-sweep":
+            ini = tmp_path / "nan.ini"
+            ini.write_text("[run]\nsnr_points = nan, 4\n")
+            argv = ["ber-sweep", "--config", str(ini)]
+        else:
+            argv = ["convergence", "--snr", "inf", "--l-max", "2"]
+        assert main(argv + ["--detectors", "MMSE,SBP", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "SNR points must be finite" in err
+        assert "point failed" not in err
+        assert not out.exists()
+
     def test_convergence_without_an_iterative_detector_fails_before_any_point(
             self, tmp_path, capsys):
         out = tmp_path / "conv.csv"

@@ -67,7 +67,7 @@ def test_products_equal_einsum_property(m, n_tx, re, im):
 @pytest.mark.parametrize("snr_db", [0.0, 10.0, 30.0])
 def test_ml_metric_and_decisions_equal_the_einsum_form(n_tx, n_rx, m, snr_db):
     dims = SystemDims(n_tx, n_rx, m)
-    sigma2 = snr_to_noise_variance(snr_db, dims).variance
+    sigma2 = snr_to_noise_variance(snr_db, dims)
     _, h, y = _draw_batch(dims, sigma2, _batch_rng(7, snr_db, 0), 64)
     tbl = _config_table(m, n_tx)
     hs = np.einsum("bjk,ck->bjc", h, tbl.symbols)

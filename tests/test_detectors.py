@@ -2,33 +2,23 @@
 import numpy as np
 import pytest
 
-from mimobp.channel import (
-    NoiseSpec,
-    SystemDims,
-    generate_bits,
-    modulate,
-    sample_channel,
-    transmit,
-)
+from mimobp.channel import SystemDims, modulate
 from mimobp.detectors import (
     LLR_CLAMP,
     DetectorSpec,
+    _mmse_estimate,
     alpha_update,
     bit_gains,
     build_edge_sets,
     detect,
     interference_mean,
     interference_variance,
-    log_likelihood_D,
     message_history,
-    mmse_filter,
-    mmse_prior_llr,
     rbp_beta_update,
     sbp_beta_update,
-    select_edges,
-    soft_output,
 )
 from mimobp.errors import DimensionTooLargeError, LengthMismatchError
+from mimobp.simulator import _draw_batch
 from reference_impl import (
     naive_edge_set,
     naive_lump_mean,
@@ -51,12 +41,9 @@ ALL_KINDS = [
 
 
 def _instance(rng, n_tx, n_rx, m=1, sigma2=0.5):
-    """Random channel use: returns (bits, h, y)."""
-    dims = SystemDims(n_tx, n_rx, m)
-    bits = generate_bits(dims.n_bits, rng)
-    h = sample_channel(dims, rng)
-    y = transmit(h, modulate(bits, m), NoiseSpec(sigma2), rng)
-    return bits, h, y
+    """Random channel use, one trial of the engine's draw: returns (bits, h, y)."""
+    bits, h, y = _draw_batch(SystemDims(n_tx, n_rx, m), sigma2, rng, 1)
+    return bits[0], h[0], y[0]
 
 
 def _random_alpha(rng, n_bits, n_rx, scale=3.0):
@@ -92,21 +79,6 @@ class TestDetectorSpec:
             DetectorSpec("RBP", rd2=2)
 
 
-class TestLogLikelihood:
-    def test_matches_definition(self):
-        rng = np.random.default_rng(30)
-        bits, h, y = _instance(rng, 3, 3)
-        s = modulate(bits, 1)
-        for j in range(3):
-            want = -abs(y[j] - h[j] @ s) ** 2 / (2.0 * 0.5)
-            assert log_likelihood_D(s, j, h, y, 0.5) == pytest.approx(want, rel=1e-12)
-
-    def test_rejects_nonpositive_noise(self):
-        h = np.eye(2, dtype=complex)
-        with pytest.raises(ValueError):
-            log_likelihood_D(np.ones(2), 0, h, np.ones(2), 0.0)
-
-
 class TestSbpBetaUpdate:
     def test_matches_naive_enumeration(self):
         rng = np.random.default_rng(31)
@@ -135,6 +107,14 @@ class TestSbpBetaUpdate:
         plus = sbp_beta_update(alpha, h, y, 0.4)
         minus = sbp_beta_update(alpha, h, -y, 0.4)
         np.testing.assert_allclose(minus, -plus, rtol=0, atol=1e-11)
+
+    def test_rejects_nonpositive_noise(self):
+        """D_j(s) divides by 2 sigma^2: both the helper and detect() refuse 0."""
+        h = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match="sigma2 must be > 0"):
+            sbp_beta_update(np.zeros((2, 2)), h, np.ones(2, dtype=complex), 0.0)
+        with pytest.raises(ValueError, match="sigma2 must be > 0"):
+            detect(DetectorSpec.sbp(1), h, np.ones(2, dtype=complex), 0.0)
 
     def test_enumeration_guard(self):
         n = 25
@@ -168,46 +148,32 @@ class TestAlphaUpdate:
         )
 
 
-class TestSoftOutput:
-    def test_column_sums_and_signs(self):
-        beta = np.array([[1.0, -2.0], [0.5, 0.5]])
-        res = soft_output(beta, iterations_run=3)
-        np.testing.assert_allclose(res.soft_llrs, [1.5, -1.5])
-        np.testing.assert_array_equal(res.hard_bits, [1, -1])
-        assert res.iterations_run == 3
-
-    def test_zero_belief_slices_to_plus_one(self):
-        res = soft_output(np.zeros((2, 2)))
-        np.testing.assert_array_equal(res.hard_bits, [1, 1])
-
-
 class TestEdgeSelection:
     def test_strongest_interferers_chosen(self):
         h_row = np.array([0.1, 3.0, 2.0, 0.5])
-        spec = DetectorSpec.rbp(2, 0, 1)
-        np.testing.assert_array_equal(select_edges(h_row, 0, spec), [1, 2])
+        sets = build_edge_sets(h_row[None], DetectorSpec.rbp(2, 0, 1))[0]
+        np.testing.assert_array_equal(sets[0], [1, 2])
         # for a bit on the strongest symbol, the next two strongest remain
-        np.testing.assert_array_equal(select_edges(h_row, 1, spec), [2, 3])
+        np.testing.assert_array_equal(sets[1], [2, 3])
 
     def test_ties_break_toward_smaller_index(self):
         h_row = np.array([1.0, 2.0, 2.0, 2.0])
-        spec = DetectorSpec.rbp(2, 0, 1)
-        np.testing.assert_array_equal(select_edges(h_row, 0, spec), [1, 2])
+        sets = build_edge_sets(h_row[None], DetectorSpec.rbp(2, 0, 1))[0]
+        np.testing.assert_array_equal(sets[0], [1, 2])
 
     def test_own_symbol_partner_bits(self):
         h_row = np.array([1.0, 5.0])
-        spec = DetectorSpec.rbp(0, 1, 1)
-        np.testing.assert_array_equal(select_edges(h_row, 0, spec, m=2), [1])
-        np.testing.assert_array_equal(select_edges(h_row, 3, spec, m=2), [2])
+        sets = build_edge_sets(h_row[None], DetectorSpec.rbp(0, 1, 1), m=2)[0]
+        np.testing.assert_array_equal(sets[0], [1])
+        np.testing.assert_array_equal(sets[3], [2])
 
     def test_full_selection_covers_everything_but_self(self):
         rng = np.random.default_rng(35)
         h_row = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        spec = DetectorSpec.rbp(3, 1, 1)
         for m in (1, 2):
+            sets = build_edge_sets(h_row[None], DetectorSpec.rbp(3, 1, 1), m=m)[0]
             for i in range(4 * m):
-                got = sorted(select_edges(h_row, i, spec, m=m))
-                assert got == [t for t in range(4 * m) if t != i]
+                assert sorted(sets[i]) == [t for t in range(4 * m) if t != i]
 
     def test_matches_naive_rule(self):
         rng = np.random.default_rng(36)
@@ -217,28 +183,26 @@ class TestEdgeSelection:
                 for rd1 in range(5):
                     for rd2 in range(2):
                         spec = DetectorSpec.rbp(rd1, rd2, 1)
+                        sets = build_edge_sets(h_row[None], spec, m=m)[0]
                         for i in range(5 * m):
                             np.testing.assert_array_equal(
-                                select_edges(h_row, i, spec, m=m),
-                                naive_edge_set(h_row, i, rd1, rd2, m),
-                            )
+                                sets[i], naive_edge_set(h_row, i, rd1, rd2, m))
 
     def test_build_edge_sets_agrees_with_per_message_rule(self):
         rng = np.random.default_rng(37)
-        h = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        spec = DetectorSpec.rbp(2, 1, 1)
-        sets = build_edge_sets(h, spec, m=2)
-        assert sets.shape == (3, 8, 5)
-        for j in range(3):
-            for i in range(8):
-                np.testing.assert_array_equal(
-                    sets[j, i], select_edges(h[j], i, spec, m=2)
-                )
+        h = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+        sets = build_edge_sets(h, DetectorSpec.rbp(2, 1, 1), m=2)
+        assert sets.shape == (2, 3, 8, 5)
+        for b in range(2):
+            for j in range(3):
+                for i in range(8):
+                    np.testing.assert_array_equal(
+                        sets[b, j, i], naive_edge_set(h[b, j], i, 2, 1, 2)
+                    )
 
     def test_rd1_out_of_range_rejected(self):
-        h_row = np.ones(4)
         with pytest.raises(ValueError):
-            select_edges(h_row, 0, DetectorSpec.rbp(4, 0, 1))
+            build_edge_sets(np.ones((1, 4)), DetectorSpec.rbp(4, 0, 1))
 
 
 class TestInterferenceLump:
@@ -356,41 +320,41 @@ class TestMmseFrontEnd:
     def test_identity_channel_halves_the_observation(self):
         h = np.eye(2, dtype=complex)
         y = np.array([2.0 + 0j, 0.0 + 0j])
-        s_hat, k = mmse_filter(h, y, 1.0)
-        np.testing.assert_allclose(s_hat, [1.0, 0.0], rtol=0, atol=1e-14)
-        np.testing.assert_allclose(k, np.eye(2) / 2.0, rtol=0, atol=1e-14)
+        s_hat, k = _mmse_estimate(h[None], y[None], 1.0)
+        np.testing.assert_allclose(s_hat[0], [1.0, 0.0], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(k[0], np.eye(2) / 2.0, rtol=0, atol=1e-14)
 
     def test_pseudo_llr_reference_value(self):
         h = np.eye(2, dtype=complex)
-        s_hat, k = mmse_filter(h, np.array([2.0 + 0j, 0.0 + 0j]), 1.0)
-        assert mmse_prior_llr(s_hat, k, 0) == pytest.approx(4.0)
-        assert mmse_prior_llr(s_hat, k, 1) == pytest.approx(0.0)
+        soft = detect(DetectorSpec.mmse(), h, np.array([2.0 + 0j, 0.0 + 0j]), 1.0).soft_llrs
+        assert soft == pytest.approx([4.0, 0.0])
 
     def test_matches_plain_inverse(self):
         rng = np.random.default_rng(45)
         for _ in range(30):
             bits, h, y = _instance(rng, 4, 5, sigma2=0.3)
-            s_hat, k = mmse_filter(h, y, 0.3)
+            s_hat, k = _mmse_estimate(h[None], y[None], 0.3)
             want_s, want_k = naive_mmse(h, y, 0.3)
-            np.testing.assert_allclose(s_hat, want_s, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(k, want_k, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(s_hat[0], want_s, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(k[0], want_k, rtol=0, atol=1e-10)
 
     def test_vanishing_noise_approaches_zero_forcing(self):
         rng = np.random.default_rng(46)
         h = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         h += 4.0 * np.eye(4)  # keep the system well conditioned
         y = h @ np.array([1, -1, 1, 1], dtype=complex)
-        s_hat, _ = mmse_filter(h, y, 1e-12)
-        np.testing.assert_allclose(s_hat, [1, -1, 1, 1], rtol=0, atol=1e-6)
+        s_hat, _ = _mmse_estimate(h[None], y[None], 1e-12)
+        np.testing.assert_allclose(s_hat[0], [1, -1, 1, 1], rtol=0, atol=1e-6)
 
     def test_two_bits_per_symbol_scaling(self):
-        """Both bits of one symbol read their axis scaled by sqrt(2)/mse."""
-        s_hat = np.array([0.3 + 0.5j])
-        k = np.array([[0.25 + 0j]])
-        want_first = 2 * np.sqrt(2) * 0.3 / 0.25
-        want_second = 2 * np.sqrt(2) * 0.5 / 0.25
-        assert mmse_prior_llr(s_hat, k, 0, m=2) == pytest.approx(want_first)
-        assert mmse_prior_llr(s_hat, k, 1, m=2) == pytest.approx(want_second)
+        """Both bits of one symbol read their axis scaled by sqrt(2)/mse.
+
+        With h = 1 and sigma^2 = 3, K = 1/4 and s_hat = y/4 = 0.3 + 0.5i.
+        """
+        h = np.ones((1, 1), dtype=complex)
+        soft = detect(DetectorSpec.mmse(), h, np.array([1.2 + 2.0j]), 3.0, m=2).soft_llrs
+        want = [2 * np.sqrt(2) * 0.3 / 0.25, 2 * np.sqrt(2) * 0.5 / 0.25]
+        assert soft == pytest.approx(want)
 
 
 class TestDetect:
@@ -467,18 +431,14 @@ class TestDetect:
         np.testing.assert_array_equal(flat.hard_bits, np.ones(4, dtype=int))
 
         seeded = detect(DetectorSpec.mmse_rbp(1, 0, 0), h, y, 0.5)
-        s_hat, k = mmse_filter(h, y, 0.5)
-        want = np.clip([mmse_prior_llr(s_hat, k, i) for i in range(4)],
-                       -LLR_CLAMP, LLR_CLAMP)
+        want = np.clip(detect(DetectorSpec.mmse(), h, y, 0.5).soft_llrs, -LLR_CLAMP, LLR_CLAMP)
         np.testing.assert_allclose(seeded.soft_llrs, want, rtol=1e-12, atol=1e-15)
 
     def test_cascade_lump_variance_uses_prior_confidence(self):
         """The cascade shrinks the lump by the per-bit prior variances."""
         rng = np.random.default_rng(53)
         bits, h, y = _instance(rng, 4, 4, sigma2=0.5)
-        s_hat, k = mmse_filter(h, y, 0.5)
-        prior = np.clip([mmse_prior_llr(s_hat, k, i) for i in range(4)],
-                        -LLR_CLAMP, LLR_CLAMP)
+        prior = np.clip(detect(DetectorSpec.mmse(), h, y, 0.5).soft_llrs, -LLR_CLAMP, LLR_CLAMP)
         bit_var = 1.0 - np.tanh(prior / 2.0) ** 2
         alpha = np.tile(prior[:, None], (1, 4))
         want = naive_rbp_beta(alpha, h, y, 0.5, 1, 0, 1, bit_var=bit_var)
@@ -488,9 +448,7 @@ class TestDetect:
     def test_cascade_prior_persists_in_alpha_updates(self):
         rng = np.random.default_rng(54)
         bits, h, y = _instance(rng, 4, 4, sigma2=0.5)
-        s_hat, k = mmse_filter(h, y, 0.5)
-        prior = np.clip([mmse_prior_llr(s_hat, k, i) for i in range(4)],
-                        -LLR_CLAMP, LLR_CLAMP)
+        prior = np.clip(detect(DetectorSpec.mmse(), h, y, 0.5).soft_llrs, -LLR_CLAMP, LLR_CLAMP)
         state = message_history(DetectorSpec.mmse_rbp(0, 0, 3), h, y, 0.5)
         for st in state:
             want = alpha_update(st.beta, np.asarray(prior))

@@ -1,5 +1,6 @@
 """The public surface: every exported name resolves, and removed names stay gone."""
 import importlib
+import pkgutil
 
 import pytest
 
@@ -7,7 +8,9 @@ import mimobp
 from mimobp import detectors, errors
 
 REMOVED_EXPORTS = ("gram", "hermitian_solve", "max_log", "SingularMatrixError",
-                   "ber_accumulate")
+                   "ber_accumulate", "NoiseSpec", "bit_to_symbol_index",
+                   "generate_bits", "sample_channel", "transmit", "select_edges",
+                   "log_likelihood_D", "mmse_filter", "mmse_prior_llr", "soft_output")
 
 
 def test_every_exported_name_resolves():
@@ -20,6 +23,8 @@ def test_every_exported_name_resolves():
 def test_removed_names_are_not_exported(name):
     assert name not in mimobp.__all__
     assert not hasattr(mimobp, name)
+    for info in pkgutil.iter_modules(mimobp.__path__):
+        assert not hasattr(importlib.import_module(f"mimobp.{info.name}"), name), info.name
 
 
 def test_one_implementation_per_detector():

@@ -44,7 +44,7 @@ CASES = (
 @pytest.mark.parametrize("snr_db", [0.0, 12.0])
 def test_engine_equals_trial_major_oracle_on_every_iteration(kind, n_tx, n_rx, m, rd1, rd2,
                                                              snr_db):
-    sigma2 = snr_to_noise_variance(snr_db, SystemDims(n_tx, n_rx, m)).variance
+    sigma2 = snr_to_noise_variance(snr_db, SystemDims(n_tx, n_rx, m))
     for batch_index in range(2):
         _assert_bit_identical(kind, n_tx, n_rx, m, rd1, rd2, sigma2, 5, 64, batch_index)
 
@@ -53,7 +53,7 @@ def test_engine_equals_trial_major_oracle_on_every_iteration(kind, n_tx, n_rx, m
 @pytest.mark.parametrize("snr_db", [0.0, 12.0])
 def test_engine_equals_trial_major_oracle_with_eight_or_more_edges(kind, rd1, rd2, snr_db):
     """5x5 QPSK, R_D = 8 and 9: the prior sums run a block of 8 (and a tail)."""
-    sigma2 = snr_to_noise_variance(snr_db, SystemDims(5, 5, 2)).variance
+    sigma2 = snr_to_noise_variance(snr_db, SystemDims(5, 5, 2))
     _assert_bit_identical(kind, 5, 5, 2, rd1, rd2, sigma2, 4, 32)
 
 

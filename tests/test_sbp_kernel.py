@@ -30,7 +30,7 @@ def _assert_bit_identical(n_tx, n_rx, m, sigma2, iterations, count, batch_index=
 ], ids=lambda v: str(v))
 @pytest.mark.parametrize("snr_db", [0.0, 12.0])
 def test_engine_equals_mask_oracle_on_every_iteration(n_tx, n_rx, m, snr_db):
-    sigma2 = snr_to_noise_variance(snr_db, SystemDims(n_tx, n_rx, m)).variance
+    sigma2 = snr_to_noise_variance(snr_db, SystemDims(n_tx, n_rx, m))
     for batch_index in range(2):
         _assert_bit_identical(n_tx, n_rx, m, sigma2, 6, 128, batch_index)
 
@@ -38,7 +38,7 @@ def test_engine_equals_mask_oracle_on_every_iteration(n_tx, n_rx, m, snr_db):
 @pytest.mark.parametrize("snr_db", [0.0, 12.0])
 def test_engine_equals_mask_oracle_with_a_block_and_a_tail(snr_db):
     """5x5 QPSK: 10 bits, so each prior sum runs a block of 8 and a tail of 2."""
-    sigma2 = snr_to_noise_variance(snr_db, SystemDims(5, 5, 2)).variance
+    sigma2 = snr_to_noise_variance(snr_db, SystemDims(5, 5, 2))
     _assert_bit_identical(5, 5, 2, sigma2, 4, 32)
 
 

@@ -55,6 +55,11 @@ class TestConfigValidation:
         cfg = _cfg(snr_points_db=(4, 8))
         assert cfg.snr_points_db == (4.0, 8.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_snr_points(self, bad):
+        with pytest.raises(ValueError, match="SNR points must be finite"):
+            _cfg(snr_points_db=(bad, 4.0))
+
     @pytest.mark.parametrize("spec", [DetectorSpec.rbp(4, 0), DetectorSpec.mmse_rbp(5, 0)],
                              ids=lambda s: f"{s.label}({s.rd1},{s.rd2})")
     def test_rejects_rd1_past_the_interferer_count(self, spec):
@@ -237,7 +242,7 @@ class TestRunPoint:
                           bits_max=2 * BATCH_TRIALS * 2, record_ami=True,
                           master_seed=31)
         rec = run_point(cfg, cfg.detectors[0], 4.0)
-        sigma2 = snr_to_noise_variance(4.0, dims).variance
+        sigma2 = snr_to_noise_variance(4.0, dims)
         soft_all, bits_all = [], []
         for index in range(2):
             bits, h, y = _draw_batch(dims, sigma2, _batch_rng(31, 4.0, index),
@@ -254,6 +259,14 @@ class TestRunPoint:
         rbp = run_point(cfg, cfg.detectors[1], 4.0)
         assert (ml.rd1, ml.rd2) == (None, None)
         assert (rbp.rd1, rbp.rd2) == (1, 0)
+
+
+class TestErrorCount:
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
+    def test_zero_llr_decides_plus_one(self, zero):
+        """sign(0) = +1: an all-zero soft output counts exactly the -1 bits."""
+        bits = np.array([[1, -1, -1, 1], [-1, 1, 1, 1]])
+        assert simulator._count_errors(np.full(bits.shape, zero), bits) == 3
 
 
 class TestNonFiniteOutputs:
