@@ -42,108 +42,103 @@ def _parse_detector_label(text: str) -> dict:
     return out
 
 
+def _floats(text: str) -> list:
+    return [float(v) for v in text.split(",")]
+
+
+# Every [run] key: the type that parses its INI text, and its default as INI
+# text. A flag of the same name overrides it.
+_RUN_KEYS = {
+    "nt": (int, "4"), "nr": (int, "4"), "m": (int, "1"), "l": (int, "5"),
+    "seed": (int, str(DEFAULT_SEED)), "workers": (int, "1"),
+    "errors_target": (int, "500"), "bits_max": (int, "20_000_000"), "trials_min": (int, "1"),
+    "snr_points": (_floats, "0, 2, 4, 6, 8, 10, 12, 14"), "out": (str, "results.csv"),
+    "snr": (float, "12.0"), "l_max": (int, "10"),
+}
+_CONVERGENCE_KEYS = ("snr", "l_max")  # echoed by convergence runs only
+_GRID_KEYS = ("snr_min", "snr_max", "snr_step")
+_DETECTOR_KEYS = ("kind", "rd1", "rd2", "l")
+
+
 def _defaults(mode: str) -> dict:
-    return {
-        "mode": mode,
-        "nt": 4, "nr": 4, "m": 1, "l": 5,
-        "seed": DEFAULT_SEED,
-        "workers": int(os.environ.get(WORKERS_ENV, "1")),
-        "errors_target": 500,
-        "bits_max": 20_000_000,
-        "trials_min": 1,
-        "snr_points": [round(v, 6) for v in range(0, 15, 2)],
-        "snr": 12.0,
-        "l_max": 10,
-        "out": "results.csv",
-        "detectors": [],
-    }
+    settings = {key: cast(text) for key, (cast, text) in _RUN_KEYS.items()}
+    settings["workers"] = int(os.environ.get(WORKERS_ENV, settings["workers"]))
+    return {"mode": mode, **settings, "detectors": []}
+
+
+def _apply_grid(settings: dict, lo, hi, step) -> None:
+    """snr_points from the grid bounds; a bound given as None keeps the current one."""
+    if lo is None and hi is None and step is None:
+        return
+    points = settings["snr_points"]
+    settings["snr_points"] = snr_grid(min(points) if lo is None else lo,
+                                      max(points) if hi is None else hi,
+                                      2.0 if step is None else step)
 
 
 def _apply_preset(settings: dict, name: str) -> None:
     preset = get_preset(name, master_seed=settings["seed"])
     cfg = preset.cfg
-    settings["nt"] = cfg.dims.n_tx
-    settings["nr"] = cfg.dims.n_rx
-    settings["m"] = cfg.dims.bits_per_symbol
-    settings["errors_target"] = cfg.errors_target
-    settings["bits_max"] = cfg.bits_max
-    settings["trials_min"] = cfg.trials_min
-    settings["seed"] = cfg.master_seed
-    settings["snr_points"] = list(cfg.snr_points_db)
-    settings["detectors"] = [
-        {"kind": d.kind, "rd1": d.rd1, "rd2": d.rd2, "l": d.iterations}
-        for d in cfg.detectors
-    ]
+    settings.update(
+        nt=cfg.dims.n_tx, nr=cfg.dims.n_rx, m=cfg.dims.bits_per_symbol,
+        errors_target=cfg.errors_target, bits_max=cfg.bits_max, trials_min=cfg.trials_min,
+        seed=cfg.master_seed, snr_points=list(cfg.snr_points_db),
+        detectors=[{"kind": d.kind, "rd1": d.rd1, "rd2": d.rd2, "l": d.iterations}
+                   for d in cfg.detectors])
     if preset.mode == "convergence":
-        settings["snr"] = preset.convergence_snr_db
-        settings["l_max"] = max(preset.l_values)
+        settings["snr"] = cfg.snr_points_db[0]
+        settings["l_max"] = max(d.iterations for d in cfg.detectors)
+
+
+def _check_keys(section: str, keys, allowed) -> None:
+    unknown = sorted(set(keys) - set(allowed))
+    if unknown:
+        raise ValueError(f"[{section}]: unknown key(s) {', '.join(unknown)}")
 
 
 def _apply_config_file(settings: dict, path: str) -> None:
     parser = configparser.ConfigParser()
     with open(path) as fh:
         parser.read_file(fh)
-    if parser.has_section("run"):
-        run = parser["run"]
-        for key, cast in (("nt", int), ("nr", int), ("m", int), ("l", int),
-                          ("seed", int), ("workers", int),
-                          ("errors_target", int), ("bits_max", int),
-                          ("trials_min", int), ("snr", float),
-                          ("l_max", int)):
-            if key in run:
-                settings[key] = cast(run[key])
-        if "out" in run:
-            settings["out"] = run["out"]
-        if "snr_points" in run:
-            settings["snr_points"] = [float(v) for v in run["snr_points"].split(",")]
-        elif {"snr_min", "snr_max", "snr_step"} & set(run.keys()):
-            lo = float(run.get("snr_min", min(settings["snr_points"])))
-            hi = float(run.get("snr_max", max(settings["snr_points"])))
-            step = float(run.get("snr_step", 2.0))
-            settings["snr_points"] = snr_grid(lo, hi, step)
     detectors = []
     for section in parser.sections():
-        if not section.startswith("detector:"):
-            continue
         sec = parser[section]
-        if "kind" not in sec:
-            raise ValueError(f"[{section}] needs a 'kind' key")
-        entry = _parse_detector_label(sec["kind"])
-        if "rd1" in sec:
-            entry["rd1"] = int(sec["rd1"])
-        if "rd2" in sec:
-            entry["rd2"] = int(sec["rd2"])
-        if "l" in sec:
-            entry["l"] = int(sec["l"])
-        detectors.append(entry)
+        if section == "run":
+            _check_keys(section, sec, ("mode", *_RUN_KEYS, *_GRID_KEYS))
+            for key, (cast, _) in _RUN_KEYS.items():
+                if key in sec:
+                    settings[key] = cast(sec[key])
+            if "snr_points" not in sec:
+                _apply_grid(settings, *(float(sec[k]) if k in sec else None
+                                        for k in _GRID_KEYS))
+        elif section.startswith("detector:"):
+            _check_keys(section, sec, _DETECTOR_KEYS)
+            if "kind" not in sec:
+                raise ValueError(f"[{section}] needs a 'kind' key")
+            entry = _parse_detector_label(sec["kind"])
+            entry.update({k: int(sec[k]) for k in _DETECTOR_KEYS[1:] if k in sec})
+            detectors.append(entry)
+        else:
+            raise ValueError(f"unknown section [{section}]; expected [run] or [detector:N]")
     if detectors:
         settings["detectors"] = detectors
 
 
 def _apply_flags(settings: dict, args: argparse.Namespace) -> None:
-    for key in ("nt", "nr", "m", "l", "seed", "workers", "errors_target",
-                "bits_max", "trials_min", "out", "snr", "l_max"):
+    for key in _RUN_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    grid_flags = [args.snr_min, args.snr_max, args.snr_step] \
-        if hasattr(args, "snr_min") else [None, None, None]
-    if any(v is not None for v in grid_flags):
-        lo = grid_flags[0] if grid_flags[0] is not None else min(settings["snr_points"])
-        hi = grid_flags[1] if grid_flags[1] is not None else max(settings["snr_points"])
-        step = grid_flags[2] if grid_flags[2] is not None else 2.0
-        settings["snr_points"] = snr_grid(lo, hi, step)
+    _apply_grid(settings, *(getattr(args, k, None) for k in _GRID_KEYS))
     if getattr(args, "detectors", None):
         settings["detectors"] = [
             _parse_detector_label(part) for part in _DETECTOR_SEP.split(args.detectors)
         ]
-    if getattr(args, "rd1", None) is not None or getattr(args, "rd2", None) is not None:
-        for entry in settings["detectors"]:
-            if DetectorSpec(entry["kind"]).relaxed:
-                if args.rd1 is not None:
-                    entry["rd1"] = args.rd1
-                if args.rd2 is not None:
-                    entry["rd2"] = args.rd2
+    for key in ("rd1", "rd2"):
+        if getattr(args, key, None) is not None:
+            for entry in settings["detectors"]:
+                if DetectorSpec(entry["kind"]).relaxed:
+                    entry[key] = getattr(args, key)
 
 
 def _resolve(args: argparse.Namespace, mode: str) -> dict:
@@ -161,22 +156,16 @@ def _resolve(args: argparse.Namespace, mode: str) -> dict:
     return settings
 
 
-def _detector_specs(settings: dict) -> tuple:
-    specs = []
-    for entry in settings["detectors"]:
-        kind = entry["kind"]
-        iterations = entry["l"] if DetectorSpec(kind).iterative else 0
-        specs.append(DetectorSpec(kind, iterations=iterations,
-                                  rd1=entry["rd1"], rd2=entry["rd2"]))
-    return tuple(specs)
-
-
 def _build_sweep_config(settings: dict, record_ami: bool) -> SweepConfig:
-    dims = SystemDims(settings["nt"], settings["nr"], settings["m"])
+    detectors = []
+    for entry in settings["detectors"]:
+        iterative = DetectorSpec(entry["kind"]).iterative
+        detectors.append(DetectorSpec(entry["kind"], entry["l"] if iterative else 0,
+                                      entry["rd1"], entry["rd2"]))
     return SweepConfig(
-        dims=dims,
+        dims=SystemDims(settings["nt"], settings["nr"], settings["m"]),
         snr_points_db=tuple(settings["snr_points"]),
-        detectors=_detector_specs(settings),
+        detectors=tuple(detectors),
         errors_target=settings["errors_target"],
         bits_max=settings["bits_max"],
         trials_min=settings["trials_min"],
@@ -185,34 +174,20 @@ def _build_sweep_config(settings: dict, record_ami: bool) -> SweepConfig:
     )
 
 
+def _ini_text(value) -> str:
+    # str of a float is its shortest exact repr, so the echo reads back bit for bit
+    return ", ".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
 def echo_config(settings: dict, stream=None) -> str:
     """Emit the resolved configuration as INI text (also returned)."""
     parser = configparser.ConfigParser()
-    parser["run"] = {
-        "mode": settings["mode"],
-        "nt": str(settings["nt"]),
-        "nr": str(settings["nr"]),
-        "m": str(settings["m"]),
-        "l": str(settings["l"]),
-        "seed": str(settings["seed"]),
-        "workers": str(settings["workers"]),
-        "errors_target": str(settings["errors_target"]),
-        "bits_max": str(settings["bits_max"]),
-        "trials_min": str(settings["trials_min"]),
-        "snr_points": ", ".join(format(v, "g") for v in settings["snr_points"]),
-        "out": settings["out"],
-    }
-    if settings["mode"] == "convergence":
-        parser["run"]["snr"] = format(settings["snr"], "g")
-        parser["run"]["l_max"] = str(settings["l_max"])
+    keys = [k for k in _RUN_KEYS
+            if settings["mode"] == "convergence" or k not in _CONVERGENCE_KEYS]
+    parser["run"] = {"mode": settings["mode"], **{k: _ini_text(settings[k]) for k in keys}}
     for pos, entry in enumerate(settings["detectors"], start=1):
-        label = entry["kind"].replace("_", "-")
-        parser[f"detector:{pos}"] = {
-            "kind": label,
-            "rd1": str(entry["rd1"]),
-            "rd2": str(entry["rd2"]),
-            "l": str(entry["l"]),
-        }
+        parser[f"detector:{pos}"] = {**{k: str(entry[k]) for k in _DETECTOR_KEYS},
+                                     "kind": DetectorSpec(entry["kind"]).label}
     buf = io.StringIO()
     parser.write(buf)
     text = buf.getvalue()
@@ -283,11 +258,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if run_selftest(verbose=True) else 1
 
 
-def _add_common(parser: argparse.ArgumentParser, with_grid: bool = True) -> None:
+def _add_link(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="INI config file")
-    parser.add_argument("--seed", type=int, help="master RNG seed")
-    parser.add_argument("--workers", type=int, help=f"worker processes (or ${WORKERS_ENV})")
-    parser.add_argument("--out", help="output CSV path")
     parser.add_argument("--nt", type=int, help="transmit antennas")
     parser.add_argument("--nr", type=int, help="receive antennas")
     parser.add_argument("--m", type=int, choices=(1, 2), help="bits per symbol")
@@ -295,10 +267,15 @@ def _add_common(parser: argparse.ArgumentParser, with_grid: bool = True) -> None
     parser.add_argument("--rd1", type=int, help="relaxation: explicit interferer symbols")
     parser.add_argument("--rd2", type=int, choices=(0, 1),
                         help="relaxation: keep own-symbol partner bits")
-    if with_grid:
-        parser.add_argument("--snr-min", type=float, dest="snr_min")
-        parser.add_argument("--snr-max", type=float, dest="snr_max")
-        parser.add_argument("--snr-step", type=float, dest="snr_step")
+
+
+def _add_common(parser: argparse.ArgumentParser, with_grid: bool = True) -> None:
+    _add_link(parser)
+    parser.add_argument("--seed", type=int, help="master RNG seed")
+    parser.add_argument("--workers", type=int, help=f"worker processes (or ${WORKERS_ENV})")
+    parser.add_argument("--out", help="output CSV path")
+    for key in _GRID_KEYS if with_grid else ():
+        parser.add_argument("--" + key.replace("_", "-"), type=float, help="SNR grid (dB)")
     parser.add_argument("--errors-target", type=int, dest="errors_target",
                         help="stop a point after this many bit errors")
     parser.add_argument("--bits-max", type=int, dest="bits_max",
@@ -333,13 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_convergence)
 
     p = sub.add_parser("complexity", help="print the per-vector operation counts")
-    p.add_argument("--config", help="INI config file")
-    p.add_argument("--nt", type=int)
-    p.add_argument("--nr", type=int)
-    p.add_argument("--m", type=int, choices=(1, 2))
-    p.add_argument("--l", type=int)
-    p.add_argument("--rd1", type=int)
-    p.add_argument("--rd2", type=int, choices=(0, 1))
+    _add_link(p)
     p.set_defaults(func=_cmd_complexity)
 
     p = sub.add_parser("selftest", help="run the built-in oracle checks")

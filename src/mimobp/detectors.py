@@ -90,6 +90,11 @@ class DetectorSpec:
     def label(self) -> str:
         return self.kind.replace("_", "-")
 
+    @property
+    def name(self) -> str:
+        """The detector as --detectors spells it: RBP(1,0), MMSE-RBP(0,0), MMSE."""
+        return f"{self.label}({self.rd1},{self.rd2})" if self.relaxed else self.label
+
     def relax_degree(self, m: int) -> int:
         """Explicit edges per message: rd1*M + rd2*(M-1)."""
         return self.rd1 * m + self.rd2 * (m - 1)

@@ -2,7 +2,8 @@
 
 Each preset fixes antennas, modulation, iteration depth, detector list, SNR
 grid and stopping budgets; seeds and budgets can still be overridden on the
-command line.
+command line. The convergence preset runs at its first SNR point for
+L = 1 .. its deepest detector's iteration count.
 """
 from __future__ import annotations
 
@@ -20,8 +21,6 @@ class Preset:
     name: str
     mode: str                      # "ber" | "ami" | "convergence"
     cfg: SweepConfig
-    convergence_snr_db: float | None = None
-    l_values: tuple | None = None
 
 
 def snr_grid(lo: float, hi: float, step: float) -> list:
@@ -36,110 +35,35 @@ def snr_grid(lo: float, hi: float, step: float) -> list:
     return out
 
 
-def _fig3(seed: int) -> Preset:
-    cfg = SweepConfig(
-        dims=SystemDims(4, 4, 1),
-        snr_points_db=snr_grid(0, 14, 2),
-        detectors=(DetectorSpec.ml(), DetectorSpec.sbp(iterations=5)),
-        errors_target=500,
-        bits_max=20_000_000,
-        master_seed=seed,
-    )
-    return Preset("fig3", "ber", cfg)
+_BUDGETS = {"errors_target": 500, "bits_max": 20_000_000}
+_FIG6_FIG7 = (DetectorSpec.sbp(5), DetectorSpec.rbp(1, 0), DetectorSpec.rbp(0, 0),
+              DetectorSpec.mmse_rbp(1, 0), DetectorSpec.mmse_rbp(0, 0))
 
-
-def _fig5(seed: int) -> Preset:
-    cfg = SweepConfig(
-        dims=SystemDims(4, 4, 1),
-        snr_points_db=snr_grid(0, 16, 2),
-        detectors=(
-            DetectorSpec.sbp(iterations=7),
-            DetectorSpec.rbp(2, 0, iterations=7),
-            DetectorSpec.rbp(1, 0, iterations=7),
-            DetectorSpec.rbp(0, 0, iterations=7),
-            DetectorSpec.mmse_rbp(1, 0, iterations=7),
-            DetectorSpec.mmse_rbp(0, 0, iterations=7),
-            DetectorSpec.mmse_sic(),
-        ),
-        errors_target=500,
-        bits_max=20_000_000,
-        master_seed=seed,
-    )
-    return Preset("fig5", "ber", cfg)
-
-
-def _fig6(seed: int) -> Preset:
-    cfg = SweepConfig(
-        dims=SystemDims(8, 8, 1),
-        snr_points_db=snr_grid(0, 16, 2),
-        detectors=(
-            DetectorSpec.sbp(iterations=5),
-            DetectorSpec.rbp(1, 0, iterations=5),
-            DetectorSpec.rbp(0, 0, iterations=5),
-            DetectorSpec.mmse_rbp(1, 0, iterations=5),
-            DetectorSpec.mmse_rbp(0, 0, iterations=5),
-        ),
-        errors_target=500,
-        bits_max=8_000_000,
-        master_seed=seed,
-    )
-    return Preset("fig6", "ber", cfg)
-
-
-def _fig7(seed: int) -> Preset:
-    trials = 20_000
-    dims = SystemDims(4, 4, 1)
-    cfg = SweepConfig(
-        dims=dims,
-        snr_points_db=snr_grid(0, 12, 2),
-        detectors=(
-            DetectorSpec.sbp(iterations=5),
-            DetectorSpec.rbp(1, 0, iterations=5),
-            DetectorSpec.rbp(0, 0, iterations=5),
-            DetectorSpec.mmse_rbp(1, 0, iterations=5),
-            DetectorSpec.mmse_rbp(0, 0, iterations=5),
-        ),
-        errors_target=1,
-        trials_min=trials,
-        bits_max=trials * dims.n_bits,
-        master_seed=seed,
-        record_ami=True,
-    )
-    return Preset("fig7", "ami", cfg)
-
-
-def _fig8(seed: int) -> Preset:
-    cfg = SweepConfig(
-        dims=SystemDims(4, 4, 1),
-        snr_points_db=(12.0,),
-        detectors=(
-            DetectorSpec.sbp(iterations=10),
-            DetectorSpec.rbp(1, 0, iterations=10),
-            DetectorSpec.rbp(0, 0, iterations=10),
-            DetectorSpec.mmse_rbp(0, 0, iterations=10),
-        ),
-        errors_target=500,
-        bits_max=20_000_000,
-        master_seed=seed,
-    )
-    return Preset("fig8", "convergence", cfg, convergence_snr_db=12.0,
-                  l_values=tuple(range(1, 11)))
-
-
-_BUILDERS = {
-    "fig3": _fig3,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
+# name: (mode, (Nt, Nr, M), SNR grid (lo, hi, step) in dB, detectors, budgets
+# that differ from _BUDGETS)
+_PRESETS = {
+    "fig3": ("ber", (4, 4, 1), (0, 14, 2), (DetectorSpec.ml(), DetectorSpec.sbp(5)), {}),
+    "fig5": ("ber", (4, 4, 1), (0, 16, 2), (
+        DetectorSpec.sbp(7), DetectorSpec.rbp(2, 0, 7), DetectorSpec.rbp(1, 0, 7),
+        DetectorSpec.rbp(0, 0, 7), DetectorSpec.mmse_rbp(1, 0, 7),
+        DetectorSpec.mmse_rbp(0, 0, 7), DetectorSpec.mmse_sic()), {}),
+    "fig6": ("ber", (8, 8, 1), (0, 16, 2), _FIG6_FIG7, {"bits_max": 8_000_000}),
+    # a fixed 20,000 trials of 4 bits each, whatever the error count
+    "fig7": ("ami", (4, 4, 1), (0, 12, 2), _FIG6_FIG7,
+             {"errors_target": 1, "trials_min": 20_000, "bits_max": 20_000 * 4}),
+    "fig8": ("convergence", (4, 4, 1), (12, 12, 1), (
+        DetectorSpec.sbp(10), DetectorSpec.rbp(1, 0, 10), DetectorSpec.rbp(0, 0, 10),
+        DetectorSpec.mmse_rbp(0, 0, 10)), {}),
 }
 
-PRESET_NAMES = tuple(sorted(_BUILDERS))
+PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
 def get_preset(name: str, master_seed: int = DEFAULT_SEED) -> Preset:
     try:
-        builder = _BUILDERS[name]
+        mode, dims, grid, detectors, budgets = _PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}") from None
-    return builder(master_seed)
+    cfg = SweepConfig(SystemDims(*dims), snr_grid(*grid), detectors, master_seed=master_seed,
+                      record_ami=mode == "ami", **{**_BUDGETS, **budgets})
+    return Preset(name, mode, cfg)

@@ -91,8 +91,14 @@ class SweepConfig:
         object.__setattr__(self, "detectors", tuple(self.detectors))
         if not self.snr_points_db:
             raise ValueError("need at least one SNR point")
-        if not np.isfinite(self.snr_points_db).all():
-            raise ValueError(f"SNR points must be finite, got {self.snr_points_db}")
+        for snr_db in self.snr_points_db:
+            try:
+                usable = 0.0 < snr_to_noise_variance(snr_db, self.dims) < np.inf
+            except ArithmeticError:  # 10^(snr/10) overflows or underflows to 0
+                usable = False
+            if not usable:
+                raise ValueError(f"SNR points must be finite and give a noise variance in "
+                                 f"(0, inf), got {snr_db}")
         if not self.detectors:
             raise ValueError("need at least one detector")
         if self.errors_target < 1 or self.bits_max < 1 or self.trials_min < 1:
@@ -100,14 +106,13 @@ class SweepConfig:
         n_bits = self.dims.n_bits
         table = (1 << n_bits) * BATCH_TRIALS * self.dims.n_rx * 16  # ML/SBP, complex128
         for spec in self.detectors:  # fail at the start, not once per SNR point
-            name = f"{spec.label}({spec.rd1},{spec.rd2})"
             if spec.relaxed and not 0 <= spec.rd1 < self.dims.n_tx:
-                raise ValueError(f"{name}: rd1 must be in 0..{self.dims.n_tx - 1}")
+                raise ValueError(f"{spec.name}: rd1 must be in 0..{self.dims.n_tx - 1}")
             if spec.relaxed and spec.relax_degree(self.dims.bits_per_symbol) > MAX_RELAX_EDGES:
-                raise ValueError(f"{name}: more than {MAX_RELAX_EDGES} explicit edges")
+                raise ValueError(f"{spec.name}: more than {MAX_RELAX_EDGES} explicit edges")
             if spec.kind in ("ML", "SBP") and (n_bits > MAX_ENUM_BITS or table > MAX_TABLE_BYTES):
                 raise DimensionTooLargeError(
-                    f"{spec.label}: 2^{n_bits} configurations, {table / 2**30:.1f} GiB per "
+                    f"{spec.name}: 2^{n_bits} configurations, {table / 2**30:.1f} GiB per "
                     f"batch; at most 2^{MAX_ENUM_BITS} and {MAX_TABLE_BYTES >> 30} GiB")
 
 
@@ -462,13 +467,12 @@ def run_sweep(cfg: SweepConfig, workers: int = 1, progress: bool = False) -> lis
             try:
                 rec = run_point(cfg, detector, snr_db, workers=workers)
             except Exception as exc:  # keep going; a sweep is many points
-                print(f"[mimobp] point failed: {detector.label} @ {snr_db} dB: {exc}",
+                print(f"[mimobp] point failed: {detector.name} @ {snr_db} dB: {exc}",
                       file=sys.stderr)
                 continue
             records.append(rec)
             if progress:
-                print(f"[mimobp] {rec.detector}({rec.rd1},{rec.rd2}) "
-                      f"L={rec.iterations} snr={rec.snr_db:g} dB  "
+                print(f"[mimobp] {detector.name} L={rec.iterations} snr={rec.snr_db:g} dB  "
                       f"ber={rec.ber:.3e}  errors={rec.errors}  bits={rec.bits}",
                       file=sys.stderr)
     return records

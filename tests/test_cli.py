@@ -66,19 +66,38 @@ class TestUsageErrors:
         assert "point failed" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["ber-sweep", "convergence"])
-    def test_non_finite_snr_fails_before_any_point(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, snr", [
+        ("ber-sweep", "nan"), ("ber-sweep", "4000"), ("ber-sweep", "-4000"),
+        ("convergence", "inf"), ("convergence", "-4000"),
+    ])
+    def test_non_finite_snr_fails_before_any_point(self, tmp_path, capsys, command, snr):
+        """nan/inf, and 4000/-4000 dB whose noise variance underflows or overflows."""
         out = tmp_path / "nan.csv"
         if command == "ber-sweep":
             ini = tmp_path / "nan.ini"
-            ini.write_text("[run]\nsnr_points = nan, 4\n")
+            ini.write_text(f"[run]\nsnr_points = {snr}, 4\n")
             argv = ["ber-sweep", "--config", str(ini)]
         else:
-            argv = ["convergence", "--snr", "inf", "--l-max", "2"]
+            argv = ["convergence", "--snr", snr, "--l-max", "2"]
         assert main(argv + ["--detectors", "MMSE,SBP", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "SNR points must be finite" in err
         assert "point failed" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ini, name", [
+        ("[run]\nerror_target = 7\n", "error_target"),
+        ("[run]\nsnr_point = 3\n", "snr_point"),
+        ("[detector:1]\nkind = SBP\nrd_1 = 2\n", "rd_1"),
+        ("[detector:1]\nkind = SBP\n[detectors:2]\nkind = ML\n", "[detectors:2]"),
+    ], ids=["run-key", "run-key-near-snr_points", "detector-key", "section"])
+    def test_unknown_config_key_or_section_fails_before_any_point(
+            self, tmp_path, capsys, ini, name):
+        path, out = tmp_path / "typo.ini", tmp_path / "typo.csv"
+        path.write_text(ini)
+        assert main(["ber-sweep", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "[mimobp] error:" in err and name in err
         assert not out.exists()
 
     def test_convergence_without_an_iterative_detector_fails_before_any_point(
@@ -186,18 +205,21 @@ class TestResolutionOrder:
 
 
 class TestEchoRoundTrip:
-    def test_echoed_ini_reproduces_the_settings(self, tmp_path):
-        argv = ["ber-sweep", "--nt", "3", "--nr", "5", "--l", "4", "--seed", "77",
-                "--detectors", "ML,RBP(1,0)", "--snr-min", "2", "--snr-max", "6",
-                "--snr-step", "2", "--errors-target", "111",
-                "--out", str(tmp_path / "a.csv")]
-        first = _settings(argv)
+    @pytest.mark.parametrize("mode, argv", [
+        ("ber", ["ber-sweep", "--nt", "3", "--nr", "5", "--l", "4", "--seed", "77",
+                 "--detectors", "ML,RBP(1,0)", "--snr-min", "2", "--snr-max", "6",
+                 "--snr-step", "2", "--errors-target", "111"]),
+        ("ber", ["ber-sweep", "--snr-min", "10.00051", "--snr-max", "10.00051"]),
+        ("convergence", ["convergence", "--snr", "10.00051", "--l-max", "3"]),
+    ], ids=["grid", "seven-digit-point", "convergence-snr"])
+    def test_echoed_ini_reproduces_the_settings(self, tmp_path, mode, argv):
+        first = _settings(argv + ["--out", str(tmp_path / "a.csv")], mode)
         buf = io.StringIO()
         text = echo_config(first, stream=buf)
         assert text == buf.getvalue()
         ini = tmp_path / "echo.ini"
         ini.write_text(text)
-        second = _settings(["ber-sweep", "--config", str(ini)])
+        second = _settings([argv[0], "--config", str(ini)], mode)
         assert second == first
 
 
@@ -251,6 +273,26 @@ class TestEndToEnd:
         assert records[0].errors == records[1].errors
         assert records[0].bits == records[1].bits
         assert records[0].ber == records[1].ber
+
+    def test_messages_name_detectors_as_the_detectors_flag_does(
+            self, tmp_path, capsys, monkeypatch):
+        real = simulator._engine_soft
+
+        def engine(spec, *args, **kwargs):
+            if spec.name == "RBP(0,0)":
+                raise MemoryError("no room")
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_engine_soft", engine)
+        assert main(["ber-sweep", "--nt", "2", "--nr", "2",
+                     "--detectors", "MMSE,RBP(1,0),RBP(0,0)", "--snr-min", "4",
+                     "--snr-max", "4", "--errors-target", "5", "--seed", "3",
+                     "--out", str(tmp_path / "names.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "[mimobp] MMSE L=0 snr=4 dB" in err
+        assert "[mimobp] RBP(1,0) L=5 snr=4 dB" in err
+        assert "[mimobp] point failed: RBP(0,0) @ 4.0 dB: no room" in err
+        assert "None" not in err
 
     def test_same_seed_gives_identical_results_files(self, tmp_path):
         argv = ["ber-sweep", "--nt", "2", "--nr", "2", "--detectors", "MMSE",
