@@ -15,16 +15,16 @@ bits explicit (the rd1 strongest-gain symbols plus, optionally, the bit's
 own-symbol partners); everything else is lumped into a Gaussian whose mean
 is rebuilt each iteration from the previous alphas (soft interference
 cancellation) and whose variance is fixed at the priors. With rd1 = Nt-1,
-rd2 = 1 the lump is empty and the scheme coincides with standard BP; with
-rd1 = rd2 = 0 the beta update collapses to a matched filter against the
-cancelled observation. The MMSE-cascaded variant turns per-stream MMSE
-pseudo-LLRs into a fixed per-bit prior: it seeds the alphas, stays as an
-additive intrinsic term in every alpha update, and shrinks the lump
-variances (informative priors mean less residual interference power),
-which is what lets the cascade track the MMSE-SIC baseline instead of
-relaxing back to the uninformed fixed point. The soft output remains the
-plain column sum of beta; re-adding the prior there would double-count
-information already fed back through the cancellation.
+rd2 = 1 nothing is lumped: the scheme is standard BP and runs SBP's step
+(DetectorSpec.exhaustive); with rd1 = rd2 = 0 the beta update collapses to
+a matched filter against the cancelled observation. The MMSE-cascaded
+variant turns per-stream MMSE pseudo-LLRs into a fixed per-bit prior: it
+seeds the alphas, stays as an additive intrinsic term in every alpha
+update, and shrinks the lump variances (informative priors mean less
+residual interference power), which lets the cascade track the MMSE-SIC
+baseline instead of relaxing back to the uninformed fixed point. The soft
+output remains the plain column sum of beta; re-adding the prior there
+would double-count information already fed back through the cancellation.
 
 Each detector has one implementation, the batched engine in
 mimobp.simulator, built from the batch steps here. detect() and
@@ -98,6 +98,10 @@ class DetectorSpec:
     def relax_degree(self, m: int) -> int:
         """Explicit edges per message: rd1*M + rd2*(M-1)."""
         return self.rd1 * m + self.rd2 * (m - 1)
+
+    def exhaustive(self, n_tx: int, m: int) -> bool:
+        """Every bit enumerated jointly: ML, SBP, relaxed BP with R_D = Nbits - 1."""
+        return self.kind in ("ML", "SBP") or self.relaxed and self.relax_degree(m) == m * n_tx - 1
 
     @classmethod
     def ml(cls) -> "DetectorSpec":
@@ -374,10 +378,7 @@ def build_edge_sets(h: np.ndarray, spec: DetectorSpec, m: int = 1) -> np.ndarray
 def _exclusion_mask(edge_sets: np.ndarray, n_bits: int) -> np.ndarray:
     """Float mask over (..., j, i, t): 1 where bit t is lumped into the Gaussian.
 
-    Lumped means t != i and t not in Psi_{j,i}. Summing through this mask
-    gives exact zeros (empty sums) when nothing is lumped, which keeps the
-    full-selection configuration identical to standard BP. Leading batch
-    axes of edge_sets (..., Nr, Nbits, R_D) carry through.
+    Lumped means t != i and t not in Psi_{j,i}; edge_sets is (..., Nr, Nbits, R_D).
     """
     mask = np.ones(edge_sets.shape[:-1] + (n_bits,))
     idx = np.arange(n_bits)

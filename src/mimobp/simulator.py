@@ -10,13 +10,13 @@ The engine here is the only implementation of every detector;
 detectors.detect() and message_history() run it on a batch of one, and a
 row's result does not depend on the batch around it. The BP kinds share one
 flooding loop, _bp_messages, over the batch steps of mimobp.detectors:
-standard BP is config-major, (C, B, Nr) over the C = 2^Nbits joint
-configurations; relaxed BP is hypothesis-major, (H, B, Nr, Nbits) over the
-H = 2^R_D explicit-edge hypotheses. Product tables come from one doubling
-helper, detectors._config_products, and the SBP and relaxed priors from
-another, detectors._prior_sums; both return einsum's floats bit for bit,
-without einsum. The MMSE kinds share one solve and inverse,
-detectors._mmse_estimate.
+standard BP, and relaxed BP that lumps nothing, is config-major, (C, B, Nr)
+over the C = 2^Nbits joint configurations; the rest of relaxed BP is
+hypothesis-major, (H, B, Nr, Nbits) over the H = 2^R_D edge hypotheses.
+Product tables come from one doubling helper, detectors._config_products,
+and the SBP and relaxed priors from another, detectors._prior_sums; both
+return einsum's floats bit for bit, without einsum. The MMSE kinds share
+one solve and inverse, detectors._mmse_estimate.
 
 Every batch runs through one worker, _run_batch, which scores iteration
 "taps" on one set of trials (see there). One runner, _run_taps, behind
@@ -40,8 +40,6 @@ import numpy as np
 from .channel import SystemDims, modulate, demodulate, snr_to_noise_variance
 from .detectors import (
     LLR_CLAMP,
-    MAX_ENUM_BITS,
-    MAX_RELAX_EDGES,
     DetectorSpec,
     _config_products,
     _config_table,
@@ -63,8 +61,7 @@ from .metrics import BerAccumulator, ami_sum
 # and RNG streams) do not depend on worker count.
 BATCH_TRIALS = 512
 
-# Largest (2^Nbits, BATCH_TRIALS, Nr) complex128 table one ML or SBP batch may
-# build; 8x8 QPSK would need 4.3 GB and 16x16 BPSK 8.6 GB.
+# Largest complex128 table one batch may build; SweepConfig sizes each spec's.
 MAX_TABLE_BYTES = 1 << 30
 
 CSV_FIELDS = (
@@ -103,17 +100,22 @@ class SweepConfig:
             raise ValueError("need at least one detector")
         if self.errors_target < 1 or self.bits_max < 1 or self.trials_min < 1:
             raise ValueError("stopping budgets must be >= 1")
-        n_bits = self.dims.n_bits
-        table = (1 << n_bits) * BATCH_TRIALS * self.dims.n_rx * 16  # ML/SBP, complex128
+        n_tx, n_rx, m = self.dims.n_tx, self.dims.n_rx, self.dims.bits_per_symbol
         for spec in self.detectors:  # fail at the start, not once per SNR point
-            if spec.relaxed and not 0 <= spec.rd1 < self.dims.n_tx:
-                raise ValueError(f"{spec.name}: rd1 must be in 0..{self.dims.n_tx - 1}")
-            if spec.relaxed and spec.relax_degree(self.dims.bits_per_symbol) > MAX_RELAX_EDGES:
-                raise ValueError(f"{spec.name}: more than {MAX_RELAX_EDGES} explicit edges")
-            if spec.kind in ("ML", "SBP") and (n_bits > MAX_ENUM_BITS or table > MAX_TABLE_BYTES):
+            if spec.relaxed and not 0 <= spec.rd1 < n_tx:
+                raise ValueError(f"{spec.name}: rd1 must be in 0..{n_tx - 1}")
+            # the batch table: (2^Nbits, B, Nr) if exhaustive, else (2^R_D, B, Nr, Nbits)
+            if spec.exhaustive(n_tx, m):
+                what, power, width = "configurations", m * n_tx, 1
+            elif spec.relaxed:
+                what, power, width = "explicit-edge hypotheses", spec.relax_degree(m), m * n_tx
+            else:
+                continue
+            table = (16 * BATCH_TRIALS * n_rx * width) << power  # complex128
+            if table > MAX_TABLE_BYTES:
                 raise DimensionTooLargeError(
-                    f"{spec.name}: 2^{n_bits} configurations, {table / 2**30:.1f} GiB per "
-                    f"batch; at most 2^{MAX_ENUM_BITS} and {MAX_TABLE_BYTES >> 30} GiB")
+                    f"{spec.name}: 2^{power} {what}, {table / 2**30:.1f} GiB per batch "
+                    f"table; at most {MAX_TABLE_BYTES >> 30} GiB")
 
 
 @dataclasses.dataclass
@@ -237,15 +239,15 @@ def _bp_messages(spec: DetectorSpec, h, y, sigma2, m):
     """The flooding iterations of SBP, RBP or MMSE-RBP over a batch.
 
     Yields (alpha, beta) after each iteration, alpha (B, Nbits, Nr) and beta
-    (B, Nr, Nbits), both fresh arrays every time. SBP is config-major,
-    (C, B, Nr); the relaxed kinds are hypothesis-major, (H, B, Nr, Nbits)
-    with H = 2^R_D. Tables and score buffers are built once per batch and
-    refilled every iteration; h and y are only read. The cascade's
-    pseudo-LLRs act as a fixed per-bit prior factor: they seed the alphas,
-    remain an additive intrinsic term in every alpha update, and shrink the
-    lump variances once up front. Where alpha starts at +0 (SBP, RBP), the
-    first iteration sets the priors and the lump mean to +0 instead of
-    computing them.
+    (B, Nr, Nbits), both fresh arrays every time. The edge sets, not the
+    kind, pick the step: SBP's, config-major (C, B, Nr), where nothing is
+    lumped (spec.exhaustive), else the relaxed one, hypothesis-major (H, B,
+    Nr, Nbits) with H = 2^R_D. Tables and score buffers are built once per
+    batch and refilled every iteration. The cascade's pseudo-LLRs act as a
+    fixed per-bit prior factor: they seed the alphas, remain an additive
+    intrinsic term in every alpha update, and shrink the lump variances once
+    up front. Where alpha starts at +0 (SBP, RBP), the first iteration sets
+    the priors and the lump mean to +0 instead of computing them.
     """
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be > 0 for message passing")
@@ -253,17 +255,14 @@ def _bp_messages(spec: DetectorSpec, h, y, sigma2, m):
         return
     b, n_rx, n_tx = h.shape
     n_bits = m * n_tx
-    prior = None
-    if spec.kind == "SBP":
+    prior = _cascade_prior(h, y, sigma2, m) if spec.kind == "MMSE_RBP" else None
+    if spec.exhaustive(n_tx, m):
         step = _sbp_step(h, y, sigma2, m)
     else:
         gains = bit_gains(h, m)
         sets = _engine_edge_sets(h, spec, m)
         lump = _exclusion_mask(sets, n_bits)
-        bit_var = None
-        if spec.kind == "MMSE_RBP":
-            prior = _cascade_prior(h, y, sigma2, m)
-            bit_var = 1.0 - np.tanh(prior / 2.0) ** 2
+        bit_var = None if prior is None else 1.0 - np.tanh(prior / 2.0) ** 2
         sigma2_z = _interference_variances(gains, lump, sigma2, bit_var)
         relaxed = _relaxed_step(gains, sets, sigma2_z, y)
 

@@ -41,12 +41,32 @@ def naive_bit_gains(h_row, m):
     return np.asarray(gains, dtype=np.complex128)
 
 
-def batched_sbp_mask_oracle(h, y, sigma2, m, iterations, clamp=30.0):
+def cascade_prior_oracle(h, y, sigma2, m, clamp=30.0):
+    """The MMSE cascade's clamped per-bit prior (B, Nbits): MMSE estimates
+    from one solve and one inverse, 2 Re(s_hat)/K_kk per bit at M = 1 and
+    sqrt(2) times that from the real and imaginary parts at M = 2."""
+    b, n_rx, n_tx = h.shape
+    a = np.einsum("bja,bjc->bac", h.conj(), h) + sigma2 * np.eye(n_tx)
+    hty = np.einsum("bjk,bj->bk", h.conj(), y)
+    s_hat = np.linalg.solve(a, hty[:, :, None])[:, :, 0]
+    mse = np.diagonal(np.linalg.inv(a), axis1=1, axis2=2).real
+    if m == 1:
+        prior = 2.0 * s_hat.real / mse
+    else:
+        prior = np.empty((b, m * n_tx))
+        prior[:, 0::2] = 2.0 * np.sqrt(2.0) * s_hat.real / mse
+        prior[:, 1::2] = 2.0 * np.sqrt(2.0) * s_hat.imag / mse
+    return np.clip(prior, -clamp, clamp)
+
+
+def batched_sbp_mask_oracle(h, y, sigma2, m, iterations, prior=None, clamp=30.0):
     """Batched standard BP with one boolean-mask gather per bit and sign.
 
     The trial-major formulation the package's SBP kernel replaced, kept with
     the same arithmetic (einsum layouts, subtraction order, clamp) so that
     the soft outputs must match it bit for bit. h is (B, Nr, Nt), y (B, Nr).
+    A per-bit prior (B, Nbits), if given, seeds alpha and is added in every
+    alpha update ahead of the extrinsic sum, as the MMSE cascade does.
     Returns the (B, Nbits) soft output after each iteration.
     """
     b, n_rx, n_tx = h.shape
@@ -60,7 +80,10 @@ def batched_sbp_mask_oracle(h, y, sigma2, m, iterations, clamp=30.0):
 
     hs = np.einsum("bjk,ck->bjc", h, symbols)
     d = -np.abs(y[:, :, None] - hs) ** 2 / (2.0 * sigma2)
-    alpha = np.zeros((b, n_bits, n_rx))
+    # a seeded alpha takes the bit-fastest layout every alpha update leaves,
+    # since einsum's reduction order over t follows the operand layout
+    alpha = (np.zeros((b, n_bits, n_rx)) if prior is None
+             else np.repeat(prior[:, None, :], n_rx, axis=1).transpose(0, 2, 1))
     beta = np.zeros((b, n_rx, n_bits))
     softs = []
     for _ in range(iterations):
@@ -72,7 +95,10 @@ def batched_sbp_mask_oracle(h, y, sigma2, m, iterations, clamp=30.0):
                 t[:, :, mask].max(axis=2) - alpha[:, i, :] - t[:, :, ~mask].max(axis=2)
             )
         total = beta.sum(axis=1)
-        alpha = np.clip(total[:, :, None] - beta.transpose(0, 2, 1), -clamp, clamp)
+        ext = total[:, :, None] - beta.transpose(0, 2, 1)
+        if prior is not None:
+            ext = prior[:, :, None] + ext
+        alpha = np.clip(ext, -clamp, clamp)
         softs.append(beta.sum(axis=1))
     return softs
 
@@ -114,17 +140,7 @@ def batched_rbp_trial_major_oracle(h, y, sigma2, m, rd1, rd2, iterations,
     power = np.abs(gains) ** 2
 
     if cascaded:
-        a = np.einsum("bja,bjc->bac", h.conj(), h) + sigma2 * np.eye(n_tx)
-        hty = np.einsum("bjk,bj->bk", h.conj(), y)
-        s_hat = np.linalg.solve(a, hty[:, :, None])[:, :, 0]
-        mse = np.diagonal(np.linalg.inv(a), axis1=1, axis2=2).real
-        if m == 1:
-            prior = 2.0 * s_hat.real / mse
-        else:
-            prior = np.empty((b, n_bits))
-            prior[:, 0::2] = 2.0 * np.sqrt(2.0) * s_hat.real / mse
-            prior[:, 1::2] = 2.0 * np.sqrt(2.0) * s_hat.imag / mse
-        prior = np.clip(prior, -clamp, clamp)
+        prior = cascade_prior_oracle(h, y, sigma2, m, clamp)
         power = power * (1.0 - np.tanh(prior / 2.0) ** 2)[:, None, :]
     else:
         prior = np.zeros((b, n_bits))

@@ -1,42 +1,94 @@
-"""The hypothesis-major relaxed kernel against the trial-major loop, bit for bit.
+"""The hypothesis-major relaxed kernel against the trial-major loop, bit for bit,
+and full relaxation against standard BP.
 
 The batched engine lays the relaxed scores out hypothesis-first and takes
 both max-marginals over contiguous slabs. Max is exact and every other
-operation keeps its operands and order, so RBP and MMSE-RBP soft outputs
-must equal reference_impl.batched_rbp_trial_major_oracle exactly, on every
-iteration, not just to a tolerance.
+operation keeps its operands and order, so wherever something is lumped, RBP
+and MMSE-RBP soft outputs must equal
+reference_impl.batched_rbp_trial_major_oracle exactly, on every iteration,
+not just to a tolerance. Where nothing is lumped (R_D = Nbits - 1) the engine
+runs SBP's step, so RBP must equal SBP exactly and MMSE-RBP the SBP mask
+oracle with the cascade prior. The relaxed kernel is still driven directly
+at that limit: it must equal the trial-major oracle exactly and SBP to 1e-9.
 """
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from mimobp.channel import SystemDims, snr_to_noise_variance
-from mimobp.detectors import DetectorSpec, build_edge_sets
-from mimobp.simulator import _batch_rng, _draw_batch, _engine_bp
-from reference_impl import batched_rbp_trial_major_oracle, naive_edge_set
+from mimobp.detectors import (
+    DetectorSpec,
+    _exclusion_mask,
+    _interference_means,
+    _interference_variances,
+    _relaxed_step,
+    alpha_update,
+    bit_gains,
+    build_edge_sets,
+)
+from mimobp.simulator import _batch_rng, _cascade_prior, _draw_batch, _engine_bp
+from reference_impl import (
+    batched_rbp_trial_major_oracle,
+    batched_sbp_mask_oracle,
+    cascade_prior_oracle,
+    naive_edge_set,
+)
 
 KINDS = ("RBP", "MMSE_RBP")
 
 
-def _assert_bit_identical(kind, n_tx, n_rx, m, rd1, rd2, sigma2, iterations, count,
-                          batch_index=0):
-    dims = SystemDims(n_tx, n_rx, m)
-    _, h, y = _draw_batch(dims, sigma2, _batch_rng(2011, 8.0, batch_index), count)
-    spec = DetectorSpec(kind, iterations=iterations, rd1=rd1, rd2=rd2)
-    got = _engine_bp(spec, h, y, sigma2, m, want_iters=True)
-    want = batched_rbp_trial_major_oracle(h, y, sigma2, m, rd1, rd2, iterations,
-                                          cascaded=kind == "MMSE_RBP")
+def _draw(n_tx, n_rx, m, sigma2, count, batch_index=0):
+    _, h, y = _draw_batch(SystemDims(n_tx, n_rx, m), sigma2,
+                          _batch_rng(2011, 8.0, batch_index), count)
+    return h, y
+
+
+def _assert_equal_every_iteration(got, want, iterations):
     assert len(got) == len(want) == iterations
     for depth, (g, w) in enumerate(zip(got, want), start=1):
         assert np.array_equal(g, w), f"iteration {depth}: max diff {np.abs(g - w).max()}"
 
 
+def _assert_bit_identical(kind, n_tx, n_rx, m, rd1, rd2, sigma2, iterations, count,
+                          batch_index=0):
+    h, y = _draw(n_tx, n_rx, m, sigma2, count, batch_index)
+    spec = DetectorSpec(kind, iterations=iterations, rd1=rd1, rd2=rd2)
+    assert not spec.exhaustive(n_tx, m)
+    got = _engine_bp(spec, h, y, sigma2, m, want_iters=True)
+    want = batched_rbp_trial_major_oracle(h, y, sigma2, m, rd1, rd2, iterations,
+                                          cascaded=kind == "MMSE_RBP")
+    _assert_equal_every_iteration(got, want, iterations)
+
+
+def _assert_full_relaxation_is_sbp(kind, n_tx, n_rx, m, rd2, sigma2, iterations, count,
+                                   batch_index=0):
+    """RBP(Nt-1,rd2) equals the SBP engine; MMSE-RBP(Nt-1,rd2) equals the SBP
+    mask oracle seeded and fed by the cascade prior. Both bit for bit."""
+    h, y = _draw(n_tx, n_rx, m, sigma2, count, batch_index)
+    spec = DetectorSpec(kind, iterations=iterations, rd1=n_tx - 1, rd2=rd2)
+    assert spec.exhaustive(n_tx, m)
+    got = _engine_bp(spec, h, y, sigma2, m, want_iters=True)
+    if kind == "RBP":
+        want = _engine_bp(DetectorSpec.sbp(iterations), h, y, sigma2, m, want_iters=True)
+    else:
+        want = batched_sbp_mask_oracle(h, y, sigma2, m, iterations,
+                                       prior=cascade_prior_oracle(h, y, sigma2, m))
+    _assert_equal_every_iteration(got, want, iterations)
+
+
+# shapes whose relaxed specs lump something (R_D < Nbits - 1)
 CASES = (
-    [(n, n, 1, rd1, 0) for n in (4, 8) for rd1 in (0, 1, 2, n - 1)]
-    + [(4, 4, 2, rd1, rd2) for rd1, rd2 in ((0, 1), (1, 0), (2, 0), (1, 1), (3, 1))]
-    + [(2, 5, 1, rd1, 0) for rd1 in (0, 1)]
-    + [(5, 3, 1, rd1, 0) for rd1 in (0, 1, 4)]
+    [(n, n, 1, rd1, 0) for n in (4, 8) for rd1 in (0, 1, 2)]
+    + [(4, 4, 2, rd1, rd2) for rd1, rd2 in ((0, 1), (1, 0), (2, 0), (1, 1))]
+    + [(2, 5, 1, 0, 0)]
+    + [(5, 3, 1, rd1, 0) for rd1 in (0, 1)]
 )
+
+# full relaxation, (n_tx, n_rx, m, rd2) with rd1 = Nt-1: at BPSK rd2 adds no
+# edge, so RBP(Nt-1,0) lumps nothing too
+FULL = [(n_tx, n_rx, m, rd2)
+        for n_tx, n_rx, m in ((4, 4, 1), (8, 8, 1), (4, 4, 2), (2, 5, 1), (5, 3, 1))
+        for rd2 in ((0, 1) if m == 1 else (1,))]
 
 
 @pytest.mark.parametrize("n_tx,n_rx,m,rd1,rd2", CASES, ids=lambda v: str(v))
@@ -49,12 +101,13 @@ def test_engine_equals_trial_major_oracle_on_every_iteration(kind, n_tx, n_rx, m
         _assert_bit_identical(kind, n_tx, n_rx, m, rd1, rd2, sigma2, 5, 64, batch_index)
 
 
-@pytest.mark.parametrize("kind,rd1,rd2", [("RBP", 4, 0), ("MMSE_RBP", 4, 1)])
+@pytest.mark.parametrize("n,kind,rd1,rd2", [(5, "RBP", 4, 0), (6, "MMSE_RBP", 4, 1)],
+                         ids=["5x5-RBP(4,0)", "6x6-MMSE_RBP(4,1)"])
 @pytest.mark.parametrize("snr_db", [0.0, 12.0])
-def test_engine_equals_trial_major_oracle_with_eight_or_more_edges(kind, rd1, rd2, snr_db):
-    """5x5 QPSK, R_D = 8 and 9: the prior sums run a block of 8 (and a tail)."""
-    sigma2 = snr_to_noise_variance(snr_db, SystemDims(5, 5, 2))
-    _assert_bit_identical(kind, 5, 5, 2, rd1, rd2, sigma2, 4, 32)
+def test_engine_equals_trial_major_oracle_with_eight_or_more_edges(n, kind, rd1, rd2, snr_db):
+    """QPSK, R_D = 8 and 9: the prior sums run a block of 8 (and a tail)."""
+    sigma2 = snr_to_noise_variance(snr_db, SystemDims(n, n, 2))
+    _assert_bit_identical(kind, n, n, 2, rd1, rd2, sigma2, 4, 32)
 
 
 @given(
@@ -69,8 +122,71 @@ def test_engine_equals_trial_major_oracle_with_eight_or_more_edges(kind, rd1, rd
 )
 def test_engine_equals_trial_major_oracle_property(kind, n_tx, n_rx, m, rd1, rd2, sigma2,
                                                    iterations):
-    assume(rd1 < n_tx and rd1 * m + rd2 * (m - 1) <= 6)
+    assume(rd1 < n_tx and rd1 * m + rd2 * (m - 1) <= min(6, n_tx * m - 2))
     _assert_bit_identical(kind, n_tx, n_rx, m, rd1, rd2, sigma2, iterations, 16)
+
+
+@pytest.mark.parametrize("n_tx,n_rx,m,rd2", FULL, ids=lambda v: str(v))
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("snr_db", [0.0, 12.0, None], ids=["0dB", "12dB", "sigma2=1e-12"])
+def test_full_relaxation_equals_sbp(kind, n_tx, n_rx, m, rd2, snr_db):
+    """The RBP(Nt-1,1) = SBP guard rail, on every iteration and at vanishing noise."""
+    dims = SystemDims(n_tx, n_rx, m)
+    sigma2 = 1e-12 if snr_db is None else snr_to_noise_variance(snr_db, dims)
+    for batch_index in range(2):
+        _assert_full_relaxation_is_sbp(kind, n_tx, n_rx, m, rd2, sigma2, 5, 64, batch_index)
+
+
+@given(
+    kind=st.sampled_from(KINDS),
+    n_tx=st.integers(1, 4),
+    n_rx=st.integers(1, 6),
+    m=st.sampled_from([1, 2]),
+    rd2=st.integers(0, 1),
+    sigma2=st.one_of(st.just(1e-6), st.floats(1e-4, 10.0)),
+    iterations=st.integers(1, 4),
+)
+def test_full_relaxation_equals_sbp_property(kind, n_tx, n_rx, m, rd2, sigma2, iterations):
+    rd2 = 1 if m == 2 else rd2
+    _assert_full_relaxation_is_sbp(kind, n_tx, n_rx, m, rd2, sigma2, iterations, 16)
+
+
+def _relaxed_kernel_softs(spec, h, y, sigma2, m):
+    """Soft outputs of _relaxed_step's own flooding loop: edge sets, lump mask
+    and variances, soft cancellation and alpha updates, all computed."""
+    n_rx = h.shape[1]
+    prior = _cascade_prior(h, y, sigma2, m) if spec.kind == "MMSE_RBP" else None
+    gains = bit_gains(h, m)
+    sets = build_edge_sets(h, spec, m)
+    lump = _exclusion_mask(sets, gains.shape[-1])
+    bit_var = None if prior is None else 1.0 - np.tanh(prior / 2.0) ** 2
+    step = _relaxed_step(gains, sets, _interference_variances(gains, lump, sigma2, bit_var), y)
+    alpha = (np.zeros((h.shape[0], gains.shape[-1], n_rx)) if prior is None
+             else np.repeat(prior[:, :, None], n_rx, axis=2))
+    softs = []
+    for _ in range(spec.iterations):
+        beta = step(alpha, _interference_means(alpha, gains, lump))
+        alpha = alpha_update(beta, prior)
+        softs.append(beta.sum(axis=-2))
+    return softs
+
+
+@pytest.mark.parametrize("n_tx,n_rx,m,rd2", FULL, ids=lambda v: str(v))
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("snr_db", [0.0, 12.0])
+def test_relaxed_kernel_at_full_relaxation(kind, n_tx, n_rx, m, rd2, snr_db):
+    """The engine takes SBP's step here, so drive _relaxed_step itself with the
+    full edge sets: bit for bit the trial-major oracle, and within 1e-9 of the
+    engine's SBP-step soft outputs on every iteration."""
+    sigma2 = snr_to_noise_variance(snr_db, SystemDims(n_tx, n_rx, m))
+    h, y = _draw(n_tx, n_rx, m, sigma2, 64)
+    spec = DetectorSpec(kind, iterations=5, rd1=n_tx - 1, rd2=rd2)
+    got = _relaxed_kernel_softs(spec, h, y, sigma2, m)
+    want = batched_rbp_trial_major_oracle(h, y, sigma2, m, n_tx - 1, rd2, 5,
+                                          cascaded=kind == "MMSE_RBP")
+    _assert_equal_every_iteration(got, want, 5)
+    for g, s in zip(got, _engine_bp(spec, h, y, sigma2, m, want_iters=True)):
+        np.testing.assert_allclose(g, s, rtol=1e-9, atol=1e-9)
 
 
 @pytest.mark.parametrize("m", [1, 2])

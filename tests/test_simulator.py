@@ -71,18 +71,34 @@ class TestConfigValidation:
                                              DetectorSpec("SBP", 5, rd1=9)))
 
     def test_rejects_more_explicit_edges_than_supported(self):
-        """RBP(10,1) at 11x11 QPSK keeps 21 explicit edges per message."""
-        _cfg(n_tx=11, n_rx=11, m=2, detectors=(DetectorSpec.rbp(10, 0),))
-        with pytest.raises(ValueError, match="explicit edges"):
-            _cfg(n_tx=11, n_rx=11, m=2, detectors=(DetectorSpec.rbp(10, 1),))
-
+        """A relaxed table is (2^R_D, 512, Nr, Nbits) complex: at 8x8 QPSK,
+        RBP(5,0) (R_D = 10) needs exactly 1 GiB and RBP(5,1) (R_D = 11) 2 GiB.
+        RBP(10,1) at 11x11 QPSK keeps all 21 other bits explicit, so it is
+        sized as SBP's (2^22, 512, 11) table."""
+        _cfg(n_tx=8, n_rx=8, m=2, detectors=(DetectorSpec.rbp(5, 0),))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="explicit-edge hypotheses"):
+                _cfg(n_tx=8, n_rx=8, m=2, detectors=(DetectorSpec.rbp(5, 1),))
+            with pytest.raises(ValueError, match=r"2\^22 configurations"):
+                _cfg(n_tx=11, n_rx=11, m=2, detectors=(DetectorSpec.rbp(10, 1),))
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20   # no table was built
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("n_tx,n_rx,m,spec", [
         (16, 16, 1, DetectorSpec.sbp(5)),   # 8.6 GB per batch
         (8, 8, 2, DetectorSpec.ml()),       # 4.3 GB per batch
         (7, 9, 2, DetectorSpec.sbp(5)),     # 1.125 GiB per batch
         (13, 13, 2, DetectorSpec.ml()),     # 26 bits, past MAX_ENUM_BITS
-    ], ids=["16x16-BPSK-SBP", "8x8-QPSK-ML", "7x9-QPSK-SBP", "13x13-QPSK-ML"])
+        (12, 12, 1, DetectorSpec.rbp(10, 0)),       # (2^10, 512, 12, 12): 1.125 GiB
+        (16, 16, 1, DetectorSpec.rbp(14, 0)),       # (2^14, 512, 16, 16): 32 GiB
+        (11, 11, 2, DetectorSpec.rbp(10, 0)),       # (2^20, 512, 11, 22): 1.9 TiB
+        (8, 8, 2, DetectorSpec.rbp(7, 1)),          # nothing lumped: SBP's 4 GiB
+        (16, 16, 1, DetectorSpec.mmse_rbp(15, 0)),  # nothing lumped: SBP's 8 GiB
+    ], ids=["16x16-BPSK-SBP", "8x8-QPSK-ML", "7x9-QPSK-SBP", "13x13-QPSK-ML",
+            "12x12-BPSK-RBP(10,0)", "16x16-BPSK-RBP(14,0)", "11x11-QPSK-RBP(10,0)",
+            "8x8-QPSK-RBP(7,1)", "16x16-BPSK-MMSE-RBP(15,0)"])
     def test_rejects_oversized_enumeration_at_start(self, n_tx, n_rx, m, spec):
         tracemalloc.start()
         try:
@@ -93,9 +109,12 @@ class TestConfigValidation:
             tracemalloc.stop()
 
     def test_accepts_a_table_of_exactly_the_cap(self):
-        """7x8 QPSK: 2^14 configurations x 512 trials x 8 antennas x 16 bytes."""
+        """7x8 QPSK: 2^14 configurations x 512 trials x 8 antennas x 16 bytes.
+        RBP(6,1) lumps nothing, so it runs SBP's step and builds SBP's table."""
         assert (1 << 14) * BATCH_TRIALS * 8 * 16 == MAX_TABLE_BYTES
-        _cfg(n_tx=7, n_rx=8, m=2, detectors=(DetectorSpec.ml(), DetectorSpec.sbp(5)))
+        _cfg(n_tx=7, n_rx=8, m=2, detectors=(DetectorSpec.ml(), DetectorSpec.sbp(5),
+                                             DetectorSpec.rbp(6, 1),
+                                             DetectorSpec.mmse_rbp(6, 1)))
 
 
 class TestBatchStreams:
