@@ -30,7 +30,9 @@ Each detector has one implementation, the batched engine in
 mimobp.simulator, built from the batch steps here. detect() and
 message_history() run it on a batch of one; the per-message helpers
 (sbp_beta_update, rbp_beta_update, interference_mean, ...) are views of the
-same steps, so every path returns the same floats.
+same steps, so every path returns the same floats. The lump sums add in
+ascending bit order and the MMSE estimates take one inverse; only the
+product tables, the priors and the draw's H s follow einsum's order.
 """
 from __future__ import annotations
 
@@ -375,25 +377,39 @@ def build_edge_sets(h: np.ndarray, spec: DetectorSpec, m: int = 1) -> np.ndarray
     return sets
 
 
-def _exclusion_mask(edge_sets: np.ndarray, n_bits: int) -> np.ndarray:
-    """Float mask over (..., j, i, t): 1 where bit t is lumped into the Gaussian.
+def _lump(edge_sets: np.ndarray):
+    """The Gaussian lump's sums for explicit edges edge_sets (..., Nr, Nbits,
+    R_D), as lump(terms (..., Nr, Nbits)) -> (..., Nr, Nbits). Entry (j, i)
+    sums terms[j, t] over the bits t != i outside Psi_{j,i}: the factor's
+    total minus the sum over the kept bits, i and Psi_{j,i}. Each sum starts
+    from its lowest bit and adds the rest in ascending t, so where nothing is
+    lumped the two are the same floats and the lump is exactly 0. A call
+    costs O(Nr Nbits R_D); the kept bits are sorted once."""
+    factors, n_bits = edge_sets.shape[:-2], edge_sets.shape[-2]   # factors: (..., Nr)
+    own = np.broadcast_to(np.arange(n_bits)[:, None], edge_sets.shape[:-1] + (1,))
+    kept = np.moveaxis(np.concatenate([own, edge_sets], axis=-1), -1, 0).copy()
+    for p in range(len(kept)):  # odd-even transposition sort, kept-major
+        lo, hi = kept[p % 2:-1:2], kept[p % 2 + 1::2]
+        lo[...], hi[...] = np.minimum(lo, hi), np.maximum(lo, hi)
+    flat = np.arange(math.prod(factors)).reshape(factors + (1,)) * n_bits + kept
 
-    Lumped means t != i and t not in Psi_{j,i}; edge_sets is (..., Nr, Nbits, R_D).
-    """
-    mask = np.ones(edge_sets.shape[:-1] + (n_bits,))
-    idx = np.arange(n_bits)
-    mask[..., idx, idx] = 0.0
-    np.put_along_axis(mask, edge_sets, 0.0, axis=-1)
-    return mask
+    def lump(terms):
+        total = terms[..., 0].copy()
+        for t in range(1, n_bits):
+            total += terms[..., t]
+        kept_sum = np.take(terms, flat[0])
+        for pos in flat[1:]:
+            kept_sum += np.take(terms, pos)
+        return np.subtract(total[..., None], kept_sum, out=kept_sum)
+
+    return lump
 
 
-def _one_factor(psi: np.ndarray, h_row: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gains (1, Nbits) and lump mask (1, Nbits, Nbits) of one factor whose
-    messages all keep psi explicit; row i of the mask is message (j, i)'s."""
+def _one_factor(psi: np.ndarray, h_row: np.ndarray, m: int):
+    """Gains (1, Nbits) and lump of one factor whose messages all keep psi."""
     gains = bit_gains(np.asarray(h_row)[None, :], m)
-    psi = np.asarray(psi, dtype=np.intp)
-    sets = np.broadcast_to(psi, (1, gains.shape[1], psi.size))
-    return gains, _exclusion_mask(sets, gains.shape[1])
+    sets = np.broadcast_to(np.asarray(psi, dtype=np.intp), gains.shape + (len(psi),))
+    return gains, _lump(sets)
 
 
 def interference_mean(alpha_col: np.ndarray, psi: np.ndarray, h_row: np.ndarray,
@@ -402,52 +418,22 @@ def interference_mean(alpha_col: np.ndarray, psi: np.ndarray, h_row: np.ndarray,
 
     u = sum over t not in Psi, t != i of g[t] * tanh(alpha[t]/2), where
     alpha_col holds the bit-to-factor LLRs heading to this factor. A view of
-    _interference_means.
+    _lump.
     """
     gains, lump = _one_factor(psi, h_row, m)
-    alpha = np.asarray(alpha_col, dtype=np.float64)[:, None]
-    return complex(_interference_means(alpha, gains, lump)[0, i])
+    return complex(lump(gains * np.tanh(np.asarray(alpha_col, dtype=np.float64) / 2.0))[0, i])
 
 
 def interference_variance(psi: np.ndarray, h_row: np.ndarray, i: int,
                           sigma2: float, m: int = 1) -> float:
     """Variance of the Gaussian lump: prior unit bit variance plus noise.
 
-    sigma2_z = sum over t not in Psi, t != i of |g[t]|^2 + sigma^2. Computed
-    once per channel realization; never updated from the feedback. A view
-    of _interference_variances.
+    sigma2_z = sum over t not in Psi, t != i of |g[t]|^2 + sigma^2, the lumped
+    power clamped at 0 so that sigma2_z >= sigma^2. Computed once per channel
+    realization; never updated from the feedback. A view of _lump.
     """
     gains, lump = _one_factor(psi, h_row, m)
-    return float(_interference_variances(gains, lump, sigma2)[0, i])
-
-
-def _interference_means(alpha: np.ndarray, gains: np.ndarray,
-                        lump_mask: np.ndarray) -> np.ndarray:
-    """interference_mean for every (j, i) at once, shape (..., Nr, Nbits).
-
-    Leading batch axes carry through. Two real einsums give one complex
-    einsum's sums in its order, bit for bit, and run faster.
-    """
-    ge = gains * np.swapaxes(np.tanh(alpha / 2.0), -1, -2)   # (..., Nr, Nbits)
-    u = np.empty_like(ge)
-    np.einsum("...jit,...jt->...ji", lump_mask, ge.real, out=u.real)
-    np.einsum("...jit,...jt->...ji", lump_mask, ge.imag, out=u.imag)
-    return u
-
-
-def _interference_variances(gains: np.ndarray, lump_mask: np.ndarray,
-                            sigma2: float,
-                            bit_var: np.ndarray | None = None) -> np.ndarray:
-    """interference_variance for every (j, i) at once, shape (..., Nr, Nbits).
-
-    bit_var (..., Nbits) replaces the unit per-bit prior variance when the
-    run starts from informative priors (the MMSE cascade); entries are
-    1 - tanh^2 of half the prior LLR. Leading batch axes carry through.
-    """
-    power = np.abs(gains) ** 2
-    if bit_var is not None:
-        power = power * bit_var[..., None, :]
-    return np.einsum("...jit,...jt->...ji", lump_mask, power) + sigma2
+    return float(np.maximum(lump(np.abs(gains) ** 2), 0.0)[0, i] + sigma2)
 
 
 def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray,
@@ -460,10 +446,11 @@ def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray
     enter only through the mean u and the variance sigma2_z. With no
     explicit edges the update has the closed matched-filter form
     beta = (2/sigma2_z) Re(g* (y - u)), unless closed_form is False. The
-    interference of every hypothesis and the score buffers are built once
-    and reused. The priors (H, B, Nr, Nbits) come from _prior_sums over the
-    explicit edges' alphas, with the floats of einsum("bjir,hr->hbji",
-    a_sel, xpos). fresh says alpha is +0: the priors are +0, not computed.
+    interference of every hypothesis, 2 g / (2 sigma2_z) and the score
+    buffers are built once and reused. The priors (H, B, Nr, Nbits) come
+    from _prior_sums over the explicit edges' alphas, with the floats of
+    einsum("bjir,hr->hbji", a_sel, xpos). fresh says alpha is +0: the
+    priors are +0, not computed.
     """
     b, n_rx, n_bits, rd = edge_sets.shape
     if rd > MAX_RELAX_EDGES:
@@ -481,8 +468,9 @@ def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray
     # hypothesis-major (H, B, Nr, Nbits); r stays contiguous in the operands
     interf = _config_products(np.take(gains, flat), hyp.symbols)
     half = 2.0 * sigma2_z
+    g2 = gains * (2.0 / half)
     priors = np.empty(interf.shape)
-    base, diff, score = np.empty_like(interf), np.empty_like(interf), np.empty_like(priors)
+    base, cross, score = np.empty_like(interf), np.empty_like(priors), np.empty_like(priors)
 
     def step(alpha, u, fresh=False):
         if fresh:
@@ -491,16 +479,16 @@ def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray
             a_sel = np.take(alpha.transpose(0, 2, 1), flat)
             _prior_sums(np.moveaxis(a_sel, -1, 0), priors, work=score)
         np.subtract(y - u, interf, out=base)
-        # a hypothesis scores priors - |base -+ g_i|^2 / half; beta is the best
-        # with x_i = +1 minus the best with x_i = -1, each over contiguous slabs
-        best = []
-        for combine in (np.subtract, np.add):
-            np.abs(combine(base, gains, out=diff), out=score)
-            np.square(score, out=score)
-            np.divide(score, half, out=score)
-            np.subtract(priors, score, out=score)
-            best.append(score.max(axis=0))
-        return best[0] - best[1]
+        # a hypothesis scores P - |b -+ g_i|^2 / half = A +- C - |g_i|^2 / half,
+        # A = P - |b|^2 / half, C = Re(conj(b) g_i) 2 / half; |g_i|^2 cancels in beta
+        np.multiply(base.real, base.real, out=score)
+        np.add(score, np.multiply(base.imag, base.imag, out=cross), out=score)
+        np.subtract(priors, np.divide(score, half, out=score), out=priors)   # A
+        np.multiply(base.real, g2.real, out=cross)
+        np.add(cross, np.multiply(base.imag, g2.imag, out=score), out=cross)  # C
+        # beta: the best with x_i = +1 minus the best with x_i = -1, over slabs
+        best = np.add(priors, cross, out=score).max(axis=0)
+        return best - np.subtract(priors, cross, out=score).max(axis=0)
 
     return step
 
@@ -523,11 +511,11 @@ def rbp_beta_update(alpha: np.ndarray, gains: np.ndarray, edge_sets: np.ndarray,
 
 
 def _mmse_estimate(h: np.ndarray, y: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
-    """MMSE estimates of a batch: s_hat = A^-1 H^H y (B, Nt) and K = A^-1
-    (B, Nt, Nt), with A = H^H H + sigma^2 I."""
-    a = np.einsum("bja,bjc->bac", h.conj(), h) + sigma2 * np.eye(h.shape[2])
-    hty = np.einsum("bjk,bj->bk", h.conj(), y)
-    return np.linalg.solve(a, hty[:, :, None])[:, :, 0], np.linalg.inv(a)
+    """MMSE estimates of a batch: K = A^-1 (B, Nt, Nt), with A = H^H H +
+    sigma^2 I, and s_hat = K (H^H y) (B, Nt). One inverse serves both."""
+    hh = np.swapaxes(h.conj(), 1, 2)
+    k = np.linalg.inv(hh @ h + sigma2 * np.eye(h.shape[2]))
+    return (k @ (hh @ y[:, :, None]))[:, :, 0], k
 
 
 def _mmse_llrs(s_hat: np.ndarray, mse: np.ndarray, m: int) -> np.ndarray:

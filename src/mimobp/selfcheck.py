@@ -2,9 +2,10 @@
 
 Deliberately naive implementations (scalar loops, itertools enumeration)
 recompute what the production kernels vectorize; the two must agree. The
-oracles share no code with the engine, and the helpers they are checked
-against (sbp_beta_update, rbp_beta_update, message_history) run the batched
-engine's own steps, so every check exercises the production kernel. Kept
+oracles share no code with the engine, and what they are checked against
+(sbp_beta_update, the relaxed and SBP batch steps) is the batched engine's
+own steps, so every check exercises the production kernel. The relaxed
+step at full relaxation is checked against SBP's step. Kept
 inside the package so an installed copy can vouch for itself without the
 test suite.
 """
@@ -17,14 +18,12 @@ import numpy as np
 from .channel import SystemDims, modulate, snr_to_noise_variance
 from .detectors import (
     DetectorSpec,
-    message_history,
     sbp_beta_update,
-    rbp_beta_update,
-    bit_gains,
+    alpha_update,
     build_edge_sets,
-    _exclusion_mask,
-    _interference_means,
-    _interference_variances,
+    _lump,
+    _relaxed_step,
+    _sbp_step,
 )
 from .metrics import OpCounts, complexity_counts
 from .simulator import _draw_batch
@@ -49,19 +48,20 @@ def _naive_sbp_beta(alpha, h, y, sigma2, m=1):
     return beta
 
 
-def _random_instance(rng, n_tx, n_rx, m=1, snr_db=10.0):
-    """(h, y, sigma2) of one trial, drawn as the engine draws its batches."""
-    dims = SystemDims(n_tx, n_rx, m)
-    sigma2 = snr_to_noise_variance(snr_db, dims)
-    _, h, y = _draw_batch(dims, sigma2, rng, 1)
-    return h[0], y[0], sigma2
+def _trials(rng, n: int, count: int):
+    """(h, y, sigma2) of count n x n BPSK trials at 10 dB, drawn as the
+    engine draws its batches."""
+    dims = SystemDims(n, n, 1)
+    sigma2 = snr_to_noise_variance(10.0, dims)
+    _, h, y = _draw_batch(dims, sigma2, rng, count)
+    return h, y, sigma2
 
 
 def _check_sbp_oracle(rng) -> tuple[bool, str]:
     worst = 0.0
     for trial in range(40):
         n = 2 + trial % 2
-        h, y, sigma2 = _random_instance(rng, n, n)
+        (h,), (y,), sigma2 = _trials(rng, n, 1)
         alpha = rng.uniform(-4, 4, size=(n, n))
         got = sbp_beta_update(alpha, h, y, sigma2)
         want = _naive_sbp_beta(alpha, h, y, sigma2)
@@ -69,38 +69,39 @@ def _check_sbp_oracle(rng) -> tuple[bool, str]:
     return worst < 1e-9, f"max rel err {worst:.2e}"
 
 
+def _relaxed_trials(rng, spec: DetectorSpec, count: int):
+    """(h, y, sigma2, edge sets, lump, lump variances) of count 4x4 BPSK
+    trials, built as the engine builds relaxed BP; at BPSK the gains are H."""
+    h, y, sigma2 = _trials(rng, 4, count)
+    sets = build_edge_sets(h, spec)
+    lump = _lump(sets)
+    return h, y, sigma2, sets, lump, np.maximum(lump(np.abs(h) ** 2), 0.0) + sigma2
+
+
 def _check_full_relaxation_is_sbp(rng) -> tuple[bool, str]:
-    worst = 0.0
-    for _ in range(20):
-        h, y, sigma2 = _random_instance(rng, 4, 4)
-        sbp = message_history(DetectorSpec.sbp(5), h, y, sigma2)
-        rbp = message_history(DetectorSpec.rbp(3, 1, 5), h, y, sigma2)
-        for a, b in zip(sbp, rbp):
-            scale = np.abs(b.beta) + 1e-12
-            worst = max(worst, float(np.max(np.abs(a.beta - b.beta) / scale)))
-            scale = np.abs(b.alpha) + 1e-12
-            worst = max(worst, float(np.max(np.abs(a.alpha - b.alpha) / scale)))
-    return worst < 1e-9, f"max rel message gap {worst:.2e}"
+    """The relaxed step with full edge sets, where nothing is lumped, against
+    SBP's step, both fed SBP's alphas of 5 iterations on 20 trials."""
+    h, y, sigma2, sets, lump, sigma2_z = _relaxed_trials(rng, DetectorSpec.rbp(3, 1), 20)
+    relaxed, sbp = _relaxed_step(h, sets, sigma2_z, y), _sbp_step(h, y, sigma2, 1)
+    alpha, worst = np.zeros((20, 4, 4)), 0.0
+    for _ in range(5):
+        want = sbp(alpha)
+        got = relaxed(alpha, lump(h * np.swapaxes(np.tanh(alpha / 2.0), 1, 2)))
+        worst = max(worst, float(np.max(np.abs(got - want) / (np.abs(want) + 1e-12))))
+        alpha = alpha_update(want)
+    return worst < 1e-9, f"max rel beta gap {worst:.2e}"
 
 
 def _check_closed_form(rng) -> tuple[bool, str]:
-    spec = DetectorSpec.rbp(0, 0, 1)
-    worst = 0.0
-    for _ in range(200):
-        h, y, sigma2 = _random_instance(rng, 4, 4)
-        gains = bit_gains(h, 1)
-        sets = build_edge_sets(h, spec, 1)
-        lump = _exclusion_mask(sets, 4)
-        sigma2_z = _interference_variances(gains, lump, sigma2)
-        alpha = np.clip(rng.uniform(-8, 8, size=(4, 4)), -30, 30)
-        u = _interference_means(alpha, gains, lump)
-        closed = rbp_beta_update(alpha, gains, sets, u, sigma2_z, y)
-        general = rbp_beta_update(alpha, gains, sets, u, sigma2_z, y,
-                                  use_closed_form=False)
-        # allclose semantics: the general path subtracts two squared norms,
-        # so a purely relative bar is unreachable where beta crosses zero
-        gap = np.abs(closed - general) - 1e-12 * np.abs(general)
-        worst = max(worst, float(gap.max()))
+    """The degree-0 matched filter against the general enumeration, 200 trials."""
+    h, y, _, sets, lump, sigma2_z = _relaxed_trials(rng, DetectorSpec.rbp(0, 0), 200)
+    alpha = rng.uniform(-8, 8, size=(200, 4, 4))
+    u = lump(h * np.swapaxes(np.tanh(alpha / 2.0), 1, 2))
+    closed, general = (_relaxed_step(h, sets, sigma2_z, y, form)(alpha, u)
+                       for form in (True, False))
+    # allclose semantics: the general path subtracts two squared norms,
+    # so a purely relative bar is unreachable where beta crosses zero
+    worst = float((np.abs(closed - general) - 1e-12 * np.abs(general)).max())
     return worst < 1e-12, f"max allclose excess {worst:.2e}"
 
 

@@ -15,8 +15,9 @@ over the C = 2^Nbits joint configurations; the rest of relaxed BP is
 hypothesis-major, (H, B, Nr, Nbits) over the H = 2^R_D edge hypotheses.
 Product tables come from one doubling helper, detectors._config_products,
 and the SBP and relaxed priors from another, detectors._prior_sums; both
-return einsum's floats bit for bit, without einsum. The MMSE kinds share
-one solve and inverse, detectors._mmse_estimate.
+return einsum's floats bit for bit, without einsum. The relaxed lump sums
+come from detectors._lump, in ascending bit order, and the MMSE kinds share
+one inverse, detectors._mmse_estimate.
 
 Every batch runs through one worker, _run_batch, which scores iteration
 "taps" on one set of trials (see there). One runner, _run_taps, behind
@@ -43,9 +44,7 @@ from .detectors import (
     DetectorSpec,
     _config_products,
     _config_table,
-    _exclusion_mask,
-    _interference_means,
-    _interference_variances,
+    _lump,
     _mmse_estimate,
     _mmse_llrs,
     _relaxed_step,
@@ -61,8 +60,8 @@ from .metrics import BerAccumulator, ami_sum
 # and RNG streams) do not depend on worker count.
 BATCH_TRIALS = 512
 
-# Largest complex128 table one batch may build; SweepConfig sizes each spec's.
-MAX_TABLE_BYTES = 1 << 30
+# Largest working set one batch may allocate; SweepConfig sizes each spec's.
+MAX_BATCH_BYTES = 1 << 30
 
 CSV_FIELDS = (
     "detector", "rd1", "rd2", "iterations", "snr_db", "bits", "errors",
@@ -100,22 +99,32 @@ class SweepConfig:
             raise ValueError("need at least one detector")
         if self.errors_target < 1 or self.bits_max < 1 or self.trials_min < 1:
             raise ValueError("stopping budgets must be >= 1")
-        n_tx, n_rx, m = self.dims.n_tx, self.dims.n_rx, self.dims.bits_per_symbol
         for spec in self.detectors:  # fail at the start, not once per SNR point
-            if spec.relaxed and not 0 <= spec.rd1 < n_tx:
-                raise ValueError(f"{spec.name}: rd1 must be in 0..{n_tx - 1}")
-            # the batch table: (2^Nbits, B, Nr) if exhaustive, else (2^R_D, B, Nr, Nbits)
-            if spec.exhaustive(n_tx, m):
-                what, power, width = "configurations", m * n_tx, 1
-            elif spec.relaxed:
-                what, power, width = "explicit-edge hypotheses", spec.relax_degree(m), m * n_tx
-            else:
-                continue
-            table = (16 * BATCH_TRIALS * n_rx * width) << power  # complex128
-            if table > MAX_TABLE_BYTES:
-                raise DimensionTooLargeError(
-                    f"{spec.name}: 2^{power} {what}, {table / 2**30:.1f} GiB per batch "
-                    f"table; at most {MAX_TABLE_BYTES >> 30} GiB")
+            if spec.relaxed and not 0 <= spec.rd1 < self.dims.n_tx:
+                raise ValueError(f"{spec.name}: rd1 must be in 0..{self.dims.n_tx - 1}")
+            need, table = _batch_bytes(spec, self.dims)
+            if need > MAX_BATCH_BYTES:
+                raise DimensionTooLargeError(f"{spec.name}: {table}, {need / 2**30:.1f} GiB per "
+                                             f"batch; at most {MAX_BATCH_BYTES >> 30} GiB")
+
+
+def _batch_bytes(spec: DetectorSpec, dims: SystemDims) -> tuple[int, str]:
+    """(bytes, table) of one batch: an upper bound on its allocation peak, and
+    the table it enumerates, (2^Nbits, B, Nr) where nothing is lumped, else
+    (2^R_D, B, Nr, Nbits). Fitted to tracemalloc peaks: 24 bytes per entry
+    of SBP's table, 56 of the relaxed one, 128 + 32 R_D per message (B, Nr,
+    Nbits) and 1 MiB. The MMSE kinds build no table and are not sized (0)."""
+    n_tx, n_rx, m = dims.n_tx, dims.n_rx, dims.bits_per_symbol
+    messages = BATCH_TRIALS * n_rx * m * n_tx
+    if spec.exhaustive(n_tx, m):
+        power, entry, edges, what = m * n_tx, 24 * BATCH_TRIALS * n_rx, 0, "configurations"
+    elif spec.relaxed:
+        edges = spec.relax_degree(m)
+        power, entry, what = edges, 56 * messages, "explicit-edge hypotheses"
+    else:
+        return 0, ""
+    need = (entry << power) + messages * (128 + 32 * edges) + (1 << 20)
+    return need, f"2^{power} {what}"
 
 
 @dataclasses.dataclass
@@ -261,14 +270,16 @@ def _bp_messages(spec: DetectorSpec, h, y, sigma2, m):
     else:
         gains = bit_gains(h, m)
         sets = _engine_edge_sets(h, spec, m)
-        lump = _exclusion_mask(sets, n_bits)
-        bit_var = None if prior is None else 1.0 - np.tanh(prior / 2.0) ** 2
-        sigma2_z = _interference_variances(gains, lump, sigma2, bit_var)
+        lump = _lump(sets)
+        # a bit's prior variance: 1 - tanh^2 of half its LLR, 1 without a cascade
+        bit_var = 1.0 if prior is None else (1.0 - np.tanh(prior / 2.0) ** 2)[:, None, :]
+        sigma2_z = np.maximum(lump(np.abs(gains) ** 2 * bit_var), 0.0) + sigma2
         relaxed = _relaxed_step(gains, sets, sigma2_z, y)
+        del sets, sigma2_z  # the steps keep what they use; free the rest
 
         def step(alpha, fresh):
             # without a cascade, alpha starts at +0: u and the priors are +0
-            u = 0.0 if fresh else _interference_means(alpha, gains, lump)
+            u = 0.0 if fresh else lump(gains * np.swapaxes(np.tanh(alpha / 2.0), -1, -2))
             return relaxed(alpha, u, fresh)
 
     alpha = (np.zeros((b, n_bits, n_rx)) if prior is None

@@ -41,15 +41,24 @@ def naive_bit_gains(h_row, m):
     return np.asarray(gains, dtype=np.complex128)
 
 
-def cascade_prior_oracle(h, y, sigma2, m, clamp=30.0):
-    """The MMSE cascade's clamped per-bit prior (B, Nbits): MMSE estimates
-    from one solve and one inverse, 2 Re(s_hat)/K_kk per bit at M = 1 and
-    sqrt(2) times that from the real and imaginary parts at M = 2."""
+def cascade_prior_oracle(h, y, sigma2, m, clamp=30.0, solve=False):
+    """The MMSE cascade's clamped per-bit prior (B, Nbits): 2 Re(s_hat)/K_kk
+    per bit at M = 1 and sqrt(2) times that from the real and imaginary
+    parts at M = 2. The MMSE estimates take the engine's order: the Gram
+    matrix by matmul, one inverse K and s_hat = K (H^H y). solve=True takes
+    the order the engine used before, an einsum Gram matrix with one solve
+    for s_hat and one inverse for K."""
     b, n_rx, n_tx = h.shape
-    a = np.einsum("bja,bjc->bac", h.conj(), h) + sigma2 * np.eye(n_tx)
-    hty = np.einsum("bjk,bj->bk", h.conj(), y)
-    s_hat = np.linalg.solve(a, hty[:, :, None])[:, :, 0]
-    mse = np.diagonal(np.linalg.inv(a), axis1=1, axis2=2).real
+    if solve:
+        a = np.einsum("bja,bjc->bac", h.conj(), h) + sigma2 * np.eye(n_tx)
+        hty = np.einsum("bjk,bj->bk", h.conj(), y)
+        s_hat = np.linalg.solve(a, hty[:, :, None])[:, :, 0]
+        mse = np.diagonal(np.linalg.inv(a), axis1=1, axis2=2).real
+    else:
+        hh = np.conj(h).transpose(0, 2, 1)
+        k = np.linalg.inv(np.matmul(hh, h) + sigma2 * np.eye(n_tx))
+        s_hat = np.matmul(k, np.matmul(hh, y[:, :, None]))[:, :, 0]
+        mse = np.diagonal(k, axis1=1, axis2=2).real
     if m == 1:
         prior = 2.0 * s_hat.real / mse
     else:
@@ -103,15 +112,42 @@ def batched_sbp_mask_oracle(h, y, sigma2, m, iterations, prior=None, clamp=30.0)
     return softs
 
 
+def lump_sums_oracle(terms, sets):
+    """Sums of terms (B, Nr, Nbits) over the bits each message (j, i) lumps,
+    t != i and t not in sets[:, j, i], one bit i at a time.
+
+    In the engine's order: the factor's total, t ascending from t = 0,
+    minus the sum over the kept bits (i and the edge set), ascending from
+    the lowest kept bit.
+    """
+    b, n_rx, n_bits = terms.shape
+    total = terms[:, :, 0]
+    for t in range(1, n_bits):
+        total = total + terms[:, :, t]
+    out = np.empty_like(terms)
+    for i in range(n_bits):
+        kept = np.sort(np.concatenate([np.full((b, n_rx, 1), i), sets[:, :, i, :]], axis=-1))
+        picked = np.take_along_axis(terms, kept, axis=-1)
+        kept_sum = picked[:, :, 0]
+        for r in range(1, kept.shape[-1]):
+            kept_sum = kept_sum + picked[:, :, r]
+        out[:, :, i] = total - kept_sum
+    return out
+
+
 def batched_rbp_trial_major_oracle(h, y, sigma2, m, rd1, rd2, iterations,
-                                   cascaded=False, clamp=30.0):
+                                   cascaded=False, clamp=30.0, einsum=False):
     """Batched relaxed BP (or its MMSE cascade) with the hypothesis axis last.
 
-    The trial-major formulation the package's relaxed kernel replaced, kept
-    with the same arithmetic (bit gains, per-bit edge selection, dense lump
-    mask, einsum layouts, operation order, clamp and cascade prior) so that
-    the soft outputs must match it bit for bit. h is (B, Nr, Nt), y (B, Nr).
-    Returns the (B, Nbits) soft output after each iteration.
+    The trial-major formulation of the package's relaxed kernel, with the
+    same arithmetic (bit gains, per-bit edge selection, lump sums, score
+    expansion, einsum priors, operation order, clamp and cascade prior), so
+    that the soft outputs must match it bit for bit. The lumped power is
+    clamped at 0 and each hypothesis scores A +- C, with A = P - |b|^2/half
+    and C = Re(conj(b) g_i) 2/half. einsum=True gives the arithmetic the
+    engine had before: dense lump-mask einsums, P - |b -+ g_i|^2/half scores
+    and the solve-based cascade prior. h is (B, Nr, Nt), y (B, Nr). Returns
+    the (B, Nbits) soft output after each iteration.
     """
     b, n_rx, n_tx = h.shape
     n_bits = m * n_tx
@@ -134,17 +170,21 @@ def batched_rbp_trial_major_oracle(h, y, sigma2, m, rd1, rd2, iterations,
             pad = np.broadcast_to(np.asarray(own, dtype=np.intp), (b, n_rx, len(own)))
             bits = np.concatenate([bits, pad], axis=-1)
         sets[:, :, i, :] = bits
-    lump = np.ones((b, n_rx, n_bits, n_bits))
-    lump[..., np.arange(n_bits), np.arange(n_bits)] = 0.0
-    np.put_along_axis(lump, sets, 0.0, axis=-1)
+    if einsum:
+        mask = np.ones((b, n_rx, n_bits, n_bits))
+        mask[..., np.arange(n_bits), np.arange(n_bits)] = 0.0
+        np.put_along_axis(mask, sets, 0.0, axis=-1)
     power = np.abs(gains) ** 2
 
     if cascaded:
-        prior = cascade_prior_oracle(h, y, sigma2, m, clamp)
+        prior = cascade_prior_oracle(h, y, sigma2, m, clamp, solve=einsum)
         power = power * (1.0 - np.tanh(prior / 2.0) ** 2)[:, None, :]
     else:
         prior = np.zeros((b, n_bits))
-    sigma2_z = np.einsum("bjit,bjt->bji", lump, power) + sigma2
+    if einsum:
+        sigma2_z = np.einsum("bjit,bjt->bji", mask, power) + sigma2
+    else:
+        sigma2_z = np.maximum(lump_sums_oracle(power, sets), 0.0) + sigma2
     alpha = np.repeat(prior[:, :, None], n_rx, axis=2)
 
     if rd:
@@ -156,19 +196,25 @@ def batched_rbp_trial_major_oracle(h, y, sigma2, m, rd1, rd2, iterations,
         interf = np.einsum("bjir,hr->bjih", gains[bb, jj, sets], xh)
         own = gains[:, :, :, None]
         half = 2.0 * sigma2_z[:, :, :, None]
+        g2 = own * (2.0 / half)
 
     softs = []
     for _ in range(iterations):
         ge = gains * np.tanh(alpha / 2.0).transpose(0, 2, 1)
-        u = np.einsum("bjit,bjt->bji", lump, ge)
+        u = np.einsum("bjit,bjt->bji", mask, ge) if einsum else lump_sums_oracle(ge, sets)
         if rd == 0:
             beta = (2.0 / sigma2_z) * (gains.conj() * (y[:, :, None] - u)).real
         else:
             a_sel = alpha.transpose(0, 2, 1)[bb, jj, sets]
             priors = np.einsum("bjir,hr->bjih", a_sel, xh_pos)
             base = y[:, :, None, None] - u[:, :, :, None] - interf
-            score_pos = -np.abs(base - own) ** 2 / half + priors
-            score_neg = -np.abs(base + own) ** 2 / half + priors
+            if einsum:
+                score_pos = -np.abs(base - own) ** 2 / half + priors
+                score_neg = -np.abs(base + own) ** 2 / half + priors
+            else:
+                a = priors - (base.real * base.real + base.imag * base.imag) / half
+                c = base.real * g2.real + base.imag * g2.imag
+                score_pos, score_neg = a + c, a - c
             beta = score_pos.max(axis=3) - score_neg.max(axis=3)
         total = beta.sum(axis=1)
         ext = total[:, :, None] - beta.transpose(0, 2, 1)

@@ -6,11 +6,15 @@ both max-marginals over contiguous slabs. Max is exact and every other
 operation keeps its operands and order, so wherever something is lumped, RBP
 and MMSE-RBP soft outputs must equal
 reference_impl.batched_rbp_trial_major_oracle exactly, on every iteration,
-not just to a tolerance. Where nothing is lumped (R_D = Nbits - 1) the engine
-runs SBP's step, so RBP must equal SBP exactly and MMSE-RBP the SBP mask
-oracle with the cascade prior. The relaxed kernel is still driven directly
-at that limit: it must equal the trial-major oracle exactly and SBP to 1e-9.
+not just to a tolerance; the same oracle in the einsum-era arithmetic (dense
+lump mask, unexpanded scores, solve-based cascade prior) must agree to 1e-9.
+Where nothing is lumped (R_D = Nbits - 1) the engine runs SBP's step, so RBP
+must equal SBP exactly and MMSE-RBP the SBP mask oracle with the cascade
+prior. The relaxed kernel is still driven directly at that limit: it must
+equal the trial-major oracle exactly and SBP to 1e-9.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -18,20 +22,27 @@ from hypothesis import assume, given, strategies as st
 from mimobp.channel import SystemDims, snr_to_noise_variance
 from mimobp.detectors import (
     DetectorSpec,
-    _exclusion_mask,
-    _interference_means,
-    _interference_variances,
+    _lump,
     _relaxed_step,
     alpha_update,
     bit_gains,
     build_edge_sets,
 )
-from mimobp.simulator import _batch_rng, _cascade_prior, _draw_batch, _engine_bp
+from mimobp.simulator import (
+    BATCH_TRIALS,
+    _batch_rng,
+    _cascade_prior,
+    _draw_batch,
+    _engine_bp,
+    _run_batch,
+)
 from reference_impl import (
     batched_rbp_trial_major_oracle,
     batched_sbp_mask_oracle,
     cascade_prior_oracle,
     naive_edge_set,
+    naive_lump_mean,
+    naive_lump_variance,
 )
 
 KINDS = ("RBP", "MMSE_RBP")
@@ -49,15 +60,22 @@ def _assert_equal_every_iteration(got, want, iterations):
         assert np.array_equal(g, w), f"iteration {depth}: max diff {np.abs(g - w).max()}"
 
 
+def _assert_close_every_iteration(got, want, iterations):
+    assert len(got) == len(want) == iterations
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-9)
+
+
 def _assert_bit_identical(kind, n_tx, n_rx, m, rd1, rd2, sigma2, iterations, count,
                           batch_index=0):
     h, y = _draw(n_tx, n_rx, m, sigma2, count, batch_index)
     spec = DetectorSpec(kind, iterations=iterations, rd1=rd1, rd2=rd2)
     assert not spec.exhaustive(n_tx, m)
     got = _engine_bp(spec, h, y, sigma2, m, want_iters=True)
-    want = batched_rbp_trial_major_oracle(h, y, sigma2, m, rd1, rd2, iterations,
-                                          cascaded=kind == "MMSE_RBP")
-    _assert_equal_every_iteration(got, want, iterations)
+    oracle = (h, y, sigma2, m, rd1, rd2, iterations, kind == "MMSE_RBP")
+    _assert_equal_every_iteration(got, batched_rbp_trial_major_oracle(*oracle), iterations)
+    _assert_close_every_iteration(got, batched_rbp_trial_major_oracle(*oracle, einsum=True),
+                                  iterations)
 
 
 def _assert_full_relaxation_is_sbp(kind, n_tx, n_rx, m, rd2, sigma2, iterations, count,
@@ -73,6 +91,9 @@ def _assert_full_relaxation_is_sbp(kind, n_tx, n_rx, m, rd2, sigma2, iterations,
     else:
         want = batched_sbp_mask_oracle(h, y, sigma2, m, iterations,
                                        prior=cascade_prior_oracle(h, y, sigma2, m))
+        solved = batched_sbp_mask_oracle(h, y, sigma2, m, iterations,
+                                         prior=cascade_prior_oracle(h, y, sigma2, m, solve=True))
+        _assert_close_every_iteration(got, solved, iterations)
     _assert_equal_every_iteration(got, want, iterations)
 
 
@@ -152,20 +173,22 @@ def test_full_relaxation_equals_sbp_property(kind, n_tx, n_rx, m, rd2, sigma2, i
 
 
 def _relaxed_kernel_softs(spec, h, y, sigma2, m):
-    """Soft outputs of _relaxed_step's own flooding loop: edge sets, lump mask
-    and variances, soft cancellation and alpha updates, all computed."""
+    """Soft outputs of _relaxed_step's own flooding loop: edge sets, lump
+    variances, soft cancellation and alpha updates, all computed."""
     n_rx = h.shape[1]
     prior = _cascade_prior(h, y, sigma2, m) if spec.kind == "MMSE_RBP" else None
     gains = bit_gains(h, m)
     sets = build_edge_sets(h, spec, m)
-    lump = _exclusion_mask(sets, gains.shape[-1])
-    bit_var = None if prior is None else 1.0 - np.tanh(prior / 2.0) ** 2
-    step = _relaxed_step(gains, sets, _interference_variances(gains, lump, sigma2, bit_var), y)
+    lump = _lump(sets)
+    power = np.abs(gains) ** 2
+    if prior is not None:
+        power = power * (1.0 - np.tanh(prior / 2.0) ** 2)[:, None, :]
+    step = _relaxed_step(gains, sets, np.maximum(lump(power), 0.0) + sigma2, y)
     alpha = (np.zeros((h.shape[0], gains.shape[-1], n_rx)) if prior is None
              else np.repeat(prior[:, :, None], n_rx, axis=2))
     softs = []
     for _ in range(spec.iterations):
-        beta = step(alpha, _interference_means(alpha, gains, lump))
+        beta = step(alpha, lump(gains * np.tanh(alpha / 2.0).transpose(0, 2, 1)))
         alpha = alpha_update(beta, prior)
         softs.append(beta.sum(axis=-2))
     return softs
@@ -176,17 +199,62 @@ def _relaxed_kernel_softs(spec, h, y, sigma2, m):
 @pytest.mark.parametrize("snr_db", [0.0, 12.0])
 def test_relaxed_kernel_at_full_relaxation(kind, n_tx, n_rx, m, rd2, snr_db):
     """The engine takes SBP's step here, so drive _relaxed_step itself with the
-    full edge sets: bit for bit the trial-major oracle, and within 1e-9 of the
-    engine's SBP-step soft outputs on every iteration."""
+    full edge sets: bit for bit the trial-major oracle, within 1e-9 of its
+    einsum-era arithmetic, and within 1e-9 of the engine's SBP-step soft
+    outputs on every iteration."""
     sigma2 = snr_to_noise_variance(snr_db, SystemDims(n_tx, n_rx, m))
     h, y = _draw(n_tx, n_rx, m, sigma2, 64)
     spec = DetectorSpec(kind, iterations=5, rd1=n_tx - 1, rd2=rd2)
     got = _relaxed_kernel_softs(spec, h, y, sigma2, m)
-    want = batched_rbp_trial_major_oracle(h, y, sigma2, m, n_tx - 1, rd2, 5,
-                                          cascaded=kind == "MMSE_RBP")
-    _assert_equal_every_iteration(got, want, 5)
-    for g, s in zip(got, _engine_bp(spec, h, y, sigma2, m, want_iters=True)):
-        np.testing.assert_allclose(g, s, rtol=1e-9, atol=1e-9)
+    oracle = (h, y, sigma2, m, n_tx - 1, rd2, 5, kind == "MMSE_RBP")
+    _assert_equal_every_iteration(got, batched_rbp_trial_major_oracle(*oracle), 5)
+    _assert_close_every_iteration(got, batched_rbp_trial_major_oracle(*oracle, einsum=True), 5)
+    _assert_close_every_iteration(got, _engine_bp(spec, h, y, sigma2, m, want_iters=True), 5)
+
+
+@pytest.mark.parametrize("n,m,rd1,rd2", [(16, 1, 2, 0), (32, 1, 1, 0), (16, 2, 1, 1)],
+                         ids=["16x16-BPSK-(2,0)", "32x32-BPSK-(1,0)", "16x16-QPSK-(1,1)"])
+def test_lump_matches_naive_sums_in_large_mimo(n, m, rd1, rd2):
+    """The total-minus-kept lump against the per-message sums over the lumped
+    bits, mean and variance, with and without a cascade's bit variances."""
+    sigma2 = snr_to_noise_variance(6.0, SystemDims(n, n, m))
+    h, _ = _draw(n, n, m, sigma2, 2)
+    rng = np.random.default_rng(47)
+    alpha = rng.uniform(-8.0, 8.0, size=(2, n * m, n))
+    bit_var = rng.uniform(0.0, 1.0, size=(2, n * m))
+    gains = bit_gains(h, m)
+    sets = build_edge_sets(h, DetectorSpec.rbp(rd1, rd2), m)
+    lump = _lump(sets)
+    u = lump(gains * np.tanh(alpha / 2.0).transpose(0, 2, 1))
+    power = np.abs(gains) ** 2
+    plain = np.maximum(lump(power), 0.0) + sigma2
+    informed = np.maximum(lump(power * bit_var[:, None, :]), 0.0) + sigma2
+    for b in range(2):
+        for j in range(n):
+            for i in range(n * m):
+                psi = list(sets[b, j, i])
+                assert u[b, j, i] == pytest.approx(
+                    naive_lump_mean(alpha[b, :, j], psi, h[b, j], i, m), rel=1e-12, abs=1e-12)
+                assert plain[b, j, i] == pytest.approx(
+                    naive_lump_variance(psi, h[b, j], i, sigma2, m), rel=1e-12)
+                assert informed[b, j, i] == pytest.approx(
+                    naive_lump_variance(psi, h[b, j], i, sigma2, m, bit_var[b]), rel=1e-12)
+
+
+def test_relaxed_batch_builds_no_dense_lump_mask():
+    """32x32 BPSK RBP(1,0): one batch's allocation peak stays below the size
+    of one (B, Nr, Nbits, Nbits) float array, the dense lump mask of old."""
+    dims = SystemDims(32, 32, 1)
+    spec = DetectorSpec.rbp(1, 0, iterations=5)
+    mask_bytes = BATCH_TRIALS * 32 * 32 * 32 * 8
+    tracemalloc.start()
+    try:
+        _run_batch(dims, spec, 8.0, snr_to_noise_variance(8.0, dims), 2011, 0,
+                   BATCH_TRIALS, False, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mask_bytes, f"peak {peak / 2**20:.0f} MiB"
 
 
 @pytest.mark.parametrize("m", [1, 2])

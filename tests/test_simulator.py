@@ -13,12 +13,14 @@ from mimobp.metrics import ami
 from mimobp.simulator import (
     BATCH_TRIALS,
     CSV_FIELDS,
-    MAX_TABLE_BYTES,
+    MAX_BATCH_BYTES,
     SweepConfig,
     SweepRecord,
+    _batch_bytes,
     _batch_rng,
     _draw_batch,
     _engine_soft,
+    _run_batch,
     read_csv,
     run_convergence,
     run_point,
@@ -71,15 +73,15 @@ class TestConfigValidation:
                                              DetectorSpec("SBP", 5, rd1=9)))
 
     def test_rejects_more_explicit_edges_than_supported(self):
-        """A relaxed table is (2^R_D, 512, Nr, Nbits) complex: at 8x8 QPSK,
-        RBP(5,0) (R_D = 10) needs exactly 1 GiB and RBP(5,1) (R_D = 11) 2 GiB.
-        RBP(10,1) at 11x11 QPSK keeps all 21 other bits explicit, so it is
-        sized as SBP's (2^22, 512, 11) table."""
-        _cfg(n_tx=8, n_rx=8, m=2, detectors=(DetectorSpec.rbp(5, 0),))
+        """A relaxed batch holds 56 bytes per entry of its (2^R_D, 512, Nr,
+        Nbits) table: at 8x8 QPSK, RBP(4,0) (R_D = 8) needs 0.9 GiB and
+        RBP(5,0) (R_D = 10) 3.6 GiB. RBP(10,1) at 11x11 QPSK keeps all 21
+        other bits explicit, so it is sized as SBP's (2^22, 512, 11) table."""
+        _cfg(n_tx=8, n_rx=8, m=2, detectors=(DetectorSpec.rbp(4, 0),))
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="explicit-edge hypotheses"):
-                _cfg(n_tx=8, n_rx=8, m=2, detectors=(DetectorSpec.rbp(5, 1),))
+                _cfg(n_tx=8, n_rx=8, m=2, detectors=(DetectorSpec.rbp(5, 0),))
             with pytest.raises(ValueError, match=r"2\^22 configurations"):
                 _cfg(n_tx=11, n_rx=11, m=2, detectors=(DetectorSpec.rbp(10, 1),))
             assert tracemalloc.get_traced_memory()[1] < 1 << 20   # no table was built
@@ -87,15 +89,15 @@ class TestConfigValidation:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("n_tx,n_rx,m,spec", [
-        (16, 16, 1, DetectorSpec.sbp(5)),   # 8.6 GB per batch
-        (8, 8, 2, DetectorSpec.ml()),       # 4.3 GB per batch
-        (7, 9, 2, DetectorSpec.sbp(5)),     # 1.125 GiB per batch
+        (16, 16, 1, DetectorSpec.sbp(5)),   # 12 GiB per batch
+        (8, 8, 2, DetectorSpec.ml()),       # 6 GiB per batch
+        (7, 9, 2, DetectorSpec.sbp(5)),     # 1.7 GiB per batch
         (13, 13, 2, DetectorSpec.ml()),     # 26 bits, past MAX_ENUM_BITS
-        (12, 12, 1, DetectorSpec.rbp(10, 0)),       # (2^10, 512, 12, 12): 1.125 GiB
-        (16, 16, 1, DetectorSpec.rbp(14, 0)),       # (2^14, 512, 16, 16): 32 GiB
-        (11, 11, 2, DetectorSpec.rbp(10, 0)),       # (2^20, 512, 11, 22): 1.9 TiB
-        (8, 8, 2, DetectorSpec.rbp(7, 1)),          # nothing lumped: SBP's 4 GiB
-        (16, 16, 1, DetectorSpec.mmse_rbp(15, 0)),  # nothing lumped: SBP's 8 GiB
+        (12, 12, 1, DetectorSpec.rbp(10, 0)),       # (2^10, 512, 12, 12): 3.9 GiB
+        (16, 16, 1, DetectorSpec.rbp(14, 0)),       # (2^14, 512, 16, 16): 112 GiB
+        (11, 11, 2, DetectorSpec.rbp(10, 0)),       # (2^20, 512, 11, 22): 6.6 TiB
+        (8, 8, 2, DetectorSpec.rbp(7, 1)),          # nothing lumped: SBP's 6 GiB
+        (16, 16, 1, DetectorSpec.mmse_rbp(15, 0)),  # nothing lumped: SBP's 12 GiB
     ], ids=["16x16-BPSK-SBP", "8x8-QPSK-ML", "7x9-QPSK-SBP", "13x13-QPSK-ML",
             "12x12-BPSK-RBP(10,0)", "16x16-BPSK-RBP(14,0)", "11x11-QPSK-RBP(10,0)",
             "8x8-QPSK-RBP(7,1)", "16x16-BPSK-MMSE-RBP(15,0)"])
@@ -108,13 +110,36 @@ class TestConfigValidation:
         finally:
             tracemalloc.stop()
 
-    def test_accepts_a_table_of_exactly_the_cap(self):
-        """7x8 QPSK: 2^14 configurations x 512 trials x 8 antennas x 16 bytes.
-        RBP(6,1) lumps nothing, so it runs SBP's step and builds SBP's table."""
-        assert (1 << 14) * BATCH_TRIALS * 8 * 16 == MAX_TABLE_BYTES
-        _cfg(n_tx=7, n_rx=8, m=2, detectors=(DetectorSpec.ml(), DetectorSpec.sbp(5),
-                                             DetectorSpec.rbp(6, 1),
-                                             DetectorSpec.mmse_rbp(6, 1)))
+    def test_admits_by_the_batch_working_set(self):
+        """An exhaustive batch holds 24 bytes per entry of its (2^Nbits, 512, Nr)
+        table: 2^14 configurations fit at 7x5 QPSK (0.94 GiB), not at 7x6
+        (1.13 GiB), nor at 7x8, whose complex table alone is exactly 1 GiB.
+        RBP(6,1) lumps nothing, so it runs SBP's step and is sized as SBP."""
+        full = (DetectorSpec.ml(), DetectorSpec.sbp(5), DetectorSpec.rbp(6, 1),
+                DetectorSpec.mmse_rbp(6, 1))
+        assert _batch_bytes(DetectorSpec.sbp(5), SystemDims(7, 5, 2))[0] <= MAX_BATCH_BYTES
+        _cfg(n_tx=7, n_rx=5, m=2, detectors=full)
+        for n_rx in (6, 8):
+            for spec in full:
+                with pytest.raises(DimensionTooLargeError, match=r"2\^14 configurations"):
+                    _cfg(n_tx=7, n_rx=n_rx, m=2, detectors=(spec,))
+
+    @pytest.mark.parametrize("n_tx,n_rx,m,spec", [
+        (8, 8, 1, DetectorSpec.sbp(5)),
+        (5, 5, 2, DetectorSpec.rbp(3, 0)),
+        (16, 16, 1, DetectorSpec.mmse_rbp(1, 0)),
+    ], ids=["8x8-BPSK-SBP", "5x5-QPSK-RBP(3,0)", "16x16-BPSK-MMSE-RBP(1,0)"])
+    def test_one_batch_stays_within_its_admitted_bytes(self, n_tx, n_rx, m, spec):
+        dims = SystemDims(n_tx, n_rx, m)
+        admitted = _batch_bytes(spec, dims)[0]
+        tracemalloc.start()
+        try:
+            _run_batch(dims, spec, 8.0, snr_to_noise_variance(8.0, dims), 99, 0,
+                       BATCH_TRIALS, False, ())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= admitted, f"peak {peak / 2**20:.1f} MiB, admitted {admitted / 2**20:.1f}"
 
 
 class TestBatchStreams:
