@@ -29,16 +29,19 @@ would double-count information already fed back through the cancellation.
 Each detector has one implementation, the batched engine in
 mimobp.simulator, built from the batch steps here. detect() and
 message_history() run it on a batch of one; the per-message helpers
-(sbp_beta_update, rbp_beta_update, interference_mean, ...) are views of the
-same steps, so every path returns the same floats. The lump sums add in
+(sbp_beta_update, rbp_beta_update, interference_mean, ...) return the same
+floats. The relaxed beta is a matched filter plus two maxima of one
+prior-sum table per iteration against tables that depend only on the
+hypothesis, built once per batch (_relaxed_step). The lump sums add in
 ascending bit order and the MMSE estimates take one inverse; only the
 product tables, the priors and the draw's H s follow einsum's order.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -405,11 +408,11 @@ def _lump(edge_sets: np.ndarray):
     return lump
 
 
-def _one_factor(psi: np.ndarray, h_row: np.ndarray, m: int):
-    """Gains (1, Nbits) and lump of one factor whose messages all keep psi."""
-    gains = bit_gains(np.asarray(h_row)[None, :], m)
-    sets = np.broadcast_to(np.asarray(psi, dtype=np.intp), gains.shape + (len(psi),))
-    return gains, _lump(sets)
+def _lump_one(terms: np.ndarray, psi, i: int):
+    """Entry i of _lump over one factor's terms (Nbits,), with the same sums:
+    the total minus the kept bits' sum, each added in ascending bit order."""
+    kept = [terms[t] for t in sorted([i, *psi])]
+    return reduce(operator.add, terms) - reduce(operator.add, kept)
 
 
 def interference_mean(alpha_col: np.ndarray, psi: np.ndarray, h_row: np.ndarray,
@@ -417,11 +420,10 @@ def interference_mean(alpha_col: np.ndarray, psi: np.ndarray, h_row: np.ndarray,
     """Soft-cancellation mean of the lumped interferers for one message.
 
     u = sum over t not in Psi, t != i of g[t] * tanh(alpha[t]/2), where
-    alpha_col holds the bit-to-factor LLRs heading to this factor. A view of
-    _lump.
+    alpha_col holds the bit-to-factor LLRs heading to this factor. _lump's sums.
     """
-    gains, lump = _one_factor(psi, h_row, m)
-    return complex(lump(gains * np.tanh(np.asarray(alpha_col, dtype=np.float64) / 2.0))[0, i])
+    terms = bit_gains(h_row, m) * np.tanh(np.asarray(alpha_col, dtype=np.float64) / 2.0)
+    return complex(_lump_one(terms, psi, i))
 
 
 def interference_variance(psi: np.ndarray, h_row: np.ndarray, i: int,
@@ -430,65 +432,65 @@ def interference_variance(psi: np.ndarray, h_row: np.ndarray, i: int,
 
     sigma2_z = sum over t not in Psi, t != i of |g[t]|^2 + sigma^2, the lumped
     power clamped at 0 so that sigma2_z >= sigma^2. Computed once per channel
-    realization; never updated from the feedback. A view of _lump.
+    realization; never updated from the feedback. _lump's sums.
     """
-    gains, lump = _one_factor(psi, h_row, m)
-    return float(np.maximum(lump(np.abs(gains) ** 2), 0.0)[0, i] + sigma2)
+    power = np.abs(bit_gains(h_row, m)) ** 2
+    return float(np.maximum(_lump_one(power, psi, i), 0.0) + sigma2)
 
 
 def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray,
-                  y: np.ndarray, closed_form: bool = True):
+                  y: np.ndarray):
     """The relaxed beta update of a batch (gains, sigma2_z (B, Nr, Nbits),
     edge_sets (B, Nr, Nbits, R_D), y (B, Nr)), as step(alpha (B, Nbits, Nr),
     u (B, Nr, Nbits), fresh=False) -> beta (B, Nr, Nbits).
 
-    Bit i is enumerated jointly with its explicit edges; lumped interferers
-    enter only through the mean u and the variance sigma2_z. With no
-    explicit edges the update has the closed matched-filter form
-    beta = (2/sigma2_z) Re(g* (y - u)), unless closed_form is False. The
-    interference of every hypothesis, 2 g / (2 sigma2_z) and the score
-    buffers are built once and reused. The priors (H, B, Nr, Nbits) come
-    from _prior_sums over the explicit edges' alphas, with the floats of
-    einsum("bjir,hr->hbji", a_sel, xpos). fresh says alpha is +0: the
-    priors are +0, not computed.
+    Bit i is enumerated jointly with its explicit edges r; the lump enters
+    through u and sigma2_z. With c = y - u, half = 2 sigma2_z and I_h = sum_r
+    x_r g_r, hypothesis h scores its prior minus |c - I_h -+ g_i|^2 / half.
+    Expanded, beta = (2/sigma2_z) Re(conj(g_i) c) + max_h(S_h - (Q_h + W_h))
+    - max_h(S_h - (Q_h - W_h)). Q_h = |I_h|^2 / half and W_h = Re(conj(I_h)
+    g_i) 2 / half depend on no message: Q +- W are built once per batch. S is
+    _prior_sums (H, B, Nr, Nbits) over e_r = alpha_r + (2/sigma2_z) Re(conj(c)
+    g_r), the floats of einsum("bjir,hr->hbji", e, xpos). Without explicit
+    edges there is no hypothesis term. fresh says alpha is +0, not gathered.
     """
     b, n_rx, n_bits, rd = edge_sets.shape
     if rd > MAX_RELAX_EDGES:
-        raise DimensionTooLargeError(
-            f"{rd} explicit edges means 2^{rd + 1} hypotheses per message; "
-            f"at most {MAX_RELAX_EDGES} supported"
-        )
-    y = y[:, :, None]
-    if rd == 0 and closed_form:
-        return lambda alpha, u, fresh=False: (2.0 / sigma2_z) * (gains.conj() * (y - u)).real
-
-    hyp = _config_table(1, rd)                                # the +-1 patterns
-    # flat (b, j, sets) positions in (B, Nr, Nbits) order, for gains and alpha^T
-    flat = np.arange(b * n_rx).reshape(b, n_rx, 1, 1) * n_bits + edge_sets
-    # hypothesis-major (H, B, Nr, Nbits); r stays contiguous in the operands
-    interf = _config_products(np.take(gains, flat), hyp.symbols)
-    half = 2.0 * sigma2_z
-    g2 = gains * (2.0 / half)
-    priors = np.empty(interf.shape)
-    base, cross, score = np.empty_like(interf), np.empty_like(priors), np.empty_like(priors)
+        raise DimensionTooLargeError(f"{rd} explicit edges means 2^{rd + 1} hypotheses per "
+                                     f"message; at most {MAX_RELAX_EDGES} supported")
+    y, scale, half = y[:, :, None], 2.0 / sigma2_z, 2.0 * sigma2_z
+    if rd:
+        # edge-major (R_D, B, Nr, Nbits) positions of (b, j, sets) in (B, Nr, Nbits)
+        flat = np.moveaxis(np.arange(b * n_rx).reshape(b, n_rx, 1, 1) * n_bits + edge_sets,
+                           -1, 0).copy()
+        interf = _config_products(np.moveaxis(np.take(gains, flat), 0, -1),
+                                  _config_table(1, rd).symbols)
+        g_re, g_im = np.take(gains.real, flat) * scale, np.take(gains.imag, flat) * scale
+        g2 = gains * (2.0 / half)
+        plus, minus = interf.real * interf.real, interf.imag * interf.imag
+        plus += minus
+        plus /= half                                                     # Q
+        w = np.multiply(interf.real, g2.real, out=interf.real)
+        w += np.multiply(interf.imag, g2.imag, out=interf.imag)          # W
+        np.subtract(plus, w, out=minus)
+        plus += w
+        del interf, w
+        sums, score = np.empty(plus.shape), np.empty(plus.shape)
 
     def step(alpha, u, fresh=False):
-        if fresh:
-            priors.fill(0.0)
-        else:
-            a_sel = np.take(alpha.transpose(0, 2, 1), flat)
-            _prior_sums(np.moveaxis(a_sel, -1, 0), priors, work=score)
-        np.subtract(y - u, interf, out=base)
-        # a hypothesis scores P - |b -+ g_i|^2 / half = A +- C - |g_i|^2 / half,
-        # A = P - |b|^2 / half, C = Re(conj(b) g_i) 2 / half; |g_i|^2 cancels in beta
-        np.multiply(base.real, base.real, out=score)
-        np.add(score, np.multiply(base.imag, base.imag, out=cross), out=score)
-        np.subtract(priors, np.divide(score, half, out=score), out=priors)   # A
-        np.multiply(base.real, g2.real, out=cross)
-        np.add(cross, np.multiply(base.imag, g2.imag, out=score), out=cross)  # C
-        # beta: the best with x_i = +1 minus the best with x_i = -1, over slabs
-        best = np.add(priors, cross, out=score).max(axis=0)
-        return best - np.subtract(priors, cross, out=score).max(axis=0)
+        c = y - u
+        beta = scale * (gains.conj() * c).real
+        if not rd:
+            return beta
+        terms = c.real * g_re
+        terms += c.imag * g_im
+        if not fresh:
+            terms += np.take(alpha.transpose(0, 2, 1), flat)
+        _prior_sums(terms, sums, work=score)
+        # the best with x_i = +1 minus the best with x_i = -1, over slabs
+        beta += np.subtract(sums, plus, out=score).max(axis=0)
+        beta -= np.subtract(sums, minus, out=sums).max(axis=0)
+        return beta
 
     return step
 
@@ -499,11 +501,10 @@ def rbp_beta_update(alpha: np.ndarray, gains: np.ndarray, edge_sets: np.ndarray,
     """One relaxed factor-to-bit update for every message: alpha (Nbits, Nr),
     gains, u, sigma2_z (Nr, Nbits), edge_sets (Nr, Nbits, R_D), beta (Nr, Nbits).
 
-    _relaxed_step on a batch of one. use_closed_form=False forces the general
-    enumeration without explicit edges (the two must agree, which the tests pin).
+    _relaxed_step on a batch of one. Without explicit edges the enumeration
+    is the matched filter, so use_closed_form changes nothing.
     """
-    step = _relaxed_step(gains[None], edge_sets[None], sigma2_z[None], y[None],
-                         use_closed_form)
+    step = _relaxed_step(gains[None], edge_sets[None], sigma2_z[None], y[None])
     return step(alpha[None], u[None])[0]
 
 

@@ -93,16 +93,14 @@ def _check_full_relaxation_is_sbp(rng) -> tuple[bool, str]:
 
 
 def _check_closed_form(rng) -> tuple[bool, str]:
-    """The degree-0 matched filter against the general enumeration, 200 trials."""
+    """The relaxed step without explicit edges against the matched filter
+    (2/sigma2_z) Re(conj(g) (y - u)) written out, 200 trials: equal floats."""
     h, y, _, sets, lump, sigma2_z = _relaxed_trials(rng, DetectorSpec.rbp(0, 0), 200)
     alpha = rng.uniform(-8, 8, size=(200, 4, 4))
     u = lump(h * np.swapaxes(np.tanh(alpha / 2.0), 1, 2))
-    closed, general = (_relaxed_step(h, sets, sigma2_z, y, form)(alpha, u)
-                       for form in (True, False))
-    # allclose semantics: the general path subtracts two squared norms,
-    # so a purely relative bar is unreachable where beta crosses zero
-    worst = float((np.abs(closed - general) - 1e-12 * np.abs(general)).max())
-    return worst < 1e-12, f"max allclose excess {worst:.2e}"
+    got = _relaxed_step(h, sets, sigma2_z, y)(alpha, u)
+    want = (2.0 / sigma2_z) * (h.conj() * (y[:, :, None] - u)).real
+    return bool(np.array_equal(got, want)), f"max gap {float(np.abs(got - want).max()):.2e}"
 
 
 def _check_complexity() -> tuple[bool, str]:
@@ -129,7 +127,7 @@ def run_selftest(verbose: bool = True, stream=None) -> bool:
     checks = [
         ("standard-BP beta vs naive enumeration", lambda: _check_sbp_oracle(rng)),
         ("full relaxation reproduces standard BP", lambda: _check_full_relaxation_is_sbp(rng)),
-        ("degree-0 closed form vs general path", lambda: _check_closed_form(rng)),
+        ("degree-0 step is the matched filter", lambda: _check_closed_form(rng)),
         ("operation-count table", _check_complexity),
     ]
     all_ok = True

@@ -14,10 +14,11 @@ standard BP, and relaxed BP that lumps nothing, is config-major, (C, B, Nr)
 over the C = 2^Nbits joint configurations; the rest of relaxed BP is
 hypothesis-major, (H, B, Nr, Nbits) over the H = 2^R_D edge hypotheses.
 Product tables come from one doubling helper, detectors._config_products,
-and the SBP and relaxed priors from another, detectors._prior_sums; both
-return einsum's floats bit for bit, without einsum. The relaxed lump sums
-come from detectors._lump, in ascending bit order, and the MMSE kinds share
-one inverse, detectors._mmse_estimate.
+and the SBP and relaxed prior sums from another, detectors._prior_sums; both
+return einsum's floats bit for bit, without einsum. The relaxed step builds
+its hypothesis-only score tables once per batch and one prior-sum table per
+iteration. The lump sums come from detectors._lump, in ascending bit order,
+and the MMSE kinds share one inverse, detectors._mmse_estimate.
 
 Every batch runs through one worker, _run_batch, which scores iteration
 "taps" on one set of trials (see there). One runner, _run_taps, behind
@@ -112,7 +113,7 @@ def _batch_bytes(spec: DetectorSpec, dims: SystemDims) -> tuple[int, str]:
     """(bytes, table) of one batch: an upper bound on its allocation peak, and
     the table it enumerates, (2^Nbits, B, Nr) where nothing is lumped, else
     (2^R_D, B, Nr, Nbits). Fitted to tracemalloc peaks: 24 bytes per entry
-    of SBP's table, 56 of the relaxed one, 128 + 32 R_D per message (B, Nr,
+    of SBP's table, 32 of the relaxed one, 128 + 48 R_D per message (B, Nr,
     Nbits) and 1 MiB. The MMSE kinds build no table and are not sized (0)."""
     n_tx, n_rx, m = dims.n_tx, dims.n_rx, dims.bits_per_symbol
     messages = BATCH_TRIALS * n_rx * m * n_tx
@@ -120,10 +121,10 @@ def _batch_bytes(spec: DetectorSpec, dims: SystemDims) -> tuple[int, str]:
         power, entry, edges, what = m * n_tx, 24 * BATCH_TRIALS * n_rx, 0, "configurations"
     elif spec.relaxed:
         edges = spec.relax_degree(m)
-        power, entry, what = edges, 56 * messages, "explicit-edge hypotheses"
+        power, entry, what = edges, 32 * messages, "explicit-edge hypotheses"
     else:
         return 0, ""
-    need = (entry << power) + messages * (128 + 32 * edges) + (1 << 20)
+    need = (entry << power) + messages * (128 + 48 * edges) + (1 << 20)
     return need, f"2^{power} {what}"
 
 
@@ -255,8 +256,8 @@ def _bp_messages(spec: DetectorSpec, h, y, sigma2, m):
     batch and refilled every iteration. The cascade's pseudo-LLRs act as a
     fixed per-bit prior factor: they seed the alphas, remain an additive
     intrinsic term in every alpha update, and shrink the lump variances once
-    up front. Where alpha starts at +0 (SBP, RBP), the first iteration sets
-    the priors and the lump mean to +0 instead of computing them.
+    up front. Where alpha starts at +0 (SBP, RBP), the first iteration takes
+    the alpha sums and the lump mean as +0 instead of computing them.
     """
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be > 0 for message passing")

@@ -136,19 +136,26 @@ def lump_sums_oracle(terms, sets):
 
 
 def batched_rbp_trial_major_oracle(h, y, sigma2, m, rd1, rd2, iterations,
-                                   cascaded=False, clamp=30.0, einsum=False):
+                                   cascaded=False, clamp=30.0, arithmetic="sums"):
     """Batched relaxed BP (or its MMSE cascade) with the hypothesis axis last.
 
     The trial-major formulation of the package's relaxed kernel, with the
     same arithmetic (bit gains, per-bit edge selection, lump sums, score
-    expansion, einsum priors, operation order, clamp and cascade prior), so
-    that the soft outputs must match it bit for bit. The lumped power is
-    clamped at 0 and each hypothesis scores A +- C, with A = P - |b|^2/half
-    and C = Re(conj(b) g_i) 2/half. einsum=True gives the arithmetic the
-    engine had before: dense lump-mask einsums, P - |b -+ g_i|^2/half scores
-    and the solve-based cascade prior. h is (B, Nr, Nt), y (B, Nr). Returns
-    the (B, Nbits) soft output after each iteration.
+    terms, einsum priors, operation order, clamp and cascade prior), so that
+    the soft outputs must match it bit for bit. The lumped power is clamped
+    at 0. With c = y - u, half = 2 sigma2_z and interference I_h, beta is
+    (2/sigma2_z) Re(conj(g_i) c) + max_h(S_h - (Q_h + W_h)) - max_h(S_h -
+    (Q_h - W_h)): S_h sums e_r = alpha_r + (2/sigma2_z) Re(conj(c) g_r) over
+    the edges with x_r = +1, Q_h = |I_h|^2/half, W_h = Re(conj(I_h) g_i)
+    2/half. Two older arithmetics of the engine stay as tolerance checks:
+    arithmetic="a_pm_c" scores A +- C per hypothesis, with b = c - I_h,
+    A = P - |b|^2/half and C = Re(conj(b) g_i) 2/half, and "einsum" adds the
+    dense lump-mask einsums, P - |b -+ g_i|^2/half scores and the
+    solve-based cascade prior. Without edges all three are the matched
+    filter. h is (B, Nr, Nt), y (B, Nr). Returns the (B, Nbits) soft output
+    after each iteration.
     """
+    einsum = arithmetic == "einsum"
     b, n_rx, n_tx = h.shape
     n_bits = m * n_tx
     if m == 1:
@@ -193,28 +200,40 @@ def batched_rbp_trial_major_oracle(h, y, sigma2, m, rd1, rd2, iterations,
         xh_pos = (xh > 0).astype(np.float64)
         bb = np.arange(b)[:, None, None, None]
         jj = np.arange(n_rx)[None, :, None, None]
-        interf = np.einsum("bjir,hr->bjih", gains[bb, jj, sets], xh)
+        g_sel = gains[bb, jj, sets]
+        interf = np.einsum("bjir,hr->bjih", g_sel, xh)
         own = gains[:, :, :, None]
         half = 2.0 * sigma2_z[:, :, :, None]
         g2 = own * (2.0 / half)
+        scale = (2.0 / sigma2_z)[:, :, :, None]
+        g_re, g_im = g_sel.real * scale, g_sel.imag * scale
+        q = (interf.real * interf.real + interf.imag * interf.imag) / half
+        w = interf.real * g2.real + interf.imag * g2.imag
+        q_plus, q_minus = q + w, q - w
 
     softs = []
     for _ in range(iterations):
         ge = gains * np.tanh(alpha / 2.0).transpose(0, 2, 1)
         u = np.einsum("bjit,bjt->bji", mask, ge) if einsum else lump_sums_oracle(ge, sets)
-        if rd == 0:
-            beta = (2.0 / sigma2_z) * (gains.conj() * (y[:, :, None] - u)).real
-        else:
+        c = y[:, :, None] - u
+        beta = (2.0 / sigma2_z) * (gains.conj() * c).real   # the matched filter
+        if rd and arithmetic == "sums":
+            a_sel = alpha.transpose(0, 2, 1)[bb, jj, sets]
+            e = a_sel + (c.real[..., None] * g_re + c.imag[..., None] * g_im)
+            s = np.einsum("bjir,hr->bjih", e, xh_pos)
+            beta = beta + (s - q_plus).max(axis=3)
+            beta = beta - (s - q_minus).max(axis=3)
+        elif rd:
             a_sel = alpha.transpose(0, 2, 1)[bb, jj, sets]
             priors = np.einsum("bjir,hr->bjih", a_sel, xh_pos)
-            base = y[:, :, None, None] - u[:, :, :, None] - interf
+            base = c[:, :, :, None] - interf
             if einsum:
                 score_pos = -np.abs(base - own) ** 2 / half + priors
                 score_neg = -np.abs(base + own) ** 2 / half + priors
             else:
                 a = priors - (base.real * base.real + base.imag * base.imag) / half
-                c = base.real * g2.real + base.imag * g2.imag
-                score_pos, score_neg = a + c, a - c
+                c_term = base.real * g2.real + base.imag * g2.imag
+                score_pos, score_neg = a + c_term, a - c_term
             beta = score_pos.max(axis=3) - score_neg.max(axis=3)
         total = beta.sum(axis=1)
         ext = total[:, :, None] - beta.transpose(0, 2, 1)

@@ -1,6 +1,7 @@
 """Message updates, edge selection, linear front ends, and whole-vector detection."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from mimobp.channel import SystemDims, modulate
 from mimobp.detectors import (
@@ -250,16 +251,17 @@ class TestInterferenceLump:
 
 
 class TestRbpBetaUpdate:
-    def _messages(self, rng, n, m, rd1, rd2, sigma2=0.6):
-        bits, h, y = _instance(rng, n, n, m=m, sigma2=sigma2)
+    def _messages(self, rng, n, m, rd1, rd2, sigma2=0.6, n_rx=None):
+        n_rx = n if n_rx is None else n_rx
+        bits, h, y = _instance(rng, n, n_rx, m=m, sigma2=sigma2)
         spec = DetectorSpec.rbp(rd1, rd2, 1)
-        alpha = _random_alpha(rng, n * m, n)
+        alpha = _random_alpha(rng, n * m, n_rx)
         gains = bit_gains(h, m)
         sets = build_edge_sets(h, spec, m)
         n_bits = n * m
-        u = np.empty((n, n_bits), dtype=complex)
-        s2z = np.empty((n, n_bits))
-        for j in range(n):
+        u = np.empty((n_rx, n_bits), dtype=complex)
+        s2z = np.empty((n_rx, n_bits))
+        for j in range(n_rx):
             for i in range(n_bits):
                 u[j, i] = interference_mean(alpha[:, j], sets[j, i], h[j], i, m)
                 s2z[j, i] = interference_variance(sets[j, i], h[j], i, sigma2, m)
@@ -273,6 +275,21 @@ class TestRbpBetaUpdate:
             want = naive_rbp_beta(alpha, h, y, sigma2, rd1, rd2, m)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
+    @given(n_tx=st.integers(1, 4), n_rx=st.integers(1, 4), m=st.sampled_from([1, 2]),
+           rd1=st.integers(0, 3), rd2=st.integers(0, 1),
+           sigma2=st.one_of(st.just(1e-6), st.floats(1e-6, 10.0)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_naive_enumeration_property(self, n_tx, n_rx, m, rd1, rd2, sigma2, seed):
+        """The expanded score (matched filter plus prior-sum maxima) against
+        direct enumeration of |c - I_h -+ g_i|^2, down to sigma^2 = 1e-6."""
+        assume(rd1 < n_tx)
+        rng = np.random.default_rng(seed)
+        alpha, h, y, sigma2, gains, sets, u, s2z = self._messages(
+            rng, n_tx, m, rd1, rd2, sigma2, n_rx)
+        got = rbp_beta_update(alpha, gains, sets, u, s2z, y)
+        want = naive_rbp_beta(alpha, h, y, sigma2, rd1, rd2, m)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
     def test_closed_form_agrees_with_general_path(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
@@ -280,7 +297,7 @@ class TestRbpBetaUpdate:
             closed = rbp_beta_update(alpha, gains, sets, u, s2z, y)
             general = rbp_beta_update(alpha, gains, sets, u, s2z, y,
                                       use_closed_form=False)
-            np.testing.assert_allclose(closed, general, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(closed, general)
 
     def test_edge_budget_guard(self):
         n_rx, n_bits = 2, 22

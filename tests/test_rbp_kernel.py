@@ -6,8 +6,9 @@ both max-marginals over contiguous slabs. Max is exact and every other
 operation keeps its operands and order, so wherever something is lumped, RBP
 and MMSE-RBP soft outputs must equal
 reference_impl.batched_rbp_trial_major_oracle exactly, on every iteration,
-not just to a tolerance; the same oracle in the einsum-era arithmetic (dense
-lump mask, unexpanded scores, solve-based cascade prior) must agree to 1e-9.
+not just to a tolerance. The oracle's two older arithmetics must agree to
+1e-9: per-hypothesis A +- C scores, and the einsum era's dense lump mask,
+unexpanded scores and solve-based cascade prior.
 Where nothing is lumped (R_D = Nbits - 1) the engine runs SBP's step, so RBP
 must equal SBP exactly and MMSE-RBP the SBP mask oracle with the cascade
 prior. The relaxed kernel is still driven directly at that limit: it must
@@ -47,6 +48,9 @@ from reference_impl import (
 
 KINDS = ("RBP", "MMSE_RBP")
 
+# the engine's earlier arithmetics, kept in the oracle as 1e-9 checks
+OLDER_ARITHMETIC = ("a_pm_c", "einsum")
+
 
 def _draw(n_tx, n_rx, m, sigma2, count, batch_index=0):
     _, h, y = _draw_batch(SystemDims(n_tx, n_rx, m), sigma2,
@@ -74,8 +78,9 @@ def _assert_bit_identical(kind, n_tx, n_rx, m, rd1, rd2, sigma2, iterations, cou
     got = _engine_bp(spec, h, y, sigma2, m, want_iters=True)
     oracle = (h, y, sigma2, m, rd1, rd2, iterations, kind == "MMSE_RBP")
     _assert_equal_every_iteration(got, batched_rbp_trial_major_oracle(*oracle), iterations)
-    _assert_close_every_iteration(got, batched_rbp_trial_major_oracle(*oracle, einsum=True),
-                                  iterations)
+    for older in OLDER_ARITHMETIC:
+        _assert_close_every_iteration(got, batched_rbp_trial_major_oracle(
+            *oracle, arithmetic=older), iterations)
 
 
 def _assert_full_relaxation_is_sbp(kind, n_tx, n_rx, m, rd2, sigma2, iterations, count,
@@ -200,15 +205,17 @@ def _relaxed_kernel_softs(spec, h, y, sigma2, m):
 def test_relaxed_kernel_at_full_relaxation(kind, n_tx, n_rx, m, rd2, snr_db):
     """The engine takes SBP's step here, so drive _relaxed_step itself with the
     full edge sets: bit for bit the trial-major oracle, within 1e-9 of its
-    einsum-era arithmetic, and within 1e-9 of the engine's SBP-step soft
-    outputs on every iteration."""
+    older arithmetics, and within 1e-9 of the engine's SBP-step soft outputs
+    on every iteration."""
     sigma2 = snr_to_noise_variance(snr_db, SystemDims(n_tx, n_rx, m))
     h, y = _draw(n_tx, n_rx, m, sigma2, 64)
     spec = DetectorSpec(kind, iterations=5, rd1=n_tx - 1, rd2=rd2)
     got = _relaxed_kernel_softs(spec, h, y, sigma2, m)
     oracle = (h, y, sigma2, m, n_tx - 1, rd2, 5, kind == "MMSE_RBP")
     _assert_equal_every_iteration(got, batched_rbp_trial_major_oracle(*oracle), 5)
-    _assert_close_every_iteration(got, batched_rbp_trial_major_oracle(*oracle, einsum=True), 5)
+    for older in OLDER_ARITHMETIC:
+        _assert_close_every_iteration(got, batched_rbp_trial_major_oracle(
+            *oracle, arithmetic=older), 5)
     _assert_close_every_iteration(got, _engine_bp(spec, h, y, sigma2, m, want_iters=True), 5)
 
 

@@ -73,9 +73,9 @@ class TestConfigValidation:
                                              DetectorSpec("SBP", 5, rd1=9)))
 
     def test_rejects_more_explicit_edges_than_supported(self):
-        """A relaxed batch holds 56 bytes per entry of its (2^R_D, 512, Nr,
-        Nbits) table: at 8x8 QPSK, RBP(4,0) (R_D = 8) needs 0.9 GiB and
-        RBP(5,0) (R_D = 10) 3.6 GiB. RBP(10,1) at 11x11 QPSK keeps all 21
+        """A relaxed batch holds 32 bytes per entry of its (2^R_D, 512, Nr,
+        Nbits) table: at 8x8 QPSK, RBP(4,0) (R_D = 8) needs 0.53 GiB and
+        RBP(5,0) (R_D = 10) 2.0 GiB. RBP(10,1) at 11x11 QPSK keeps all 21
         other bits explicit, so it is sized as SBP's (2^22, 512, 11) table."""
         _cfg(n_tx=8, n_rx=8, m=2, detectors=(DetectorSpec.rbp(4, 0),))
         tracemalloc.start()
@@ -93,9 +93,9 @@ class TestConfigValidation:
         (8, 8, 2, DetectorSpec.ml()),       # 6 GiB per batch
         (7, 9, 2, DetectorSpec.sbp(5)),     # 1.7 GiB per batch
         (13, 13, 2, DetectorSpec.ml()),     # 26 bits, past MAX_ENUM_BITS
-        (12, 12, 1, DetectorSpec.rbp(10, 0)),       # (2^10, 512, 12, 12): 3.9 GiB
-        (16, 16, 1, DetectorSpec.rbp(14, 0)),       # (2^14, 512, 16, 16): 112 GiB
-        (11, 11, 2, DetectorSpec.rbp(10, 0)),       # (2^20, 512, 11, 22): 6.6 TiB
+        (12, 12, 1, DetectorSpec.rbp(10, 0)),       # (2^10, 512, 12, 12): 2.3 GiB
+        (16, 16, 1, DetectorSpec.rbp(14, 0)),       # (2^14, 512, 16, 16): 64 GiB
+        (11, 11, 2, DetectorSpec.rbp(10, 0)),       # (2^20, 512, 11, 22): 3.8 TiB
         (8, 8, 2, DetectorSpec.rbp(7, 1)),          # nothing lumped: SBP's 6 GiB
         (16, 16, 1, DetectorSpec.mmse_rbp(15, 0)),  # nothing lumped: SBP's 12 GiB
     ], ids=["16x16-BPSK-SBP", "8x8-QPSK-ML", "7x9-QPSK-SBP", "13x13-QPSK-ML",
@@ -126,9 +126,12 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("n_tx,n_rx,m,spec", [
         (8, 8, 1, DetectorSpec.sbp(5)),
+        (4, 4, 2, DetectorSpec.rbp(2, 0)),
         (5, 5, 2, DetectorSpec.rbp(3, 0)),
+        (6, 6, 2, DetectorSpec.rbp(3, 1)),
         (16, 16, 1, DetectorSpec.mmse_rbp(1, 0)),
-    ], ids=["8x8-BPSK-SBP", "5x5-QPSK-RBP(3,0)", "16x16-BPSK-MMSE-RBP(1,0)"])
+    ], ids=["8x8-BPSK-SBP", "4x4-QPSK-RBP(2,0)", "5x5-QPSK-RBP(3,0)", "6x6-QPSK-RBP(3,1)",
+            "16x16-BPSK-MMSE-RBP(1,0)"])
     def test_one_batch_stays_within_its_admitted_bytes(self, n_tx, n_rx, m, spec):
         dims = SystemDims(n_tx, n_rx, m)
         admitted = _batch_bytes(spec, dims)[0]
