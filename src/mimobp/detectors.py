@@ -32,9 +32,10 @@ message_history() run it on a batch of one; the per-message helpers
 (sbp_beta_update, rbp_beta_update, interference_mean, ...) return the same
 floats. The relaxed beta is a matched filter plus two maxima of one
 prior-sum table per iteration against tables that depend only on the
-hypothesis, built once per batch (_relaxed_step). The lump sums add in
-ascending bit order and the MMSE estimates take one inverse; only the
-product tables, the priors and the draw's H s follow einsum's order.
+hypothesis, built once per batch (_relaxed_step). Every order is the
+code's own: the prior sums add a fold over the even bits, highest bit
+first, to one over the odd bits, the lump sums add in ascending bit order
+and the MMSE estimates take one inverse. Only the draw's H s calls einsum.
 """
 from __future__ import annotations
 
@@ -201,49 +202,51 @@ def _config_products(g: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     return out
 
 
+def _residual_power(h: np.ndarray, y: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """|y_j - (H s)_j|^2 per antenna for every configuration s in symbols,
+    shape (C, B, Nr), from one _config_products table."""
+    resid = _config_products(h, symbols)
+    np.subtract(y, resid, out=resid)
+    power = np.abs(resid)
+    return np.square(power, out=power)
+
+
 def _prior_sums(terms: np.ndarray, out: np.ndarray,
                 work: np.ndarray | None = None) -> np.ndarray:
-    """np.einsum("ct,t...->c...", xpos, terms), bit for bit, written to out.
+    """Sums of terms over the clear bits of every config index, written to out.
 
-    terms is (n, ...) and out (2^n, ...); xpos is the 0/1 table of
-    _config_table(1, n), so out[c] sums terms[t] over the bits t clear in c.
-    The order is einsum's two-lane contiguous reduction, as measured against
-    numpy 2.4.6 at the X86_V2 baseline: even t go to lane 0 and odd t to
-    lane 1; while 8 or more terms remain, each block of 8 enters in
-    descending pairs (pos+6, +4, +2, +0), and the rest enter in ascending
-    order; each lane starts from +0 and the sum is lane0 + lane1. Each lane
-    is one doubling table over its own bits. It skips the x = 0 terms, which
-    is exact: a lane starts at +0 and so never holds -0, and adding 0 * a
-    changes no other value. One broadcast add fills out. work, a float
-    buffer of out's size, if given, holds the lane tables and is overwritten.
+    terms is (n, ...) and out (2^n, ...): out[c] sums terms[t] over the bits
+    t clear in c (x_t = +1 in _config_table order). The even and the odd bits
+    each get one doubling table that starts from +0 and adds from the highest
+    t down (no odd bit: +0), and one broadcast add, even + odd, fills out. At
+    n <= 4 and n = 8, every width perfbench runs, these are the floats of the
+    two-lane einsum reduction this replaced. work, a float buffer of out's
+    size, if given, holds the two tables and is overwritten.
     """
     n, rest = terms.shape[0], terms.shape[1:]
-    blocks = n - n % 8
     width = math.prod(rest)
     if work is None:
         work = np.empty(((1 << (n + 1) // 2) + (1 << n // 2)) * width)
     free = work.reshape(-1)
-    lanes = []
-    for lane in (0, 1):
-        order = ([p + o for p in range(0, blocks, 8) for o in range(6 + lane, -1, -2)]
-                 + list(range(blocks + lane, n, 2)))
-        k = len(order)
-        if not k:                                     # an empty lane is +0
-            lanes.append(0.0)
+    tables = []
+    for parity in (0, 1):
+        bits = range(parity, n, 2)[::-1]
+        k = len(bits)
+        if not k:                                     # no odd bit: +0
+            tables.append(0.0)
             continue
         tbl, free = free[:width << k].reshape((1 << k,) + rest), free[width << k:]
         tbl[0] = 0.0
-        for s, t in enumerate(order):                 # bit t becomes the top bit
+        for s, t in enumerate(bits):                  # bit t becomes table bit s
             size = 1 << s
             tbl[size:2 * size] = tbl[:size]
             tbl[:size] += terms[t]                    # bit t clear: x_t = +1
-        # table axis a is bit order[k-1-a]: sort the axes by descending bit,
-        # as in out's view, and give the other lane's bits size-1 axes
-        perm = sorted(range(k), key=lambda a: -order[k - 1 - a])
-        tbl = tbl.reshape((2,) * k + rest).transpose(perm + list(range(k, k + len(rest))))
-        lanes.append(np.expand_dims(tbl, tuple(n - 1 - t for t in range(1 - lane, n, 2))))
-    # axis k of this view of out is bit n-1-k of the config index
-    np.add(lanes[0], lanes[1], out=out.reshape((2,) * n + rest))
+        # table axis a is this parity's a-th lowest bit; size 1 on the other's
+        tables.append(tbl.reshape(tuple(2 if t % 2 == parity else 1 for t in range(n)) + rest))
+    # axis t of this view of out is bit t of the config index
+    by_bit = out.reshape((2,) * n + rest)
+    by_bit = by_bit.transpose((*range(n - 1, -1, -1), *range(n, by_bit.ndim)))
+    np.add(tables[0], tables[1], out=by_bit)
     return out
 
 
@@ -291,18 +294,14 @@ def _sbp_step(h: np.ndarray, y: np.ndarray, sigma2: float, m: int):
 
     beta[j, i] = max over configs with x_i = +1 of {D_j(s) + sum of alpha[t, j]
     over t != i with x_t = +1} minus the analogous max with x_i = -1. D
-    (C, B, Nr) is built once in the product table's buffer, with the
+    (C, B, Nr) is built once in _residual_power's buffer, with the
     roundings of -|y - Hs|^2 / (2 sigma^2) (rounding is sign-symmetric, so
     dividing by -(2 sigma^2) equals negating first); the score buffers are
-    reused. The priors (C, B, Nr) come from _prior_sums, which returns the
-    floats of einsum("ct,btj->cbj", xpos, alpha) whatever alpha's layout.
-    fresh says alpha is +0: the priors are +0, not computed.
+    reused. The priors (C, B, Nr) come from _prior_sums, whose floats do not
+    depend on alpha's layout. fresh says alpha is +0: the priors are +0, not
+    computed.
     """
-    tbl = _config_table(m, h.shape[-1])
-    d = _config_products(h, tbl.symbols)
-    np.subtract(y, d, out=d)
-    d = np.abs(d)
-    np.square(d, out=d)
+    d = _residual_power(h, y, _config_table(m, h.shape[-1]).symbols)
     d /= -(2.0 * sigma2)
     t = np.empty_like(d)
     scratch = np.empty((d.shape[0] // 2,) + d.shape[1:])
@@ -451,8 +450,8 @@ def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray
     - max_h(S_h - (Q_h - W_h)). Q_h = |I_h|^2 / half and W_h = Re(conj(I_h)
     g_i) 2 / half depend on no message: Q +- W are built once per batch. S is
     _prior_sums (H, B, Nr, Nbits) over e_r = alpha_r + (2/sigma2_z) Re(conj(c)
-    g_r), the floats of einsum("bjir,hr->hbji", e, xpos). Without explicit
-    edges there is no hypothesis term. fresh says alpha is +0, not gathered.
+    g_r), its two tables held in the score buffer. Without explicit edges
+    there is no hypothesis term. fresh says alpha is +0, not gathered.
     """
     b, n_rx, n_bits, rd = edge_sets.shape
     if rd > MAX_RELAX_EDGES:

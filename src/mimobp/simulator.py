@@ -14,11 +14,14 @@ standard BP, and relaxed BP that lumps nothing, is config-major, (C, B, Nr)
 over the C = 2^Nbits joint configurations; the rest of relaxed BP is
 hypothesis-major, (H, B, Nr, Nbits) over the H = 2^R_D edge hypotheses.
 Product tables come from one doubling helper, detectors._config_products,
-and the SBP and relaxed prior sums from another, detectors._prior_sums; both
-return einsum's floats bit for bit, without einsum. The relaxed step builds
-its hypothesis-only score tables once per batch and one prior-sum table per
-iteration. The lump sums come from detectors._lump, in ascending bit order,
-and the MMSE kinds share one inverse, detectors._mmse_estimate.
+which returns einsum's floats bit for bit without einsum; ML and SBP take
+|y - Hs|^2 per antenna from it (detectors._residual_power). The SBP and
+relaxed prior sums come from detectors._prior_sums: doubling tables over
+the even and the odd bits, each added from the highest bit down, and one
+broadcast add. The relaxed step builds its hypothesis-only score tables
+once per batch and one prior-sum table per iteration. The lump sums come
+from detectors._lump, in ascending bit order, and the MMSE kinds share one
+inverse, detectors._mmse_estimate.
 
 Every batch runs through one worker, _run_batch, which scores iteration
 "taps" on one set of trials (see there). One runner, _run_taps, behind
@@ -43,12 +46,12 @@ from .channel import SystemDims, modulate, demodulate, snr_to_noise_variance
 from .detectors import (
     LLR_CLAMP,
     DetectorSpec,
-    _config_products,
     _config_table,
     _lump,
     _mmse_estimate,
     _mmse_llrs,
     _relaxed_step,
+    _residual_power,
     _sbp_step,
     alpha_update,
     bit_gains,
@@ -181,10 +184,7 @@ def _draw_batch(dims: SystemDims, sigma2: float, rng: np.random.Generator,
 
 def _ml_metric(h, y, symbols):
     """|y - H s|^2 for every configuration s in symbols, shape (C, B)."""
-    resid = _config_products(h, symbols)                      # (C, B, Nr)
-    np.subtract(y, resid, out=resid)
-    sq = np.abs(resid)
-    np.square(sq, out=sq)
+    sq = _residual_power(h, y, symbols)                       # (C, B, Nr)
     metric = sq[..., 0].copy()  # antennas summed in order, as a middle-axis sum does
     for j in range(1, h.shape[1]):
         metric += sq[..., j]

@@ -68,15 +68,37 @@ def cascade_prior_oracle(h, y, sigma2, m, clamp=30.0, solve=False):
     return np.clip(prior, -clamp, clamp)
 
 
-def batched_sbp_mask_oracle(h, y, sigma2, m, iterations, prior=None, clamp=30.0):
+def prior_sums_oracle(terms):
+    """Sums of terms (..., n) over the bits t clear in each index c (x_t = +1),
+    shape (..., 2^n), in the engine's order.
+
+    The even bits and the odd bits are each folded from +0 in descending t,
+    one add per clear bit and a skip per set bit, and the two folds are
+    added. Every config is folded on its own; there is no table to share
+    partial sums.
+    """
+    n = terms.shape[-1]
+    cc = np.arange(1 << n, dtype=np.int64)
+    folds = []
+    for bits in (range(0, n, 2)[::-1], range(1, n, 2)[::-1]):
+        acc = np.zeros(terms.shape[:-1] + (1 << n,))
+        for t in bits:
+            acc = np.where((cc >> t) & 1 == 0, acc + terms[..., t:t + 1], acc)
+        folds.append(acc)
+    return folds[1] + folds[0]
+
+
+def batched_sbp_mask_oracle(h, y, sigma2, m, iterations, prior=None, clamp=30.0,
+                            einsum=False):
     """Batched standard BP with one boolean-mask gather per bit and sign.
 
     The trial-major formulation the package's SBP kernel replaced, kept with
-    the same arithmetic (einsum layouts, subtraction order, clamp) so that
-    the soft outputs must match it bit for bit. h is (B, Nr, Nt), y (B, Nr).
-    A per-bit prior (B, Nbits), if given, seeds alpha and is added in every
-    alpha update ahead of the extrinsic sum, as the MMSE cascade does.
-    Returns the (B, Nbits) soft output after each iteration.
+    the same arithmetic (prior_sums_oracle's order, subtraction order, clamp)
+    so that the soft outputs must match it bit for bit. h is (B, Nr, Nt), y
+    (B, Nr). A per-bit prior (B, Nbits), if given, seeds alpha and is added
+    in every alpha update ahead of the extrinsic sum, as the MMSE cascade
+    does. einsum=True takes the priors' earlier order, np.einsum's, kept as
+    a 1e-9 check. Returns the (B, Nbits) soft output after each iteration.
     """
     b, n_rx, n_tx = h.shape
     n_bits = m * n_tx
@@ -89,15 +111,16 @@ def batched_sbp_mask_oracle(h, y, sigma2, m, iterations, prior=None, clamp=30.0)
 
     hs = np.einsum("bjk,ck->bjc", h, symbols)
     d = -np.abs(y[:, :, None] - hs) ** 2 / (2.0 * sigma2)
-    # a seeded alpha takes the bit-fastest layout every alpha update leaves,
-    # since einsum's reduction order over t follows the operand layout
     alpha = (np.zeros((b, n_bits, n_rx)) if prior is None
-             else np.repeat(prior[:, None, :], n_rx, axis=1).transpose(0, 2, 1))
+             else np.repeat(prior[:, :, None], n_rx, axis=2))
     beta = np.zeros((b, n_rx, n_bits))
     softs = []
     for _ in range(iterations):
-        p = np.einsum("ct,btj->bcj", xpos, alpha)
-        t = d + p.transpose(0, 2, 1)
+        if einsum:
+            p = np.einsum("ct,btj->bjc", xpos, alpha)
+        else:
+            p = prior_sums_oracle(alpha.transpose(0, 2, 1))
+        t = d + p
         for i in range(n_bits):
             mask = pos_mask[i]
             beta[:, :, i] = (
@@ -141,13 +164,14 @@ def batched_rbp_trial_major_oracle(h, y, sigma2, m, rd1, rd2, iterations,
 
     The trial-major formulation of the package's relaxed kernel, with the
     same arithmetic (bit gains, per-bit edge selection, lump sums, score
-    terms, einsum priors, operation order, clamp and cascade prior), so that
+    terms, prior sums, operation order, clamp and cascade prior), so that
     the soft outputs must match it bit for bit. The lumped power is clamped
     at 0. With c = y - u, half = 2 sigma2_z and interference I_h, beta is
     (2/sigma2_z) Re(conj(g_i) c) + max_h(S_h - (Q_h + W_h)) - max_h(S_h -
     (Q_h - W_h)): S_h sums e_r = alpha_r + (2/sigma2_z) Re(conj(c) g_r) over
-    the edges with x_r = +1, Q_h = |I_h|^2/half, W_h = Re(conj(I_h) g_i)
-    2/half. Two older arithmetics of the engine stay as tolerance checks:
+    the edges with x_r = +1 in prior_sums_oracle's order, Q_h = |I_h|^2/half,
+    W_h = Re(conj(I_h) g_i) 2/half. Two older arithmetics of the engine,
+    both with np.einsum's prior sums, stay as tolerance checks:
     arithmetic="a_pm_c" scores A +- C per hypothesis, with b = c - I_h,
     A = P - |b|^2/half and C = Re(conj(b) g_i) 2/half, and "einsum" adds the
     dense lump-mask einsums, P - |b -+ g_i|^2/half scores and the
@@ -220,7 +244,7 @@ def batched_rbp_trial_major_oracle(h, y, sigma2, m, rd1, rd2, iterations,
         if rd and arithmetic == "sums":
             a_sel = alpha.transpose(0, 2, 1)[bb, jj, sets]
             e = a_sel + (c.real[..., None] * g_re + c.imag[..., None] * g_im)
-            s = np.einsum("bjir,hr->bjih", e, xh_pos)
+            s = prior_sums_oracle(e)
             beta = beta + (s - q_plus).max(axis=3)
             beta = beta - (s - q_minus).max(axis=3)
         elif rd:

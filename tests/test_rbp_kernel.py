@@ -6,9 +6,10 @@ both max-marginals over contiguous slabs. Max is exact and every other
 operation keeps its operands and order, so wherever something is lumped, RBP
 and MMSE-RBP soft outputs must equal
 reference_impl.batched_rbp_trial_major_oracle exactly, on every iteration,
-not just to a tolerance. The oracle's two older arithmetics must agree to
-1e-9: per-hypothesis A +- C scores, and the einsum era's dense lump mask,
-unexpanded scores and solve-based cascade prior.
+not just to a tolerance. The oracle's two older arithmetics, both with
+np.einsum's prior sums, must agree to 1e-9: per-hypothesis A +- C scores,
+and the einsum era's dense lump mask, unexpanded scores and solve-based
+cascade prior.
 Where nothing is lumped (R_D = Nbits - 1) the engine runs SBP's step, so RBP
 must equal SBP exactly and MMSE-RBP the SBP mask oracle with the cascade
 prior. The relaxed kernel is still driven directly at that limit: it must
@@ -131,7 +132,7 @@ def test_engine_equals_trial_major_oracle_on_every_iteration(kind, n_tx, n_rx, m
                          ids=["5x5-RBP(4,0)", "6x6-MMSE_RBP(4,1)"])
 @pytest.mark.parametrize("snr_db", [0.0, 12.0])
 def test_engine_equals_trial_major_oracle_with_eight_or_more_edges(n, kind, rd1, rd2, snr_db):
-    """QPSK, R_D = 8 and 9: the prior sums run a block of 8 (and a tail)."""
+    """QPSK, R_D = 8 and 9: the prior sums fold 4 even and 4 odd bits, and 5 and 4."""
     sigma2 = snr_to_noise_variance(snr_db, SystemDims(n, n, 2))
     _assert_bit_identical(kind, n, n, 2, rd1, rd2, sigma2, 4, 32)
 

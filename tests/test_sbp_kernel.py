@@ -3,7 +3,8 @@
 The batched engine computes every bit's two max-marginals by halving the
 joint-configuration axis. Max is exact, so its soft outputs must equal the
 per-bit mask gathers of reference_impl.batched_sbp_mask_oracle exactly, on
-every iteration, not just to a tolerance.
+every iteration, not just to a tolerance. The oracle's earlier prior order,
+np.einsum's, must agree to 1e-9.
 """
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ def _assert_bit_identical(n_tx, n_rx, m, sigma2, iterations, count, batch_index=
     _, h, y = _draw_batch(dims, sigma2, _batch_rng(2011, 8.0, batch_index), count)
     got = _engine_bp(DetectorSpec.sbp(iterations), h, y, sigma2, m, want_iters=True)
     want = batched_sbp_mask_oracle(h, y, sigma2, m, iterations)
-    assert len(got) == len(want) == iterations
-    for depth, (g, w) in enumerate(zip(got, want), start=1):
+    older = batched_sbp_mask_oracle(h, y, sigma2, m, iterations, einsum=True)
+    assert len(got) == len(want) == len(older) == iterations
+    for depth, (g, w, o) in enumerate(zip(got, want, older), start=1):
         assert np.array_equal(g, w), f"iteration {depth}: max diff {np.abs(g - w).max()}"
+        np.testing.assert_allclose(g, o, rtol=1e-9, atol=1e-9)
 
 
 @pytest.mark.parametrize("n_tx,n_rx,m", [
@@ -36,8 +39,8 @@ def test_engine_equals_mask_oracle_on_every_iteration(n_tx, n_rx, m, snr_db):
 
 
 @pytest.mark.parametrize("snr_db", [0.0, 12.0])
-def test_engine_equals_mask_oracle_with_a_block_and_a_tail(snr_db):
-    """5x5 QPSK: 10 bits, so each prior sum runs a block of 8 and a tail of 2."""
+def test_engine_equals_mask_oracle_at_ten_bits(snr_db):
+    """5x5 QPSK: 10 bits, so each prior sum folds 5 even and 5 odd bits."""
     sigma2 = snr_to_noise_variance(snr_db, SystemDims(5, 5, 2))
     _assert_bit_identical(5, 5, 2, sigma2, 4, 32)
 
