@@ -221,9 +221,14 @@ def _prior_sums(terms: np.ndarray, out: np.ndarray,
     t down (no odd bit: +0), and one broadcast add, even + odd, fills out. At
     n <= 4 and n = 8, every width perfbench runs, these are the floats of the
     two-lane einsum reduction this replaced. work, a float buffer of out's
-    size, if given, holds the two tables and is overwritten.
+    size, if given, holds the two tables and is overwritten. At n = 1 those
+    sums are terms[0] + 0.0 (-0 becomes +0) and +0, written directly.
     """
     n, rest = terms.shape[0], terms.shape[1:]
+    if n == 1:
+        np.add(terms[0], 0.0, out=out[0])
+        out[1] = 0.0
+        return out
     width = math.prod(rest)
     if work is None:
         work = np.empty(((1 << (n + 1) // 2) + (1 << n // 2)) * width)

@@ -23,13 +23,23 @@ once per batch and one prior-sum table per iteration. The lump sums come
 from detectors._lump, in ascending bit order, and the MMSE kinds share one
 inverse, detectors._mmse_estimate.
 
-Every batch runs through one worker, _run_batch, which scores iteration
-"taps" on one set of trials (see there). One runner, _run_taps, behind
-run_point and run_convergence, tallies the batches in batch order and stops
-at a batch boundary, which keeps the stopping point deterministic too.
+Sweeps are batch-major. One loop, _run_taps, runs "lanes", each a
+(detector, taps) pair, at one SNR point: batch i is drawn once (in the pool
+worker when workers > 1) and one worker, _run_batch, scores every lane still
+running on it (taps: see there). Within a batch, the MMSE estimate (MMSE,
+MMSE-SIC's first stage, the cascade prior) and the relaxed gains, edge sets
+and lump (relaxed detectors of one (rd1, rd2)) are built once and dropped
+after their last user (_SharedFront). Each lane tallies its batches in batch
+order and stops at a batch boundary, which keeps its stopping point
+deterministic too. run_point is one lane, run_convergence one lane with
+taps, and run_sweep one loop per SNR point on one worker pool. A record's
+wall_seconds is its lane's share of the loop's time: its own _run_batch
+time plus an equal share of each batch's draw and shared front end, so the
+records of a serial sweep sum to its detection time.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -198,26 +208,37 @@ def _engine_ml(h, y, m):
     return hard * LLR_CLAMP
 
 
-def _engine_mmse_prior(h, y, sigma2, m):
+def _mmse_front(h, y, sigma2, front=None):
+    """(s_hat, error variances), both (B, Nt), of a batch's MMSE estimate: the
+    batch's shared one when front (a _SharedFront) is given."""
+    def build():
+        s_hat, k = _mmse_estimate(h, y, sigma2)
+        return s_hat, np.diagonal(k, axis1=1, axis2=2).real.copy()
+
+    return _shared(front, "mmse", build)
+
+
+def _engine_mmse_prior(h, y, sigma2, m, front=None):
     """Per-bit MMSE pseudo-LLRs for a batch, shape (B, Nbits). Unclamped."""
-    s_hat, k = _mmse_estimate(h, y, sigma2)
-    return _mmse_llrs(s_hat, np.diagonal(k, axis1=1, axis2=2).real, m)
+    return _mmse_llrs(*_mmse_front(h, y, sigma2, front), m)
 
 
-def _engine_mmse_sic(h, y, sigma2, m):
+def _engine_mmse_sic(h, y, sigma2, m, front=None):
     """Ordered successive cancellation: best post-MMSE stream first,
     hard-decision re-encode, subtract, re-filter the remainder."""
     b, n_rx, n_tx = h.shape
     n_bits = m * n_tx
     rows = np.arange(b)
     active = np.tile(np.arange(n_tx), (b, 1))
-    y_res = y.copy()
+    y_res = y
     soft = np.empty((b, n_bits))
     for stage in range(n_tx):
         n_rem = n_tx - stage
-        h_act = np.take_along_axis(h, active[:, None, :], axis=2)
-        s_hat, k = _mmse_estimate(h_act, y_res, sigma2)
-        mse = np.diagonal(k, axis1=1, axis2=2).real
+        if stage:
+            h_act = np.take_along_axis(h, active[:, None, :], axis=2)
+            s_hat, mse = _mmse_front(h_act, y_res, sigma2)
+        else:  # the whole H: the estimate the batch's MMSE detectors share
+            s_hat, mse = _mmse_front(h, y, sigma2, front)
         p = np.argmin(mse, axis=1)
         sym = active[rows, p]
         est = s_hat[rows, p]
@@ -240,12 +261,18 @@ def _engine_edge_sets(h, spec: DetectorSpec, m: int) -> np.ndarray:
     return build_edge_sets(h, spec, m)
 
 
-def _cascade_prior(h, y, sigma2, m):
+def _cascade_prior(h, y, sigma2, m, front=None):
     """The MMSE cascade's fixed per-bit prior (B, Nbits), clamped like alpha."""
-    return np.clip(_engine_mmse_prior(h, y, sigma2, m), -LLR_CLAMP, LLR_CLAMP)
+    return np.clip(_engine_mmse_prior(h, y, sigma2, m, front), -LLR_CLAMP, LLR_CLAMP)
 
 
-def _bp_messages(spec: DetectorSpec, h, y, sigma2, m):
+def _relaxed_front(h, spec: DetectorSpec, m: int):
+    """(gains, edge sets, lump) of a relaxed spec's batch; see _bp_messages."""
+    sets = _engine_edge_sets(h, spec, m)
+    return bit_gains(h, m), sets, _lump(sets)
+
+
+def _bp_messages(spec: DetectorSpec, h, y, sigma2, m, front=None):
     """The flooding iterations of SBP, RBP or MMSE-RBP over a batch.
 
     Yields (alpha, beta) after each iteration, alpha (B, Nbits, Nr) and beta
@@ -257,7 +284,9 @@ def _bp_messages(spec: DetectorSpec, h, y, sigma2, m):
     fixed per-bit prior factor: they seed the alphas, remain an additive
     intrinsic term in every alpha update, and shrink the lump variances once
     up front. Where alpha starts at +0 (SBP, RBP), the first iteration takes
-    the alpha sums and the lump mean as +0 instead of computing them.
+    the alpha sums and the lump mean as +0 instead of computing them. With
+    front (a _SharedFront), the cascade's MMSE estimate and the relaxed
+    gains, edge sets and lump are the batch's shared ones.
     """
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be > 0 for message passing")
@@ -265,13 +294,12 @@ def _bp_messages(spec: DetectorSpec, h, y, sigma2, m):
         return
     b, n_rx, n_tx = h.shape
     n_bits = m * n_tx
-    prior = _cascade_prior(h, y, sigma2, m) if spec.kind == "MMSE_RBP" else None
+    prior = _cascade_prior(h, y, sigma2, m, front) if spec.kind == "MMSE_RBP" else None
     if spec.exhaustive(n_tx, m):
         step = _sbp_step(h, y, sigma2, m)
     else:
-        gains = bit_gains(h, m)
-        sets = _engine_edge_sets(h, spec, m)
-        lump = _lump(sets)
+        gains, sets, lump = _shared(front, ("edges", spec.rd1, spec.rd2),
+                                    lambda: _relaxed_front(h, spec, m))
         # a bit's prior variance: 1 - tanh^2 of half its LLR, 1 without a cascade
         bit_var = 1.0 if prior is None else (1.0 - np.tanh(prior / 2.0) ** 2)[:, None, :]
         sigma2_z = np.maximum(lump(np.abs(gains) ** 2 * bit_var), 0.0) + sigma2
@@ -291,7 +319,7 @@ def _bp_messages(spec: DetectorSpec, h, y, sigma2, m):
         yield alpha, beta
 
 
-def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, want_iters=False):
+def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, want_iters=False, front=None):
     """Soft outputs for the BP family over a batch, from _bp_messages.
 
     Returns the final (B, Nbits) soft matrix, or the per-iteration list when
@@ -301,7 +329,7 @@ def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, want_iters=False):
     (tests/test_sbp_kernel.py, tests/test_rbp_kernel.py).
     """
     iters, beta = [], None
-    for _, beta in _bp_messages(spec, h, y, sigma2, m):
+    for _, beta in _bp_messages(spec, h, y, sigma2, m, front):
         if want_iters:
             iters.append(beta.sum(axis=-2))
     if want_iters:
@@ -309,21 +337,61 @@ def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, want_iters=False):
     if beta is not None:
         return beta.sum(axis=-2)
     if spec.kind == "MMSE_RBP":
-        return _cascade_prior(h, y, sigma2, m)
+        return _cascade_prior(h, y, sigma2, m, front)
     return np.zeros((h.shape[0], m * h.shape[2]))
 
 
-def _engine_soft(spec: DetectorSpec, h, y, sigma2, m, want_iters=False):
+def _engine_soft(spec: DetectorSpec, h, y, sigma2, m, want_iters=False, front=None):
     if spec.kind == "ML":
         return _engine_ml(h, y, m)
     if spec.kind == "MMSE":
-        return _engine_mmse_prior(h, y, sigma2, m)
+        return _engine_mmse_prior(h, y, sigma2, m, front)
     if spec.kind == "MMSE_SIC":
-        return _engine_mmse_sic(h, y, sigma2, m)
-    return _engine_bp(spec, h, y, sigma2, m, want_iters=want_iters)
+        return _engine_mmse_sic(h, y, sigma2, m, front)
+    return _engine_bp(spec, h, y, sigma2, m, want_iters=want_iters, front=front)
 
 
 # ---------------- batch workers ----------------
+
+
+class _SharedFront:
+    """The front-end arrays of one batch that several of its detectors use.
+
+    left counts, per key, the detectors of the batch that will ask for it
+    (_front_keys): "mmse" for the MMSE estimate, ("edges", rd1, rd2) for the
+    relaxed gains, edge sets and lump. The first to ask builds the value and
+    keeps it while another will ask; the last takes it out, so nothing
+    outlives its last user. built_s times the kept builds.
+    """
+
+    def __init__(self, keys):
+        self.left = collections.Counter(keys)
+        self.kept: dict = {}
+        self.built_s = 0.0
+
+    def get(self, key, build):
+        self.left[key] -= 1
+        last = self.left[key] <= 0
+        if key in self.kept:
+            return self.kept.pop(key) if last else self.kept[key]
+        if last:
+            return build()
+        start = time.perf_counter()
+        value = self.kept[key] = build()
+        self.built_s += time.perf_counter() - start
+        return value
+
+
+def _shared(front: _SharedFront | None, key, build):
+    return build() if front is None else front.get(key, build)
+
+
+def _front_keys(spec: DetectorSpec, n_tx: int, m: int) -> list:
+    """The _SharedFront keys one batch of spec asks for."""
+    keys = ["mmse"] if spec.kind in ("MMSE", "MMSE_SIC", "MMSE_RBP") else []
+    if spec.relaxed and spec.iterations and not spec.exhaustive(n_tx, m):
+        keys.append(("edges", spec.rd1, spec.rd2))
+    return keys
 
 
 def _ami_sum(soft: np.ndarray, bits: np.ndarray) -> float:
@@ -338,10 +406,9 @@ def _count_errors(soft: np.ndarray, bits: np.ndarray) -> int:
     return int(np.count_nonzero(np.where(soft >= 0.0, 1, -1) != bits))
 
 
-def _run_batch(dims: SystemDims, spec: DetectorSpec, snr_db: float, sigma2: float,
-               master_seed: int, batch_index: int, count: int, want_ami: bool,
-               taps: tuple):
-    """(bits, errors per tap, ami sum per tap) over one batch of trials.
+def _run_batch(spec: DetectorSpec, bits, h, y, sigma2: float, m: int, want_ami: bool,
+               taps: tuple, front: _SharedFront | None = None):
+    """(bits, errors per tap, ami sum per tap) of spec on one drawn batch.
 
     A tap is a point of the detector's output that gets scored. The empty
     tuple () is the single tap of a plain point: the detector's own soft
@@ -349,14 +416,11 @@ def _run_batch(dims: SystemDims, spec: DetectorSpec, snr_db: float, sigma2: floa
     l scores entry l-1 of one want_iters engine call, which equals a run
     with iterations = l.
     """
-    rng = _batch_rng(master_seed, snr_db, batch_index)
-    bits, h, y = _draw_batch(dims, sigma2, rng, count)
-    m = dims.bits_per_symbol
     if taps:
-        iters = _engine_soft(spec, h, y, sigma2, m, want_iters=True)
+        iters = _engine_soft(spec, h, y, sigma2, m, want_iters=True, front=front)
         outputs = [iters[l - 1] for l in taps]
     else:
-        outputs = [_engine_soft(spec, h, y, sigma2, m)]
+        outputs = [_engine_soft(spec, h, y, sigma2, m, front=front)]
     errors = [_count_errors(soft, bits) for soft in outputs]
     amis = [_ami_sum(soft, bits) if want_ami else 0.0 for soft in outputs]
     return bits.size, errors, amis
@@ -366,75 +430,144 @@ def _run_batch(dims: SystemDims, spec: DetectorSpec, snr_db: float, sigma2: floa
 _run_batch_multi_l = _run_batch
 
 
+def _run_lanes_on_batch(dims: SystemDims, snr_db: float, sigma2: float, master_seed: int,
+                        batch_index: int, want_ami: bool, lanes: list):
+    """Draw one batch and run _run_batch on it for every lane (spec, taps).
+
+    Returns, per lane, _run_batch's result or the exception it raised, and
+    its cost in seconds: its own _run_batch time, less the shared front-end
+    builds it made, plus an equal share of the draw and those builds. The
+    costs sum to this call's time. This is the task a pool worker runs.
+    """
+    start = time.perf_counter()
+    bits, h, y = _draw_batch(dims, sigma2, _batch_rng(master_seed, snr_db, batch_index),
+                             BATCH_TRIALS)
+    m = dims.bits_per_symbol
+    front = _SharedFront(key for spec, _ in lanes for key in _front_keys(spec, dims.n_tx, m))
+    outcomes, own = [], []
+    for spec, taps in lanes:
+        begin, built = time.perf_counter(), front.built_s
+        try:
+            outcomes.append(_run_batch(spec, bits, h, y, sigma2, m, want_ami, taps, front))
+        except Exception as exc:  # one detector's failure leaves the others running
+            outcomes.append(exc)
+        own.append(time.perf_counter() - begin - (front.built_s - built))
+    share = (time.perf_counter() - start - sum(own)) / len(lanes)
+    return outcomes, [t + share for t in own]
+
+
 # ---------------- points, sweeps, convergence ----------------
 
 
-def _batch_results(task_args, workers: int):
-    """Yield _run_batch(*task_args(i)) for batches i = 0, 1, 2, ... in order.
+@dataclasses.dataclass
+class _Lane:
+    """One (spec, taps) point of the batch-major loop: its tallies, in batch
+    order, and whether and why it stopped."""
 
-    With workers > 1, up to 2 x workers batches run speculatively in a
-    process pool but are still yielded in batch order, so the consumer sees
-    exactly the serial results. Closing the generator cancels the batches
-    still pending.
-    """
-    indices = itertools.count()
-    if workers <= 1:
-        for index in indices:
-            yield _run_batch(*task_args(index))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = []
-        try:
-            while True:
-                while len(pending) < 2 * workers:
-                    pending.append(pool.submit(_run_batch, *task_args(next(indices))))
-                yield pending.pop(0).result()
-        finally:
-            for fut in pending:
-                fut.cancel()
+    spec: DetectorSpec
+    taps: tuple
+    bits: int = 0
+    wall: float = 0.0
+    running: bool = True
+    exhausted: bool = False      # stopped on bits_max before the stop rule was met
+    failure: Exception | None = None
+    depths: tuple = dataclasses.field(init=False)
+    errors: list = dataclasses.field(init=False)
+    amis: list = dataclasses.field(init=False)
+
+    def __post_init__(self) -> None:
+        self.depths = self.taps or (self.spec.iterations,)
+        self.errors = [0] * len(self.depths)
+        self.amis = [0.0] * len(self.depths)
+
+    def add(self, outcome, cfg: SweepConfig) -> None:
+        """Tally one batch's _run_batch outcome and apply the stop rule."""
+        if isinstance(outcome, Exception):
+            self.failure, self.running = outcome, False
+            return
+        bits, errors, amis = outcome
+        self.bits += bits
+        self.errors = [a + b for a, b in zip(self.errors, errors)]
+        self.amis = [a + b for a, b in zip(self.amis, amis)]
+        met = (min(self.errors) >= cfg.errors_target
+               and self.bits // cfg.dims.n_bits >= cfg.trials_min)
+        if met or self.bits >= cfg.bits_max:
+            self.running, self.exhausted = False, not met
+
+    def records(self, cfg: SweepConfig, snr_db: float) -> list[SweepRecord]:
+        spec = self.spec
+        rd1, rd2 = (spec.rd1, spec.rd2) if spec.relaxed else (None, None)
+        records = []
+        for depth, err, ami in zip(self.depths, self.errors, self.amis):
+            acc = BerAccumulator(self.bits, err)
+            lo, hi = acc.wilson_interval()
+            records.append(SweepRecord(
+                detector=spec.label, rd1=rd1, rd2=rd2, iterations=depth,
+                snr_db=float(snr_db), bits=self.bits, errors=err, ber=acc.ber,
+                ber_ci_low=lo, ber_ci_high=hi, wall_seconds=self.wall,
+                ami=(ami / self.bits) if cfg.record_ami else None,
+                budget_exhausted=self.exhausted))
+        return records
 
 
-def _run_taps(cfg: SweepConfig, spec: DetectorSpec, snr_db: float, taps: tuple,
-              workers: int) -> list[SweepRecord]:
-    """One record per tap (see _run_batch), all scored on shared trials.
+def _pool(workers: int):
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
 
-    Stops at the first batch boundary where every tap has errors_target
+
+def _run_taps(cfg: SweepConfig, snr_db: float, lanes: list, workers: int = 1,
+              pool: ProcessPoolExecutor | None = None) -> list:
+    """Every lane (spec, taps) at one SNR point, batch-major: per lane, its
+    records (one per tap, see _run_batch) or the exception that ended it.
+
+    Batch i is drawn once and runs every lane still running; each lane
+    stops at the first batch boundary where every tap has errors_target
     errors and trials_min trials have run, or where bits_max bits have.
+    With a pool, up to 2 x workers batches run ahead, each for the lanes
+    running when it was submitted, and are tallied in batch order, so every
+    lane sees exactly the serial results. A lane's wall_seconds is its share
+    of the loop's time, in proportion to its costs in the batches it used
+    (_run_lanes_on_batch); the lanes' shares sum to the loop's time.
     """
-    dims = cfg.dims
-    sigma2 = snr_to_noise_variance(snr_db, dims)
-    depths = taps or (spec.iterations,)
-    bits = trials = 0
-    errors = [0] * len(depths)
-    amis = [0.0] * len(depths)
+    sigma2 = snr_to_noise_variance(snr_db, cfg.dims)
+    tally = [_Lane(spec, taps) for spec, taps in lanes]
 
-    def task_args(index: int):
-        return (dims, spec, snr_db, sigma2, cfg.master_seed, index,
-                BATCH_TRIALS, cfg.record_ami, taps)
+    def submit(index: int):
+        running = [lane for lane in tally if lane.running]
+        args = (cfg.dims, snr_db, sigma2, cfg.master_seed, index, cfg.record_ami,
+                [(lane.spec, lane.taps) for lane in running])
+        return running, (pool.submit(_run_lanes_on_batch, *args) if pool
+                         else _run_lanes_on_batch(*args))
 
-    start = time.perf_counter()
-    with contextlib.closing(_batch_results(task_args, workers)) as batches:
-        for total, batch_errors, batch_amis in batches:
-            bits += total
-            trials += total // dims.n_bits
-            errors = [a + b for a, b in zip(errors, batch_errors)]
-            amis = [a + b for a, b in zip(amis, batch_amis)]
-            hit_target = min(errors) >= cfg.errors_target and trials >= cfg.trials_min
-            if hit_target or bits >= cfg.bits_max:
-                break
-    wall = time.perf_counter() - start
+    pending: collections.deque = collections.deque()
+    indices = itertools.count()
+    last = time.perf_counter()
+    try:
+        while any(lane.running for lane in tally):
+            while len(pending) < (2 * workers if pool else 1):
+                pending.append(submit(next(indices)))
+            running, result = pending.popleft()
+            outcomes, costs = result.result() if pool else result
+            # lanes that stopped at an earlier batch skip this one
+            live = [k for k, lane in enumerate(running) if lane.running]
+            now = time.perf_counter()
+            scale = (now - last) / sum(costs[k] for k in live)
+            last = now
+            for k in live:
+                running[k].wall += costs[k] * scale
+                running[k].add(outcomes[k], cfg)
+    finally:  # batches run ahead for lanes that have stopped since
+        for _, future in pending:
+            future.cancel()
+    return [lane.failure or lane.records(cfg, snr_db) for lane in tally]
 
-    rd1, rd2 = (spec.rd1, spec.rd2) if spec.relaxed else (None, None)
-    records = []
-    for depth, err, ami in zip(depths, errors, amis):
-        acc = BerAccumulator(bits, err)
-        lo, hi = acc.wilson_interval()
-        records.append(SweepRecord(
-            detector=spec.label, rd1=rd1, rd2=rd2, iterations=depth,
-            snr_db=float(snr_db), bits=bits, errors=err, ber=acc.ber,
-            ber_ci_low=lo, ber_ci_high=hi, wall_seconds=wall,
-            ami=(ami / bits) if cfg.record_ami else None,
-            budget_exhausted=err < cfg.errors_target))
-    return records
+
+def _run_alone(cfg: SweepConfig, spec: DetectorSpec, snr_db: float, taps: tuple,
+               workers: int) -> list[SweepRecord]:
+    with _pool(workers) as pool:
+        [outcome] = _run_taps(cfg, snr_db, [(spec, taps)], workers, pool)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def run_point(cfg: SweepConfig, detector: DetectorSpec, snr_db: float,
@@ -446,7 +579,7 @@ def run_point(cfg: SweepConfig, detector: DetectorSpec, snr_db: float,
     Deterministic given (master_seed, detector, snr_db) for any worker
     count.
     """
-    return _run_taps(cfg, detector, snr_db, (), workers)[0]
+    return _run_alone(cfg, detector, snr_db, (), workers)[0]
 
 
 def run_convergence(cfg: SweepConfig, detector: DetectorSpec, snr_db: float,
@@ -463,30 +596,37 @@ def run_convergence(cfg: SweepConfig, detector: DetectorSpec, snr_db: float,
     if not l_values or l_values[0] < 1:
         raise ValueError("iteration counts must be >= 1")
     deep = dataclasses.replace(detector, iterations=max(l_values))
-    return _run_taps(cfg, deep, snr_db, l_values, workers)
+    return _run_alone(cfg, deep, snr_db, l_values, workers)
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1, progress: bool = False) -> list[SweepRecord]:
     """Every detector at every SNR point; records sorted by (detector, snr).
 
-    A failing point is reported on stderr and skipped; the rest of the sweep
-    still runs.
+    The SNR points run in ascending order, each as one batch-major loop over
+    every detector (_run_taps), all on one worker pool. A failing point is
+    reported on stderr and skipped; the rest of the sweep still runs.
+    Progress lines arrive SNR point by SNR point.
     """
-    records: list[SweepRecord] = []
-    for detector in cfg.detectors:
+    lanes = [(spec, ()) for spec in cfg.detectors]
+    rows: list[list[SweepRecord]] = [[] for _ in lanes]
+    with _pool(workers) as pool:
         for snr_db in sorted(cfg.snr_points_db):
             try:
-                rec = run_point(cfg, detector, snr_db, workers=workers)
-            except Exception as exc:  # keep going; a sweep is many points
-                print(f"[mimobp] point failed: {detector.name} @ {snr_db} dB: {exc}",
-                      file=sys.stderr)
-                continue
-            records.append(rec)
-            if progress:
-                print(f"[mimobp] {detector.name} L={rec.iterations} snr={rec.snr_db:g} dB  "
-                      f"ber={rec.ber:.3e}  errors={rec.errors}  bits={rec.bits}",
-                      file=sys.stderr)
-    return records
+                outcomes = _run_taps(cfg, snr_db, lanes, workers, pool)
+            except Exception as exc:  # outside any detector (a broken pool): all failed
+                outcomes = [exc] * len(lanes)
+            for (detector, _), row, outcome in zip(lanes, rows, outcomes):
+                if isinstance(outcome, Exception):  # keep going; a sweep is many points
+                    print(f"[mimobp] point failed: {detector.name} @ {snr_db} dB: {outcome}",
+                          file=sys.stderr)
+                    continue
+                rec = outcome[0]
+                row.append(rec)
+                if progress:
+                    print(f"[mimobp] {detector.name} L={rec.iterations} snr={rec.snr_db:g} dB  "
+                          f"ber={rec.ber:.3e}  errors={rec.errors}  bits={rec.bits}",
+                          file=sys.stderr)
+    return [rec for row in rows for rec in row]
 
 
 # ---------------- CSV ----------------

@@ -257,8 +257,9 @@ def test_relaxed_batch_builds_no_dense_lump_mask():
     mask_bytes = BATCH_TRIALS * 32 * 32 * 32 * 8
     tracemalloc.start()
     try:
-        _run_batch(dims, spec, 8.0, snr_to_noise_variance(8.0, dims), 2011, 0,
-                   BATCH_TRIALS, False, ())
+        sigma2 = snr_to_noise_variance(8.0, dims)
+        bits, h, y = _draw_batch(dims, sigma2, _batch_rng(2011, 8.0, 0), BATCH_TRIALS)
+        _run_batch(spec, bits, h, y, sigma2, 1, False, ())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,5 +1,6 @@
 """Monte Carlo harness: determinism, pairing, stopping, CSV round-trips."""
 import dataclasses
+import time
 import tracemalloc
 
 import numpy as np
@@ -137,8 +138,9 @@ class TestConfigValidation:
         admitted = _batch_bytes(spec, dims)[0]
         tracemalloc.start()
         try:
-            _run_batch(dims, spec, 8.0, snr_to_noise_variance(8.0, dims), 99, 0,
-                       BATCH_TRIALS, False, ())
+            sigma2 = snr_to_noise_variance(8.0, dims)
+            bits, h, y = _draw_batch(dims, sigma2, _batch_rng(99, 8.0, 0), BATCH_TRIALS)
+            _run_batch(spec, bits, h, y, sigma2, m, False, ())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -251,6 +253,23 @@ class TestRunPoint:
         assert rec.bits == budget
         assert rec.budget_exhausted
 
+    def test_budget_flag_follows_the_stop_rule_not_the_error_count(self):
+        """The errors target is met in the first batch, but trials_min lies past
+        the bit budget: the point stops on bits_max before its rule is met."""
+        budget = 2 * BATCH_TRIALS * 2
+        cfg = _cfg(errors_target=1, trials_min=10 * BATCH_TRIALS, bits_max=budget)
+        rec = run_point(cfg, cfg.detectors[0], 4.0)
+        assert rec.errors >= cfg.errors_target
+        assert rec.bits == budget
+        assert rec.budget_exhausted
+        met = run_point(dataclasses.replace(cfg, trials_min=2 * BATCH_TRIALS),
+                        cfg.detectors[0], 4.0)
+        assert met.bits == budget
+        assert not met.budget_exhausted
+        conv = run_convergence(dataclasses.replace(cfg, detectors=(DetectorSpec.sbp(),)),
+                               DetectorSpec.sbp(), 4.0, [1, 2])
+        assert all(r.budget_exhausted and r.errors >= 1 for r in conv)
+
     def test_trials_min_forces_extra_batches(self):
         cfg_fast = _cfg(errors_target=1, trials_min=1)
         cfg_long = _cfg(errors_target=1, trials_min=3 * BATCH_TRIALS)
@@ -323,8 +342,8 @@ class TestNonFiniteOutputs:
     def broken_engine(self, request, monkeypatch):
         real = simulator._engine_soft
 
-        def engine(spec, h, y, sigma2, m, want_iters=False):
-            out = real(spec, h, y, sigma2, m, want_iters=want_iters)
+        def engine(spec, h, y, sigma2, m, want_iters=False, front=None):
+            out = real(spec, h, y, sigma2, m, want_iters=want_iters, front=front)
             last = out[-1] if want_iters else out
             last[3, 0] = request.param
             return out
@@ -382,6 +401,83 @@ class TestRunSweep:
         records = run_sweep(cfg)
         assert [r.detector for r in records] == ["MMSE"]
         assert "point failed" in capsys.readouterr().err
+
+
+def _lane_cfg(**kw):
+    """Detectors that share the MMSE estimate (MMSE, MMSE-SIC, MMSE-RBP) and
+    the edge sets (RBP(1,0), MMSE-RBP(1,0)), with an errors target some
+    points meet in one batch and others never do before the bit budget."""
+    specs = (DetectorSpec.ml(), DetectorSpec.mmse(), DetectorSpec.mmse_sic(),
+             DetectorSpec.rbp(1, 0, 2), DetectorSpec.mmse_rbp(1, 0, 2),
+             DetectorSpec.mmse_rbp(0, 0, 2))
+    defaults = dict(snr_points_db=(8.0, 0.0), errors_target=150,
+                    bits_max=5 * BATCH_TRIALS * 4, master_seed=29, record_ami=True)
+    defaults.update(kw)
+    return _cfg(n_tx=4, n_rx=4, detectors=specs, **defaults)
+
+
+def _row(rec):
+    return rec.detector, rec.rd1, rec.rd2, rec.snr_db, rec.bits, rec.errors, rec.ami
+
+
+class TestBatchMajorSweep:
+    """run_sweep draws each (SNR, batch) once and runs every detector on it;
+    each row is still the row its detector gives alone."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_equal_points_run_alone(self, workers):
+        cfg = _lane_cfg()
+        start = time.perf_counter()
+        records = run_sweep(cfg, workers=workers)
+        elapsed = time.perf_counter() - start
+        alone = [run_point(cfg, spec, snr) for spec in cfg.detectors
+                 for snr in sorted(cfg.snr_points_db)]
+        assert [_row(r) for r in records] == [_row(r) for r in alone]
+        assert [r.budget_exhausted for r in records] == [r.budget_exhausted for r in alone]
+        at_8db = [r for r in records if r.snr_db == 8.0]
+        assert len({r.bits for r in at_8db}) > 1                 # lanes stop at different batches
+        assert any(r.budget_exhausted for r in at_8db)
+        assert not all(r.budget_exhausted for r in at_8db)
+        assert all(r.wall_seconds > 0.0 for r in records)
+        assert sum(r.wall_seconds for r in records) <= elapsed
+
+    def test_qpsk_rows_equal_points_run_alone(self):
+        """At QPSK the shared relaxed gains are an array of their own, not H."""
+        cfg = dataclasses.replace(_lane_cfg(), dims=SystemDims(4, 4, 2))
+        alone = [run_point(cfg, spec, snr) for spec in cfg.detectors
+                 for snr in sorted(cfg.snr_points_db)]
+        assert [_row(r) for r in run_sweep(cfg)] == [_row(r) for r in alone]
+
+    def test_a_detector_failing_mid_point_leaves_the_other_rows(self, monkeypatch, capsys):
+        cfg = _lane_cfg(trials_min=2 * BATCH_TRIALS)   # every point runs at least 2 batches
+        alone = [run_point(cfg, spec, snr) for spec in cfg.detectors
+                 for snr in sorted(cfg.snr_points_db)]
+        real = simulator._engine_soft
+        calls = []
+
+        def engine(spec, *args, **kwargs):
+            if spec.kind == "MMSE_SIC":
+                calls.append(spec)
+                if len(calls) == 2:   # its second batch at 0 dB
+                    raise MemoryError("no room")
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_engine_soft", engine)
+        records = run_sweep(cfg, progress=True)
+        want = [r for r in alone if not (r.detector == "MMSE-SIC" and r.snr_db == 0.0)]
+        assert [_row(r) for r in records] == [_row(r) for r in want]
+        err = capsys.readouterr().err
+        assert "[mimobp] point failed: MMSE-SIC @ 0.0 dB: no room" in err
+        assert "[mimobp] MMSE-SIC L=0 snr=8 dB" in err
+
+    def test_record_times_sum_to_the_sweep_time(self):
+        """A serial sweep's rows share out its detection time."""
+        cfg = _lane_cfg(snr_points_db=(0.0,), bits_max=3 * BATCH_TRIALS * 4)
+        start = time.perf_counter()
+        records = run_sweep(cfg)
+        elapsed = time.perf_counter() - start
+        total = sum(r.wall_seconds for r in records)
+        assert 0.9 * elapsed < total <= elapsed
 
 
 _SPECS = {"SBP": DetectorSpec.sbp(), "RBP(1,0)": DetectorSpec.rbp(1, 0),
