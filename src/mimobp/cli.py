@@ -233,9 +233,9 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
 
 def _cmd_complexity(args: argparse.Namespace) -> int:
     settings = _resolve(args, "complexity")
-    rd1 = args.rd1 if args.rd1 is not None else 1
-    rd2 = args.rd2 if args.rd2 is not None else 0
     nt, nr, m, l = settings["nt"], settings["nr"], settings["m"], settings["l"]
+    rd1 = args.rd1 if args.rd1 is not None else min(1, nt - 1)
+    rd2 = args.rd2 if args.rd2 is not None else 0
     print(f"# per-vector operation counts at Nt={nt} Nr={nr} M={m} L={l}")
     rows = [
         ("ML", complexity_counts("ML", nt, nr, m, l)),

@@ -53,9 +53,8 @@ from .errors import DimensionTooLargeError, LengthMismatchError
 # an LLR is converted to a probability-domain quantity).
 LLR_CLAMP = 30.0
 
-# Exhaustive enumeration guards.
-MAX_ENUM_BITS = 24      # joint configurations for ML / standard BP
-MAX_RELAX_EDGES = 20    # explicit edges per message for relaxed BP
+# Largest working set one detector call may allocate; _table_bytes applies it.
+MAX_BATCH_BYTES = 1 << 30
 
 _KINDS = ("ML", "MMSE", "MMSE_SIC", "SBP", "RBP", "MMSE_RBP")
 
@@ -162,17 +161,46 @@ def _config_table(m: int, n_tx: int) -> _ConfigTable:
     from .channel import modulate
 
     n_bits = m * n_tx
-    if n_bits > MAX_ENUM_BITS:
-        raise DimensionTooLargeError(
-            f"{n_bits} bits means 2^{n_bits} joint configurations; "
-            f"the exhaustive path supports at most {MAX_ENUM_BITS}"
-        )
     count = 1 << n_bits
     cc = np.arange(count, dtype=np.int64)[:, None]
     tt = np.arange(n_bits, dtype=np.int64)[None, :]
     bits = (1 - 2 * ((cc >> tt) & 1)).astype(np.int8)
     symbols = modulate(bits.astype(np.float64), m)
     return _ConfigTable(bits, symbols)
+
+
+def _table_bytes(name: str, power: int, rest: tuple) -> int:
+    """Bytes of one call that enumerates a (2^power, *rest) table, checked
+    before anything is built: DimensionTooLargeError past MAX_BATCH_BYTES.
+
+    rest is (B, Nr) where every bit is enumerated jointly (power = Nbits),
+    else (B, Nr, Nbits) with power = R_D. An upper bound on the call's
+    tracemalloc peak, fitted: 24 bytes per entry of the joint table, 32 of
+    the relaxed one, 26 power bytes per row of its _config_table (which
+    dominates at B = 1), 128 + 48 R_D per message (B, Nr, Nbits) and 1 MiB.
+    """
+    relaxed = len(rest) == 3
+    row = (32 if relaxed else 24) * math.prod(rest) + 26 * power   # per configuration
+    messages = rest[0] * rest[1] * (rest[2] if relaxed else power)
+    need = (row << power) + messages * (128 + 48 * power * relaxed) + (1 << 20)
+    if need > MAX_BATCH_BYTES:
+        raise DimensionTooLargeError(
+            f"{name}: 2^{power} {'explicit-edge hypotheses' if relaxed else 'configurations'}, "
+            f"{need / 2**30:.1f} GiB per call; at most {MAX_BATCH_BYTES >> 30} GiB")
+    return need
+
+
+def _spec_bytes(spec: DetectorSpec, n_tx: int, n_rx: int, m: int, trials: int) -> int:
+    """_table_bytes of spec on a batch of trials, after checking rd1: SBP's
+    table where nothing is lumped (spec.exhaustive), else the relaxed one.
+    The MMSE kinds enumerate nothing and are not sized (0)."""
+    if spec.relaxed and not 0 <= spec.rd1 < n_tx:
+        raise ValueError(f"{spec.name}: rd1 must be in 0..{n_tx - 1}")
+    if spec.exhaustive(n_tx, m):
+        return _table_bytes(spec.name, m * n_tx, (trials, n_rx))
+    if spec.relaxed:
+        return _table_bytes(spec.name, spec.relax_degree(m), (trials, n_rx, m * n_tx))
+    return 0
 
 
 def _config_products(g: np.ndarray, symbols: np.ndarray) -> np.ndarray:
@@ -334,6 +362,8 @@ def sbp_beta_update(alpha: np.ndarray, h: np.ndarray, y: np.ndarray,
     """
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be > 0")
+    n_rx, n_tx = np.shape(h)
+    _table_bytes("SBP", m * n_tx, (1, n_rx))
     step = _sbp_step(np.asarray(h, dtype=np.complex128)[None],
                      np.asarray(y, dtype=np.complex128)[None], sigma2, m)
     return step(np.asarray(alpha, dtype=np.float64)[None])[0]
@@ -459,9 +489,6 @@ def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray
     there is no hypothesis term. fresh says alpha is +0, not gathered.
     """
     b, n_rx, n_bits, rd = edge_sets.shape
-    if rd > MAX_RELAX_EDGES:
-        raise DimensionTooLargeError(f"{rd} explicit edges means 2^{rd + 1} hypotheses per "
-                                     f"message; at most {MAX_RELAX_EDGES} supported")
     y, scale, half = y[:, :, None], 2.0 / sigma2_z, 2.0 * sigma2_z
     if rd:
         # edge-major (R_D, B, Nr, Nbits) positions of (b, j, sets) in (B, Nr, Nbits)
@@ -508,6 +535,8 @@ def rbp_beta_update(alpha: np.ndarray, gains: np.ndarray, edge_sets: np.ndarray,
     _relaxed_step on a batch of one. Without explicit edges the enumeration
     is the matched filter, so use_closed_form changes nothing.
     """
+    n_rx, n_bits, rd = edge_sets.shape
+    _table_bytes("RBP", rd, (1, n_rx, n_bits))
     step = _relaxed_step(gains[None], edge_sets[None], sigma2_z[None], y[None])
     return step(alpha[None], u[None])[0]
 
@@ -548,6 +577,7 @@ def message_history(spec: DetectorSpec, h: np.ndarray, y: np.ndarray,
 
     h = np.asarray(h, dtype=np.complex128)[None]
     y = np.asarray(y, dtype=np.complex128)[None]
+    _spec_bytes(spec, h.shape[2], h.shape[1], m, 1)
     return [MessageState(alpha[0], beta[0])
             for alpha, beta in _bp_messages(spec, h, y, sigma2, m)]
 
@@ -570,6 +600,7 @@ def detect(spec: DetectorSpec, h: np.ndarray, y: np.ndarray, sigma2: float,
     if y.shape != (h.shape[0],):
         raise LengthMismatchError(
             f"y has shape {y.shape}, expected ({h.shape[0]},)")
+    _spec_bytes(spec, h.shape[1], h.shape[0], m, 1)
     one = (spec, h[None], y[None], sigma2, m)
     per = None
     if record_iterations and spec.iterative:

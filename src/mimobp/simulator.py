@@ -28,14 +28,14 @@ Sweeps are batch-major. One loop, _run_taps, runs "lanes", each a
 worker when workers > 1) and one worker, _run_batch, scores every lane still
 running on it (taps: see there). Within a batch, the MMSE estimate (MMSE,
 MMSE-SIC's first stage, the cascade prior) and the relaxed gains, edge sets
-and lump (relaxed detectors of one (rd1, rd2)) are built once and dropped
-after their last user (_SharedFront). Each lane tallies its batches in batch
-order and stops at a batch boundary, which keeps its stopping point
-deterministic too. run_point is one lane, run_convergence one lane with
-taps, and run_sweep one loop per SNR point on one worker pool. A record's
-wall_seconds is its lane's share of the loop's time: its own _run_batch
-time plus an equal share of each batch's draw and shared front end, so the
-records of a serial sweep sum to its detection time.
+and lump (relaxed detectors of one (rd1, rd2)) are built by the first lane
+that asks and kept in the batch's dict (_shared). Each lane tallies its
+batches in batch order and stops at a batch boundary, which keeps its
+stopping point deterministic too. run_point is one lane, run_convergence
+one lane with taps, and run_sweep one loop per SNR point on one worker
+pool. A record's wall_seconds is its lane's share of the loop's time, in
+proportion to its own _run_batch time (the first user pays for a shared
+build), so the records of a serial sweep sum to its detection time.
 """
 from __future__ import annotations
 
@@ -63,19 +63,17 @@ from .detectors import (
     _relaxed_step,
     _residual_power,
     _sbp_step,
+    _spec_bytes,
     alpha_update,
     bit_gains,
     build_edge_sets,
 )
-from .errors import DimensionTooLargeError, IoFailure
+from .errors import IoFailure
 from .metrics import BerAccumulator, ami_sum
 
 # Trials per batch; fixed so batch boundaries (and therefore stopping points
 # and RNG streams) do not depend on worker count.
 BATCH_TRIALS = 512
-
-# Largest working set one batch may allocate; SweepConfig sizes each spec's.
-MAX_BATCH_BYTES = 1 << 30
 
 CSV_FIELDS = (
     "detector", "rd1", "rd2", "iterations", "snr_db", "bits", "errors",
@@ -113,32 +111,9 @@ class SweepConfig:
             raise ValueError("need at least one detector")
         if self.errors_target < 1 or self.bits_max < 1 or self.trials_min < 1:
             raise ValueError("stopping budgets must be >= 1")
+        dims = self.dims
         for spec in self.detectors:  # fail at the start, not once per SNR point
-            if spec.relaxed and not 0 <= spec.rd1 < self.dims.n_tx:
-                raise ValueError(f"{spec.name}: rd1 must be in 0..{self.dims.n_tx - 1}")
-            need, table = _batch_bytes(spec, self.dims)
-            if need > MAX_BATCH_BYTES:
-                raise DimensionTooLargeError(f"{spec.name}: {table}, {need / 2**30:.1f} GiB per "
-                                             f"batch; at most {MAX_BATCH_BYTES >> 30} GiB")
-
-
-def _batch_bytes(spec: DetectorSpec, dims: SystemDims) -> tuple[int, str]:
-    """(bytes, table) of one batch: an upper bound on its allocation peak, and
-    the table it enumerates, (2^Nbits, B, Nr) where nothing is lumped, else
-    (2^R_D, B, Nr, Nbits). Fitted to tracemalloc peaks: 24 bytes per entry
-    of SBP's table, 32 of the relaxed one, 128 + 48 R_D per message (B, Nr,
-    Nbits) and 1 MiB. The MMSE kinds build no table and are not sized (0)."""
-    n_tx, n_rx, m = dims.n_tx, dims.n_rx, dims.bits_per_symbol
-    messages = BATCH_TRIALS * n_rx * m * n_tx
-    if spec.exhaustive(n_tx, m):
-        power, entry, edges, what = m * n_tx, 24 * BATCH_TRIALS * n_rx, 0, "configurations"
-    elif spec.relaxed:
-        edges = spec.relax_degree(m)
-        power, entry, what = edges, 32 * messages, "explicit-edge hypotheses"
-    else:
-        return 0, ""
-    need = (entry << power) + messages * (128 + 48 * edges) + (1 << 20)
-    return need, f"2^{power} {what}"
+            _spec_bytes(spec, dims.n_tx, dims.n_rx, dims.bits_per_symbol, BATCH_TRIALS)
 
 
 @dataclasses.dataclass
@@ -210,7 +185,7 @@ def _engine_ml(h, y, m):
 
 def _mmse_front(h, y, sigma2, front=None):
     """(s_hat, error variances), both (B, Nt), of a batch's MMSE estimate: the
-    batch's shared one when front (a _SharedFront) is given."""
+    batch's shared one when front (its dict, see _shared) is given."""
     def build():
         s_hat, k = _mmse_estimate(h, y, sigma2)
         return s_hat, np.diagonal(k, axis1=1, axis2=2).real.copy()
@@ -285,8 +260,8 @@ def _bp_messages(spec: DetectorSpec, h, y, sigma2, m, front=None):
     intrinsic term in every alpha update, and shrink the lump variances once
     up front. Where alpha starts at +0 (SBP, RBP), the first iteration takes
     the alpha sums and the lump mean as +0 instead of computing them. With
-    front (a _SharedFront), the cascade's MMSE estimate and the relaxed
-    gains, edge sets and lump are the batch's shared ones.
+    front (the batch's dict, see _shared), the cascade's MMSE estimate and
+    the relaxed gains, edge sets and lump are the batch's shared ones.
     """
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be > 0 for message passing")
@@ -354,44 +329,14 @@ def _engine_soft(spec: DetectorSpec, h, y, sigma2, m, want_iters=False, front=No
 # ---------------- batch workers ----------------
 
 
-class _SharedFront:
-    """The front-end arrays of one batch that several of its detectors use.
-
-    left counts, per key, the detectors of the batch that will ask for it
-    (_front_keys): "mmse" for the MMSE estimate, ("edges", rd1, rd2) for the
-    relaxed gains, edge sets and lump. The first to ask builds the value and
-    keeps it while another will ask; the last takes it out, so nothing
-    outlives its last user. built_s times the kept builds.
-    """
-
-    def __init__(self, keys):
-        self.left = collections.Counter(keys)
-        self.kept: dict = {}
-        self.built_s = 0.0
-
-    def get(self, key, build):
-        self.left[key] -= 1
-        last = self.left[key] <= 0
-        if key in self.kept:
-            return self.kept.pop(key) if last else self.kept[key]
-        if last:
-            return build()
-        start = time.perf_counter()
-        value = self.kept[key] = build()
-        self.built_s += time.perf_counter() - start
-        return value
-
-
-def _shared(front: _SharedFront | None, key, build):
-    return build() if front is None else front.get(key, build)
-
-
-def _front_keys(spec: DetectorSpec, n_tx: int, m: int) -> list:
-    """The _SharedFront keys one batch of spec asks for."""
-    keys = ["mmse"] if spec.kind in ("MMSE", "MMSE_SIC", "MMSE_RBP") else []
-    if spec.relaxed and spec.iterations and not spec.exhaustive(n_tx, m):
-        keys.append(("edges", spec.rd1, spec.rd2))
-    return keys
+def _shared(front: dict | None, key, build):
+    """build(), or front[key], built by the first lane to ask, with front one batch's
+    dict: "mmse" holds the MMSE estimate, ("edges", rd1, rd2) the relaxed front end."""
+    if front is None:
+        return build()
+    if key not in front:
+        front[key] = build()
+    return front[key]
 
 
 def _ami_sum(soft: np.ndarray, bits: np.ndarray) -> float:
@@ -407,7 +352,7 @@ def _count_errors(soft: np.ndarray, bits: np.ndarray) -> int:
 
 
 def _run_batch(spec: DetectorSpec, bits, h, y, sigma2: float, m: int, want_ami: bool,
-               taps: tuple, front: _SharedFront | None = None):
+               taps: tuple, front: dict | None = None):
     """(bits, errors per tap, ami sum per tap) of spec on one drawn batch.
 
     A tap is a point of the detector's output that gets scored. The empty
@@ -435,25 +380,23 @@ def _run_lanes_on_batch(dims: SystemDims, snr_db: float, sigma2: float, master_s
     """Draw one batch and run _run_batch on it for every lane (spec, taps).
 
     Returns, per lane, _run_batch's result or the exception it raised, and
-    its cost in seconds: its own _run_batch time, less the shared front-end
-    builds it made, plus an equal share of the draw and those builds. The
-    costs sum to this call's time. This is the task a pool worker runs.
+    its own _run_batch time in seconds. The lanes share one dict of front-end
+    values (_shared), dropped with the batch. This is the task a pool
+    worker runs.
     """
-    start = time.perf_counter()
     bits, h, y = _draw_batch(dims, sigma2, _batch_rng(master_seed, snr_db, batch_index),
                              BATCH_TRIALS)
-    m = dims.bits_per_symbol
-    front = _SharedFront(key for spec, _ in lanes for key in _front_keys(spec, dims.n_tx, m))
-    outcomes, own = [], []
+    front: dict = {}
+    outcomes, costs = [], []
     for spec, taps in lanes:
-        begin, built = time.perf_counter(), front.built_s
+        start = time.perf_counter()
         try:
-            outcomes.append(_run_batch(spec, bits, h, y, sigma2, m, want_ami, taps, front))
+            outcomes.append(_run_batch(spec, bits, h, y, sigma2, dims.bits_per_symbol,
+                                       want_ami, taps, front))
         except Exception as exc:  # one detector's failure leaves the others running
             outcomes.append(exc)
-        own.append(time.perf_counter() - begin - (front.built_s - built))
-    share = (time.perf_counter() - start - sum(own)) / len(lanes)
-    return outcomes, [t + share for t in own]
+        costs.append(time.perf_counter() - start)
+    return outcomes, costs
 
 
 # ---------------- points, sweeps, convergence ----------------
@@ -525,8 +468,8 @@ def _run_taps(cfg: SweepConfig, snr_db: float, lanes: list, workers: int = 1,
     With a pool, up to 2 x workers batches run ahead, each for the lanes
     running when it was submitted, and are tallied in batch order, so every
     lane sees exactly the serial results. A lane's wall_seconds is its share
-    of the loop's time, in proportion to its costs in the batches it used
-    (_run_lanes_on_batch); the lanes' shares sum to the loop's time.
+    of the loop's time, draw included, in proportion to its own _run_batch
+    time in the batches it used; the lanes' shares sum to the loop's time.
     """
     sigma2 = snr_to_noise_variance(snr_db, cfg.dims)
     tally = [_Lane(spec, taps) for spec, taps in lanes]

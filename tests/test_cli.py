@@ -261,6 +261,13 @@ class TestEndToEnd:
         out = capsys.readouterr().out
         assert "Nt=2 Nr=2 M=1 L=1" in out
 
+    def test_complexity_at_one_transmit_antenna(self, capsys):
+        """rd1 defaults to 1, capped at Nt - 1, the most one antenna allows."""
+        assert main(["complexity", "--nt", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "Nt=1 Nr=4 M=1 L=5" in out
+        assert "MMSE-RBP(0,0)" in out
+
     def test_full_relaxation_sweep_duplicates_the_exhaustive_column(self, tmp_path):
         out = tmp_path / "pair.csv"
         code = main(["ber-sweep", "--nt", "4", "--nr", "4", "--l", "5",

@@ -1,4 +1,6 @@
 """Message updates, edge selection, linear front ends, and whole-vector detection."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -482,6 +484,17 @@ class TestDetect:
         y = np.zeros(n, dtype=complex)
         with pytest.raises(DimensionTooLargeError):
             detect(DetectorSpec.sbp(1), h, y, 1.0, m=2)
+
+    def test_size_rule_counts_the_configuration_table(self):
+        """At one trial the table of 2^24 configurations of 24 bits dominates:
+        about 10 GiB to build, so the size rule refuses before building it."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionTooLargeError, match=r"2\^24 configurations"):
+                detect(DetectorSpec.ml(), np.ones((1, 24)), np.ones(1), 1.0)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20   # nothing was built
+        finally:
+            tracemalloc.stop()
 
     def test_sic_orders_by_error_variance(self):
         """A much cleaner stream is sliced first and cancelled exactly."""

@@ -1,4 +1,5 @@
 """Monte Carlo harness: determinism, pairing, stopping, CSV round-trips."""
+import collections
 import dataclasses
 import time
 import tracemalloc
@@ -8,16 +9,21 @@ import pytest
 
 from mimobp import simulator
 from mimobp.channel import SystemDims, snr_to_noise_variance
-from mimobp.detectors import DetectorSpec, detect, sbp_beta_update
+from mimobp.detectors import (
+    MAX_BATCH_BYTES,
+    DetectorSpec,
+    _config_table,
+    _spec_bytes,
+    detect,
+    sbp_beta_update,
+)
 from mimobp.errors import DimensionTooLargeError, IoFailure
 from mimobp.metrics import ami
 from mimobp.simulator import (
     BATCH_TRIALS,
     CSV_FIELDS,
-    MAX_BATCH_BYTES,
     SweepConfig,
     SweepRecord,
-    _batch_bytes,
     _batch_rng,
     _draw_batch,
     _engine_soft,
@@ -93,7 +99,7 @@ class TestConfigValidation:
         (16, 16, 1, DetectorSpec.sbp(5)),   # 12 GiB per batch
         (8, 8, 2, DetectorSpec.ml()),       # 6 GiB per batch
         (7, 9, 2, DetectorSpec.sbp(5)),     # 1.7 GiB per batch
-        (13, 13, 2, DetectorSpec.ml()),     # 26 bits, past MAX_ENUM_BITS
+        (13, 13, 2, DetectorSpec.ml()),     # 26 bits: 2^26 configurations, 9.8 TiB
         (12, 12, 1, DetectorSpec.rbp(10, 0)),       # (2^10, 512, 12, 12): 2.3 GiB
         (16, 16, 1, DetectorSpec.rbp(14, 0)),       # (2^14, 512, 16, 16): 64 GiB
         (11, 11, 2, DetectorSpec.rbp(10, 0)),       # (2^20, 512, 11, 22): 3.8 TiB
@@ -118,7 +124,7 @@ class TestConfigValidation:
         RBP(6,1) lumps nothing, so it runs SBP's step and is sized as SBP."""
         full = (DetectorSpec.ml(), DetectorSpec.sbp(5), DetectorSpec.rbp(6, 1),
                 DetectorSpec.mmse_rbp(6, 1))
-        assert _batch_bytes(DetectorSpec.sbp(5), SystemDims(7, 5, 2))[0] <= MAX_BATCH_BYTES
+        assert _spec_bytes(DetectorSpec.sbp(5), 7, 5, 2, BATCH_TRIALS) <= MAX_BATCH_BYTES
         _cfg(n_tx=7, n_rx=5, m=2, detectors=full)
         for n_rx in (6, 8):
             for spec in full:
@@ -135,12 +141,31 @@ class TestConfigValidation:
             "16x16-BPSK-MMSE-RBP(1,0)"])
     def test_one_batch_stays_within_its_admitted_bytes(self, n_tx, n_rx, m, spec):
         dims = SystemDims(n_tx, n_rx, m)
-        admitted = _batch_bytes(spec, dims)[0]
+        admitted = _spec_bytes(spec, n_tx, n_rx, m, BATCH_TRIALS)
         tracemalloc.start()
         try:
             sigma2 = snr_to_noise_variance(8.0, dims)
             bits, h, y = _draw_batch(dims, sigma2, _batch_rng(99, 8.0, 0), BATCH_TRIALS)
             _run_batch(spec, bits, h, y, sigma2, m, False, ())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= admitted, f"peak {peak / 2**20:.1f} MiB, admitted {admitted / 2**20:.1f}"
+
+    @pytest.mark.parametrize("n_tx,n_rx,m,spec", [
+        (16, 1, 1, DetectorSpec.ml()),
+        (8, 8, 2, DetectorSpec.sbp(2)),
+        (8, 8, 2, DetectorSpec.rbp(6, 1, 2)),
+    ], ids=["1x16-BPSK-ML", "8x8-QPSK-SBP", "8x8-QPSK-RBP(6,1)"])
+    def test_one_vector_stays_within_its_admitted_bytes(self, n_tx, n_rx, m, spec):
+        """At one trial the configuration table, built afresh, dominates."""
+        admitted = _spec_bytes(spec, n_tx, n_rx, m, 1)
+        rng = np.random.default_rng(3)
+        h = rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))
+        _config_table.cache_clear()
+        tracemalloc.start()
+        try:
+            detect(spec, h, h.sum(axis=1), 0.5, m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -469,6 +494,36 @@ class TestBatchMajorSweep:
         err = capsys.readouterr().err
         assert "[mimobp] point failed: MMSE-SIC @ 0.0 dB: no room" in err
         assert "[mimobp] MMSE-SIC L=0 snr=8 dB" in err
+
+    def test_each_batch_builds_a_shared_value_once(self, monkeypatch):
+        """MMSE, MMSE-SIC's first stage and MMSE-RBP share one MMSE estimate
+        per batch, on top of MMSE-SIC's Nt - 1 deflation stages; the relaxed
+        detectors of one (rd1, rd2) share one build of its edge sets."""
+        cfg = _lane_cfg()
+        calls = collections.Counter()
+        real_mmse, real_edges = simulator._mmse_estimate, simulator._engine_edge_sets
+
+        def mmse(*args):
+            calls["mmse"] += 1
+            return real_mmse(*args)
+
+        def edges(h, spec, m):
+            calls[spec.rd1, spec.rd2] += 1
+            return real_edges(h, spec, m)
+
+        monkeypatch.setattr(simulator, "_mmse_estimate", mmse)
+        monkeypatch.setattr(simulator, "_engine_edge_sets", edges)
+        records = run_sweep(cfg)
+        want = collections.Counter()
+        for snr in cfg.snr_points_db:   # lane (detector, rd1) ran batches 0 .. n - 1
+            n = {(r.detector, r.rd1): r.bits // (BATCH_TRIALS * cfg.dims.n_bits)
+                 for r in records if r.snr_db == snr}
+            want["mmse"] += (max(n["MMSE", None], n["MMSE-SIC", None], n["MMSE-RBP", 1],
+                                 n["MMSE-RBP", 0])
+                             + (cfg.dims.n_tx - 1) * n["MMSE-SIC", None])
+            want[1, 0] += max(n["RBP", 1], n["MMSE-RBP", 1])
+            want[0, 0] += n["MMSE-RBP", 0]
+        assert calls == want
 
     def test_record_times_sum_to_the_sweep_time(self):
         """A serial sweep's rows share out its detection time."""
