@@ -20,7 +20,7 @@ from .detectors import DetectorSpec
 from .metrics import complexity_counts
 from .presets import DEFAULT_SEED, PRESET_NAMES, get_preset, snr_grid
 from .selfcheck import run_selftest
-from .simulator import SweepConfig, run_convergence, run_sweep, write_csv
+from .simulator import SweepConfig, _convergence_lane, _run_lanes, write_csv
 
 WORKERS_ENV = "MIMOBP_WORKERS"
 
@@ -195,39 +195,35 @@ def echo_config(settings: dict, stream=None) -> str:
     return text
 
 
-def _cmd_sweep(args: argparse.Namespace, record_ami: bool) -> int:
-    settings = _resolve(args, "ami" if record_ami else "ber")
+def _cmd_run(args: argparse.Namespace, mode: str) -> int:
+    """ber-sweep and ami-sweep (mode "ber", "ami"): every detector at every SNR
+    point; convergence: every iterative detector at depths 1..l_max at one SNR."""
+    settings = _resolve(args, mode)
     echo_config(settings)
-    cfg = _build_sweep_config(settings, record_ami)
-    records = run_sweep(cfg, workers=settings["workers"], progress=True)
-    write_csv(records, settings["out"])
-    print(f"[mimobp] wrote {settings['out']} ({len(records)} records)", file=sys.stderr)
-    expected = len(cfg.detectors) * len(cfg.snr_points_db)
-    if len(records) < expected:
-        print(f"[mimobp] error: {expected - len(records)} of {expected} points failed",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_convergence(args: argparse.Namespace) -> int:
-    settings = _resolve(args, "convergence")
-    echo_config(settings)
-    cfg_settings = dict(settings)
-    cfg_settings["snr_points"] = [settings["snr"]]
-    cfg = _build_sweep_config(cfg_settings, record_ami=False)
-    l_values = tuple(range(1, settings["l_max"] + 1))
-    if not any(spec.iterative for spec in cfg.detectors):
+    if mode == "convergence":
+        settings["snr_points"] = [settings["snr"]]
+    cfg = _build_sweep_config(settings, record_ami=mode == "ami")
+    if mode != "convergence":
+        lanes = [(spec, (spec.iterations,)) for spec in cfg.detectors]
+    elif not any(spec.iterative for spec in cfg.detectors):
         raise ValueError("convergence needs an iterative detector (SBP, RBP or MMSE-RBP)")
-    records = []
-    for spec in cfg.detectors:
-        if not spec.iterative:
-            print(f"[mimobp] skipping {spec.label}: not iterative", file=sys.stderr)
-            continue
-        records.extend(run_convergence(cfg, spec, settings["snr"], l_values,
-                                       workers=settings["workers"]))
+    else:
+        lanes = []
+        for spec in cfg.detectors:
+            if spec.iterative:
+                lanes.append(_convergence_lane(spec, range(1, settings["l_max"] + 1)))
+            else:
+                print(f"[mimobp] skipping {spec.label}: not iterative", file=sys.stderr)
+    records = _run_lanes(cfg, lanes, workers=settings["workers"], progress=True)
     write_csv(records, settings["out"])
     print(f"[mimobp] wrote {settings['out']} ({len(records)} records)", file=sys.stderr)
+    # every lane scores as many depths, so a failed point is that many missing rows
+    depths = len(lanes[0][1])
+    expected = len(lanes) * len(cfg.snr_points_db)
+    failed = expected - len(records) // depths
+    if failed:
+        print(f"[mimobp] error: {failed} of {expected} points failed", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -242,7 +238,7 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
         ("SBP", complexity_counts("SBP", nt, nr, m, l)),
         (f"RBP({rd1},{rd2})", complexity_counts("RBP", nt, nr, m, l, rd1, rd2)),
         (f"MMSE-RBP({rd1},{rd2})", complexity_counts("MMSE_RBP", nt, nr, m, l, rd1, rd2)),
-        ("RBP(0,0)", complexity_counts("RBP00", nt, nr, m, l)),
+        ("RBP00", complexity_counts("RBP00", nt, nr, m, l)),
         (f"EB({rd1})", complexity_counts("EB", nt, nr, m, l, rd1, rd2)),
     ]
     width = max(len(name) for name, _ in rows)
@@ -297,17 +293,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ber-sweep", help="BER vs SNR sweep")
     _add_common(p)
-    p.set_defaults(func=lambda a: _cmd_sweep(a, record_ami=False))
+    p.set_defaults(func=lambda a: _cmd_run(a, "ber"))
 
     p = sub.add_parser("ami-sweep", help="BER+AMI vs SNR sweep")
     _add_common(p)
-    p.set_defaults(func=lambda a: _cmd_sweep(a, record_ami=True))
+    p.set_defaults(func=lambda a: _cmd_run(a, "ami"))
 
     p = sub.add_parser("convergence", help="BER vs iteration count at one SNR")
     _add_common(p, with_grid=False)
     p.add_argument("--snr", type=float, help="fixed SNR (dB)")
     p.add_argument("--l-max", type=int, dest="l_max", help="sweep L = 1..l_max")
-    p.set_defaults(func=_cmd_convergence)
+    p.set_defaults(func=lambda a: _cmd_run(a, "convergence"))
 
     p = sub.add_parser("complexity", help="print the per-vector operation counts")
     _add_link(p)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -156,7 +156,6 @@ class _ConfigTable(NamedTuple):
     symbols: np.ndarray    # (C, n_tx) complex128
 
 
-@lru_cache(maxsize=8)
 def _config_table(m: int, n_tx: int) -> _ConfigTable:
     from .channel import modulate
 
@@ -601,10 +600,9 @@ def detect(spec: DetectorSpec, h: np.ndarray, y: np.ndarray, sigma2: float,
         raise LengthMismatchError(
             f"y has shape {y.shape}, expected ({h.shape[0]},)")
     _spec_bytes(spec, h.shape[1], h.shape[0], m, 1)
-    one = (spec, h[None], y[None], sigma2, m)
-    per = None
-    if record_iterations and spec.iterative:
-        per = [soft[0] for soft in _engine_soft(*one, want_iters=True)]
-    soft = per[-1] if per else _engine_soft(*one)[0]
-    return DetectionResult(np.where(soft >= 0.0, 1, -1), soft,
-                           spec.iterations if spec.iterative else 0, per)
+    record = record_iterations and spec.iterative
+    depths = tuple(range(spec.iterations + 1)) if record else (spec.iterations,)
+    outs = [soft[0] for soft in _engine_soft(spec, h[None], y[None], sigma2, m, depths)]
+    return DetectionResult(np.where(outs[-1] >= 0.0, 1, -1), outs[-1],
+                           spec.iterations if spec.iterative else 0,
+                           outs[1:] if record else None)

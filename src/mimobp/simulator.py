@@ -23,19 +23,24 @@ once per batch and one prior-sum table per iteration. The lump sums come
 from detectors._lump, in ascending bit order, and the MMSE kinds share one
 inverse, detectors._mmse_estimate.
 
-Sweeps are batch-major. One loop, _run_taps, runs "lanes", each a
-(detector, taps) pair, at one SNR point: batch i is drawn once (in the pool
-worker when workers > 1) and one worker, _run_batch, scores every lane still
-running on it (taps: see there). Within a batch, the MMSE estimate (MMSE,
-MMSE-SIC's first stage, the cascade prior) and the relaxed gains, edge sets
-and lump (relaxed detectors of one (rd1, rd2)) are built by the first lane
-that asks and kept in the batch's dict (_shared). Each lane tallies its
-batches in batch order and stops at a batch boundary, which keeps its
-stopping point deterministic too. run_point is one lane, run_convergence
-one lane with taps, and run_sweep one loop per SNR point on one worker
-pool. A record's wall_seconds is its lane's share of the loop's time, in
-proportion to its own _run_batch time (the first user pays for a shared
-build), so the records of a serial sweep sum to its detection time.
+Every run is batch-major. A "lane" is a (detector, depths) pair: the
+detector run to spec.iterations and scored after each iteration count in
+depths, the last of which is spec.iterations. A plain point has that one
+depth; the non-iterative kinds give one output. One loop, _run_lanes_at,
+runs lanes at one SNR point: batch i is drawn once (in the pool worker when
+workers > 1) and one worker, _run_batch, scores every lane still running on
+it, every depth from one engine call (_engine_soft). Within a batch, the
+MMSE estimate (MMSE, MMSE-SIC's first stage, the cascade prior) and the
+relaxed gains, edge sets and lump (relaxed detectors of one (rd1, rd2)) are
+built by the first lane that asks and kept in the batch's dict (_shared).
+Each lane tallies its batches in batch order and stops at a batch boundary,
+which keeps its stopping point deterministic too. run_point and
+run_convergence run one lane; run_sweep, and the CLI's convergence study,
+run their lanes at every SNR point on one worker pool (_run_lanes). A
+record's wall_seconds is its lane's share of the loop's time, in proportion
+to its own _run_batch time (the first user pays for a shared build), so the
+lanes' shares of a serial run sum to its detection time; every depth of a
+lane carries its share.
 """
 from __future__ import annotations
 
@@ -294,36 +299,34 @@ def _bp_messages(spec: DetectorSpec, h, y, sigma2, m, front=None):
         yield alpha, beta
 
 
-def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, want_iters=False, front=None):
-    """Soft outputs for the BP family over a batch, from _bp_messages.
+def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, depths, front=None):
+    """Soft outputs (B, Nbits) of the BP family over a batch, one per depth in
+    depths (ascending, the last spec.iterations), from one _bp_messages run.
 
-    Returns the final (B, Nbits) soft matrix, or the per-iteration list when
-    want_iters is set (entry l-1 matches a run with iterations=l). With no
-    iteration the soft output is the initial belief: +0, or the cascade's
+    Depth l is the column sum of beta after l iterations, which equals a run
+    with iterations = l; depth 0 is the initial belief: +0, or the cascade's
     prior. Every result is bit-identical to the plain formulation
     (tests/test_sbp_kernel.py, tests/test_rbp_kernel.py).
     """
-    iters, beta = [], None
-    for _, beta in _bp_messages(spec, h, y, sigma2, m, front):
-        if want_iters:
-            iters.append(beta.sum(axis=-2))
-    if want_iters:
-        return iters
-    if beta is not None:
-        return beta.sum(axis=-2)
-    if spec.kind == "MMSE_RBP":
-        return _cascade_prior(h, y, sigma2, m, front)
-    return np.zeros((h.shape[0], m * h.shape[2]))
+    outs = [beta.sum(axis=-2)
+            for it, (_, beta) in enumerate(_bp_messages(spec, h, y, sigma2, m, front), 1)
+            if it in depths]
+    if 0 in depths:
+        outs.insert(0, _cascade_prior(h, y, sigma2, m, front) if spec.kind == "MMSE_RBP"
+                    else np.zeros((h.shape[0], m * h.shape[2])))
+    return outs
 
 
-def _engine_soft(spec: DetectorSpec, h, y, sigma2, m, want_iters=False, front=None):
+def _engine_soft(spec: DetectorSpec, h, y, sigma2, m, depths, front=None):
+    """spec's soft outputs (B, Nbits) over a batch: one per depth for the BP
+    kinds (_engine_bp), the one output of the others."""
     if spec.kind == "ML":
-        return _engine_ml(h, y, m)
+        return [_engine_ml(h, y, m)]
     if spec.kind == "MMSE":
-        return _engine_mmse_prior(h, y, sigma2, m, front)
+        return [_engine_mmse_prior(h, y, sigma2, m, front)]
     if spec.kind == "MMSE_SIC":
-        return _engine_mmse_sic(h, y, sigma2, m, front)
-    return _engine_bp(spec, h, y, sigma2, m, want_iters=want_iters, front=front)
+        return [_engine_mmse_sic(h, y, sigma2, m, front)]
+    return _engine_bp(spec, h, y, sigma2, m, depths, front)
 
 
 # ---------------- batch workers ----------------
@@ -352,20 +355,10 @@ def _count_errors(soft: np.ndarray, bits: np.ndarray) -> int:
 
 
 def _run_batch(spec: DetectorSpec, bits, h, y, sigma2: float, m: int, want_ami: bool,
-               taps: tuple, front: dict | None = None):
-    """(bits, errors per tap, ami sum per tap) of spec on one drawn batch.
-
-    A tap is a point of the detector's output that gets scored. The empty
-    tuple () is the single tap of a plain point: the detector's own soft
-    output. A convergence run passes its sorted iteration depths, and depth
-    l scores entry l-1 of one want_iters engine call, which equals a run
-    with iterations = l.
-    """
-    if taps:
-        iters = _engine_soft(spec, h, y, sigma2, m, want_iters=True, front=front)
-        outputs = [iters[l - 1] for l in taps]
-    else:
-        outputs = [_engine_soft(spec, h, y, sigma2, m, front=front)]
+               depths: tuple, front: dict | None = None):
+    """(bits, errors per depth, ami sum per depth) of spec on one drawn batch:
+    each depth's soft output (_engine_soft) scored against the sent bits."""
+    outputs = _engine_soft(spec, h, y, sigma2, m, depths, front)
     errors = [_count_errors(soft, bits) for soft in outputs]
     amis = [_ami_sum(soft, bits) if want_ami else 0.0 for soft in outputs]
     return bits.size, errors, amis
@@ -377,7 +370,7 @@ _run_batch_multi_l = _run_batch
 
 def _run_lanes_on_batch(dims: SystemDims, snr_db: float, sigma2: float, master_seed: int,
                         batch_index: int, want_ami: bool, lanes: list):
-    """Draw one batch and run _run_batch on it for every lane (spec, taps).
+    """Draw one batch and run _run_batch on it for every lane (spec, depths).
 
     Returns, per lane, _run_batch's result or the exception it raised, and
     its own _run_batch time in seconds. The lanes share one dict of front-end
@@ -388,11 +381,11 @@ def _run_lanes_on_batch(dims: SystemDims, snr_db: float, sigma2: float, master_s
                              BATCH_TRIALS)
     front: dict = {}
     outcomes, costs = [], []
-    for spec, taps in lanes:
+    for spec, depths in lanes:
         start = time.perf_counter()
         try:
             outcomes.append(_run_batch(spec, bits, h, y, sigma2, dims.bits_per_symbol,
-                                       want_ami, taps, front))
+                                       want_ami, depths, front))
         except Exception as exc:  # one detector's failure leaves the others running
             outcomes.append(exc)
         costs.append(time.perf_counter() - start)
@@ -404,22 +397,20 @@ def _run_lanes_on_batch(dims: SystemDims, snr_db: float, sigma2: float, master_s
 
 @dataclasses.dataclass
 class _Lane:
-    """One (spec, taps) point of the batch-major loop: its tallies, in batch
-    order, and whether and why it stopped."""
+    """One (spec, depths) point of the batch-major loop: its tallies per
+    depth, in batch order, and whether and why it stopped."""
 
     spec: DetectorSpec
-    taps: tuple
+    depths: tuple
     bits: int = 0
     wall: float = 0.0
     running: bool = True
     exhausted: bool = False      # stopped on bits_max before the stop rule was met
     failure: Exception | None = None
-    depths: tuple = dataclasses.field(init=False)
     errors: list = dataclasses.field(init=False)
     amis: list = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
-        self.depths = self.taps or (self.spec.iterations,)
         self.errors = [0] * len(self.depths)
         self.amis = [0.0] * len(self.depths)
 
@@ -457,13 +448,13 @@ def _pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
 
 
-def _run_taps(cfg: SweepConfig, snr_db: float, lanes: list, workers: int = 1,
-              pool: ProcessPoolExecutor | None = None) -> list:
-    """Every lane (spec, taps) at one SNR point, batch-major: per lane, its
-    records (one per tap, see _run_batch) or the exception that ended it.
+def _run_lanes_at(cfg: SweepConfig, snr_db: float, lanes: list, workers: int = 1,
+                  pool: ProcessPoolExecutor | None = None) -> list:
+    """Every lane (spec, depths) at one SNR point, batch-major: per lane, its
+    records (one per depth) or the exception that ended it.
 
     Batch i is drawn once and runs every lane still running; each lane
-    stops at the first batch boundary where every tap has errors_target
+    stops at the first batch boundary where every depth has errors_target
     errors and trials_min trials have run, or where bits_max bits have.
     With a pool, up to 2 x workers batches run ahead, each for the lanes
     running when it was submitted, and are tallied in batch order, so every
@@ -472,12 +463,12 @@ def _run_taps(cfg: SweepConfig, snr_db: float, lanes: list, workers: int = 1,
     time in the batches it used; the lanes' shares sum to the loop's time.
     """
     sigma2 = snr_to_noise_variance(snr_db, cfg.dims)
-    tally = [_Lane(spec, taps) for spec, taps in lanes]
+    tally = [_Lane(spec, depths) for spec, depths in lanes]
 
     def submit(index: int):
         running = [lane for lane in tally if lane.running]
         args = (cfg.dims, snr_db, sigma2, cfg.master_seed, index, cfg.record_ami,
-                [(lane.spec, lane.taps) for lane in running])
+                [(lane.spec, lane.depths) for lane in running])
         return running, (pool.submit(_run_lanes_on_batch, *args) if pool
                          else _run_lanes_on_batch(*args))
 
@@ -504,10 +495,52 @@ def _run_taps(cfg: SweepConfig, snr_db: float, lanes: list, workers: int = 1,
     return [lane.failure or lane.records(cfg, snr_db) for lane in tally]
 
 
-def _run_alone(cfg: SweepConfig, spec: DetectorSpec, snr_db: float, taps: tuple,
-               workers: int) -> list[SweepRecord]:
+def _run_lanes(cfg: SweepConfig, lanes: list, workers: int = 1,
+               progress: bool = False) -> list[SweepRecord]:
+    """Every lane (spec, depths) at every SNR point; records by (lane, snr, depth).
+
+    The SNR points run in ascending order, each as one batch-major loop over
+    every lane (_run_lanes_at), all on one worker pool. A failing point is
+    reported on stderr and skipped; the rest still runs. Progress lines
+    arrive SNR point by SNR point.
+    """
+    rows: list[list[SweepRecord]] = [[] for _ in lanes]
     with _pool(workers) as pool:
-        [outcome] = _run_taps(cfg, snr_db, [(spec, taps)], workers, pool)
+        for snr_db in sorted(cfg.snr_points_db):
+            try:
+                outcomes = _run_lanes_at(cfg, snr_db, lanes, workers, pool)
+            except Exception as exc:  # outside any detector (a broken pool): all failed
+                outcomes = [exc] * len(lanes)
+            for (detector, _), row, outcome in zip(lanes, rows, outcomes):
+                if isinstance(outcome, Exception):  # keep going; a run is many points
+                    print(f"[mimobp] point failed: {detector.name} @ {snr_db} dB: {outcome}",
+                          file=sys.stderr)
+                    continue
+                row.extend(outcome)
+                if progress:
+                    for rec in outcome:
+                        print(f"[mimobp] {detector.name} L={rec.iterations} "
+                              f"snr={rec.snr_db:g} dB  ber={rec.ber:.3e}  errors={rec.errors}  "
+                              f"bits={rec.bits}", file=sys.stderr)
+    return [rec for row in rows for rec in row]
+
+
+def _convergence_lane(detector: DetectorSpec, l_values: Sequence[int]) -> tuple:
+    """(detector at the deepest L, the sorted distinct depths): a convergence lane."""
+    if not detector.iterative:
+        raise ValueError("convergence sweeps need an iterative detector")
+    depths = tuple(sorted(set(int(v) for v in l_values)))
+    if not depths or depths[0] < 1:
+        raise ValueError("iteration counts must be >= 1")
+    return dataclasses.replace(detector, iterations=depths[-1]), depths
+
+
+def _run_alone(cfg: SweepConfig, spec: DetectorSpec, depths: tuple, snr_db: float,
+               workers: int) -> list[SweepRecord]:
+    dims = cfg.dims
+    _spec_bytes(spec, dims.n_tx, dims.n_rx, dims.bits_per_symbol, BATCH_TRIALS)
+    with _pool(workers) as pool:
+        [outcome] = _run_lanes_at(cfg, snr_db, [(spec, depths)], workers, pool)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -522,7 +555,7 @@ def run_point(cfg: SweepConfig, detector: DetectorSpec, snr_db: float,
     Deterministic given (master_seed, detector, snr_db) for any worker
     count.
     """
-    return _run_alone(cfg, detector, snr_db, (), workers)[0]
+    return _run_alone(cfg, detector, (detector.iterations,), snr_db, workers)[0]
 
 
 def run_convergence(cfg: SweepConfig, detector: DetectorSpec, snr_db: float,
@@ -533,43 +566,13 @@ def run_convergence(cfg: SweepConfig, detector: DetectorSpec, snr_db: float,
     every requested depth, so the estimates are paired. Runs until every
     depth has errors_target errors or the bit budget is out.
     """
-    if not detector.iterative:
-        raise ValueError("convergence sweeps need an iterative detector")
-    l_values = tuple(sorted(set(int(v) for v in l_values)))
-    if not l_values or l_values[0] < 1:
-        raise ValueError("iteration counts must be >= 1")
-    deep = dataclasses.replace(detector, iterations=max(l_values))
-    return _run_alone(cfg, deep, snr_db, l_values, workers)
+    return _run_alone(cfg, *_convergence_lane(detector, l_values), snr_db, workers)
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1, progress: bool = False) -> list[SweepRecord]:
-    """Every detector at every SNR point; records sorted by (detector, snr).
-
-    The SNR points run in ascending order, each as one batch-major loop over
-    every detector (_run_taps), all on one worker pool. A failing point is
-    reported on stderr and skipped; the rest of the sweep still runs.
-    Progress lines arrive SNR point by SNR point.
-    """
-    lanes = [(spec, ()) for spec in cfg.detectors]
-    rows: list[list[SweepRecord]] = [[] for _ in lanes]
-    with _pool(workers) as pool:
-        for snr_db in sorted(cfg.snr_points_db):
-            try:
-                outcomes = _run_taps(cfg, snr_db, lanes, workers, pool)
-            except Exception as exc:  # outside any detector (a broken pool): all failed
-                outcomes = [exc] * len(lanes)
-            for (detector, _), row, outcome in zip(lanes, rows, outcomes):
-                if isinstance(outcome, Exception):  # keep going; a sweep is many points
-                    print(f"[mimobp] point failed: {detector.name} @ {snr_db} dB: {outcome}",
-                          file=sys.stderr)
-                    continue
-                rec = outcome[0]
-                row.append(rec)
-                if progress:
-                    print(f"[mimobp] {detector.name} L={rec.iterations} snr={rec.snr_db:g} dB  "
-                          f"ber={rec.ber:.3e}  errors={rec.errors}  bits={rec.bits}",
-                          file=sys.stderr)
-    return [rec for row in rows for rec in row]
+    """Every detector at every SNR point (_run_lanes); records sorted by (detector, snr)."""
+    return _run_lanes(cfg, [(spec, (spec.iterations,)) for spec in cfg.detectors], workers,
+                      progress)
 
 
 # ---------------- CSV ----------------

@@ -14,7 +14,7 @@ from mimobp.cli import (
     main,
 )
 from mimobp.presets import PRESET_NAMES, get_preset
-from mimobp.simulator import read_csv
+from mimobp.simulator import BATCH_TRIALS, read_csv
 
 
 def _settings(argv, mode="ber"):
@@ -268,6 +268,14 @@ class TestEndToEnd:
         assert "Nt=1 Nr=4 M=1 L=5" in out
         assert "MMSE-RBP(0,0)" in out
 
+    @pytest.mark.parametrize("argv", [["--nt", "1"], ["--rd1", "0"]], ids=["nt1", "rd1-0"])
+    def test_complexity_rows_carry_distinct_labels(self, capsys, argv):
+        """RBP(0,0) is the relaxed row at rd1 = 0; the RBP00 count has a row of its own."""
+        assert main(["complexity", *argv]) == 0
+        labels = [row.split()[0] for row in capsys.readouterr().out.splitlines()[2:]]
+        assert len(labels) == 6 and len(set(labels)) == 6
+        assert "RBP00" in labels
+
     def test_full_relaxation_sweep_duplicates_the_exhaustive_column(self, tmp_path):
         out = tmp_path / "pair.csv"
         code = main(["ber-sweep", "--nt", "4", "--nr", "4", "--l", "5",
@@ -334,6 +342,48 @@ class TestEndToEnd:
         records = read_csv(out)
         assert [r.iterations for r in records] == [1, 2, 3]
         assert len({r.bits for r in records}) == 1
+
+    def test_convergence_draws_each_batch_once_for_all_detectors(self, tmp_path, monkeypatch):
+        real = simulator._draw_batch
+        draws = []
+
+        def draw(*args):
+            draws.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(simulator, "_draw_batch", draw)
+        out = tmp_path / "conv.csv"
+        assert main(["convergence", "--nt", "4", "--nr", "4", "--detectors", "SBP,RBP(0,0)",
+                     "--snr", "8", "--l-max", "3", "--errors-target", "20", "--seed", "13",
+                     "--workers", "1", "--out", str(out)]) == 0
+        batches = {r.detector: r.bits // (BATCH_TRIALS * 4) for r in read_csv(out)}
+        assert len(batches) == 2
+        assert len(draws) == max(batches.values()) < sum(batches.values())
+
+    def test_failed_convergence_point_exits_1_and_keeps_the_good_rows(
+            self, tmp_path, capsys, monkeypatch):
+        argv = ["convergence", "--nt", "4", "--nr", "4", "--snr", "8", "--l-max", "3",
+                "--errors-target", "20", "--seed", "13"]
+        alone = tmp_path / "alone.csv"
+        assert main(argv + ["--detectors", "SBP", "--out", str(alone)]) == 0
+        real = simulator._engine_soft
+
+        def engine(spec, *args, **kwargs):
+            if spec.kind == "RBP":
+                raise MemoryError("no room")
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_engine_soft", engine)
+        out = tmp_path / "partial.csv"
+        assert main(argv + ["--detectors", "SBP,RBP(0,0)", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "[mimobp] point failed: RBP(0,0) @ 8.0 dB: no room" in err
+        assert "1 of 2 points failed" in err
+
+        def strip_wall(path):
+            return [row.rsplit(",", 1)[0] for row in path.read_text().splitlines()]
+
+        assert strip_wall(out) == strip_wall(alone)
 
     def test_selftest_command_passes(self, capsys):
         assert main(["selftest"]) == 0

@@ -7,12 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mimobp import simulator
+from mimobp import detectors, simulator
 from mimobp.channel import SystemDims, snr_to_noise_variance
 from mimobp.detectors import (
     MAX_BATCH_BYTES,
     DetectorSpec,
-    _config_table,
     _spec_bytes,
     detect,
     sbp_beta_update,
@@ -146,7 +145,7 @@ class TestConfigValidation:
         try:
             sigma2 = snr_to_noise_variance(8.0, dims)
             bits, h, y = _draw_batch(dims, sigma2, _batch_rng(99, 8.0, 0), BATCH_TRIALS)
-            _run_batch(spec, bits, h, y, sigma2, m, False, ())
+            _run_batch(spec, bits, h, y, sigma2, m, False, (spec.iterations,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -162,7 +161,6 @@ class TestConfigValidation:
         admitted = _spec_bytes(spec, n_tx, n_rx, m, 1)
         rng = np.random.default_rng(3)
         h = rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))
-        _config_table.cache_clear()
         tracemalloc.start()
         try:
             detect(spec, h, h.sum(axis=1), 0.5, m)
@@ -170,6 +168,27 @@ class TestConfigValidation:
         finally:
             tracemalloc.stop()
         assert peak <= admitted, f"peak {peak / 2**20:.1f} MiB, admitted {admitted / 2**20:.1f}"
+
+    def test_one_vector_keeps_no_table_after_it_returns(self):
+        """A 16-bit ML detect builds a 2^16-row configuration table and drops it."""
+        rng = np.random.default_rng(3)
+        h = rng.standard_normal((1, 16)) + 1j * rng.standard_normal((1, 16))
+        tracemalloc.start()
+        try:
+            detect(DetectorSpec.ml(), h, h.sum(axis=1), 0.5)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 1 << 20, f"kept {kept / 2**20:.1f} MiB"
+
+    def test_lone_points_apply_the_size_rule_to_their_own_detector(self, monkeypatch):
+        """The config's MMSE needs no table; the SBP(2) run alone needs 12 MiB a batch."""
+        monkeypatch.setattr(detectors, "MAX_BATCH_BYTES", 4 << 20)
+        cfg = _cfg(n_tx=4, n_rx=4, m=2, detectors=(DetectorSpec.mmse(),))
+        with pytest.raises(DimensionTooLargeError):
+            run_point(cfg, DetectorSpec.sbp(2), 8.0)
+        with pytest.raises(DimensionTooLargeError):
+            run_convergence(cfg, DetectorSpec.sbp(2), 8.0, [1, 2])
 
 
 class TestBatchStreams:
@@ -215,7 +234,7 @@ class TestEngineMatchesPerTrialDetector:
         if rbp_like and m == 2 and spec.rd2 == 0 and spec.rd1 == 0:
             spec = DetectorSpec(spec.kind, spec.iterations, 0, 1)
         bits, h, y = _draw_batch(dims, sigma2, _batch_rng(11, 8.0, 0), 32)
-        batched = _engine_soft(spec, h, y, sigma2, m)
+        [batched] = _engine_soft(spec, h, y, sigma2, m, (spec.iterations,))
         for b in range(32):
             single = detect(spec, h[b], y[b], sigma2, m=m)
             assert np.array_equal(batched[b], single.soft_llrs), \
@@ -250,7 +269,7 @@ class TestEngineMatchesPerTrialDetector:
         """The kernels work in buffers of their own; the caller's arrays stay as drawn."""
         _, h, y = _draw_batch(SystemDims(3, 4, m), 0.4, _batch_rng(12, 8.0, 0), 16)
         h_bytes, y_bytes = h.tobytes(), y.tobytes()
-        _engine_soft(spec, h, y, 0.4, m)
+        _engine_soft(spec, h, y, 0.4, m, (spec.iterations,))
         assert h.tobytes() == h_bytes and y.tobytes() == y_bytes
 
 
@@ -338,7 +357,7 @@ class TestRunPoint:
         for index in range(2):
             bits, h, y = _draw_batch(dims, sigma2, _batch_rng(31, 4.0, index),
                                      BATCH_TRIALS)
-            soft_all.append(_engine_soft(DetectorSpec.mmse(), h, y, sigma2, 1).ravel())
+            soft_all.append(_engine_soft(DetectorSpec.mmse(), h, y, sigma2, 1, (0,))[0].ravel())
             bits_all.append(bits.ravel())
         want = ami(np.concatenate(soft_all), np.concatenate(bits_all))
         assert rec.ami == pytest.approx(want, rel=1e-12)
@@ -367,10 +386,9 @@ class TestNonFiniteOutputs:
     def broken_engine(self, request, monkeypatch):
         real = simulator._engine_soft
 
-        def engine(spec, h, y, sigma2, m, want_iters=False, front=None):
-            out = real(spec, h, y, sigma2, m, want_iters=want_iters, front=front)
-            last = out[-1] if want_iters else out
-            last[3, 0] = request.param
+        def engine(spec, h, y, sigma2, m, depths, front=None):
+            out = real(spec, h, y, sigma2, m, depths, front)
+            out[-1][3, 0] = request.param
             return out
 
         monkeypatch.setattr(simulator, "_engine_soft", engine)
