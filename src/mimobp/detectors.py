@@ -401,12 +401,23 @@ def build_edge_sets(h: np.ndarray, spec: DetectorSpec, m: int = 1) -> np.ndarray
     rd1 = spec.rd1
     sets = np.empty(lead + (m * n_tx, spec.relax_degree(m)), dtype=np.intp)
     if rd1:
-        order = np.argsort(-np.abs(h), axis=-1, kind="stable")
-        offs = np.arange(m, dtype=np.intp)
-        for k0 in range(n_tx):
-            chosen = order[order != k0].reshape(lead + (n_tx - 1,))[..., :rd1]
-            bits = chosen[..., None] * m + offs
-            sets[..., k0 * m:(k0 + 1) * m, :rd1 * m] = bits.reshape(lead + (1, rd1 * m))
+        # top[p]: row n's p-th largest |h_{j,k}|, first of ties first, by
+        # rd1 + 1 argmax passes that each mark their pick below every |h|
+        mag = np.abs(h).reshape(-1, n_tx)
+        rows = np.arange(len(mag))
+        top = np.empty((rd1 + 1, len(mag)), dtype=np.intp)
+        for p in range(rd1 + 1):
+            top[p] = pick = mag.argmax(axis=-1)
+            mag[rows, pick] = -1.0
+        # symbol k0 skips itself: its position p is top[p + 1] once k0 is
+        # among top[:p + 1], else top[p] (seen: logical_or accumulated over p)
+        view = sets.reshape((len(mag), n_tx, m, -1))
+        seen = np.zeros((n_tx, len(mag)), dtype=bool)
+        for p in range(rd1):
+            seen |= top[p] == np.arange(n_tx)[:, None]
+            chosen = np.where(seen, top[p + 1], top[p]) * m    # (Nt, rows): k0-major
+            for o in range(m):   # bit o of the chosen symbol, for each bit of k0
+                view[..., p * m + o] = (chosen.T + o)[:, :, None]
     if spec.rd2:
         sets[..., rd1 * m:] = [[t for t in range(i - i % m, i - i % m + m) if t != i]
                                for i in range(m * n_tx)]

@@ -41,19 +41,27 @@ record's wall_seconds is its lane's share of the loop's time, in proportion
 to its own _run_batch time (the first user pays for a shared build), so the
 lanes' shares of a serial run sum to its detection time; every depth of a
 lane carries its share.
+
+Heap policy: every process that runs batches (the serial loop and each pool
+worker) sets glibc's mmap threshold to 32 MiB and its trim threshold to
+64 MiB once, before its first batch (_keep_freed_heap). glibc would
+otherwise size both from the largest block freed so far, 0.25-1 MiB at 4x4
+and 8x8 BPSK, and return each lane's freed working set to the kernel, so the
+next lane or batch page-faulted it back in. The setting is process-wide and
+glibc-only, and changes no result.
 """
 from __future__ import annotations
 
 import collections
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import itertools
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -75,6 +83,9 @@ from .detectors import (
 )
 from .errors import IoFailure
 from .metrics import BerAccumulator, ami_sum
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 # Trials per batch; fixed so batch boundaries (and therefore stopping points
 # and RNG streams) do not depend on worker count.
@@ -367,6 +378,30 @@ def _run_batch(spec: DetectorSpec, bits, h, y, sigma2: float, m: int, want_ami: 
 # perfbench's tracer resolves this name; every batch runs through _run_batch.
 _run_batch_multi_l = _run_batch
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3    # mallopt parameters, <malloc.h>
+_heap_kept = False
+
+
+def _keep_freed_heap() -> None:
+    """Set glibc's mmap and trim thresholds to 32 and 64 MiB, the ceilings
+    its dynamic rule reaches on 64-bit hosts, once per process, so freed
+    batch arrays stay mapped for the next lane and batch (see the module
+    docstring). Process-wide; does nothing off glibc. Both are set: a trim
+    threshold alone pins the mmap threshold at 128 KiB."""
+    global _heap_kept
+    if _heap_kept:
+        return
+    _heap_kept = True
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):  # no confstr, name or mallopt
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
 
 def _run_lanes_on_batch(dims: SystemDims, snr_db: float, sigma2: float, master_seed: int,
                         batch_index: int, want_ami: bool, lanes: list):
@@ -375,8 +410,10 @@ def _run_lanes_on_batch(dims: SystemDims, snr_db: float, sigma2: float, master_s
     Returns, per lane, _run_batch's result or the exception it raised, and
     its own _run_batch time in seconds. The lanes share one dict of front-end
     values (_shared), dropped with the batch. This is the task a pool
-    worker runs.
+    worker runs, so every process that runs batches keeps its freed heap
+    (_keep_freed_heap).
     """
+    _keep_freed_heap()
     bits, h, y = _draw_batch(dims, sigma2, _batch_rng(master_seed, snr_db, batch_index),
                              BATCH_TRIALS)
     front: dict = {}
@@ -445,7 +482,11 @@ class _Lane:
 
 
 def _pool(workers: int):
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    if workers <= 1:
+        return contextlib.nullcontext()
+    # imported here: concurrent.futures.process pulls in multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _run_lanes_at(cfg: SweepConfig, snr_db: float, lanes: list, workers: int = 1,

@@ -203,6 +203,19 @@ class TestEdgeSelection:
                         sets[b, j, i], naive_edge_set(h[b, j], i, 2, 1, 2)
                     )
 
+    @pytest.mark.parametrize("n_tx", [2, 3, 4, 8])
+    def test_heavy_ties_follow_a_stable_descending_sort(self, n_tx):
+        # integer-valued gains in {0, 1, 2} (real or imaginary): most rows tie
+        rng = np.random.default_rng(38 + n_tx)
+        h = rng.integers(0, 3, size=(6, 3, n_tx)) * np.where(
+            rng.random((6, 3, n_tx)) < 0.5, 1.0, 1.0j)
+        for m in (1, 2):
+            for rd1 in range(n_tx):
+                for rd2 in range(2):
+                    sets = build_edge_sets(h, DetectorSpec.rbp(rd1, rd2, 1), m=m)
+                    for b, j, i in np.ndindex(6, 3, n_tx * m):
+                        assert list(sets[b, j, i]) == naive_edge_set(h[b, j], i, rd1, rd2, m)
+
     def test_rd1_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             build_edge_sets(np.ones((1, 4)), DetectorSpec.rbp(4, 0, 1))

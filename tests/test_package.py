@@ -1,6 +1,9 @@
 """The public surface: every exported name resolves, and removed names stay gone."""
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -35,3 +38,14 @@ def test_one_implementation_per_detector():
                  "_component_llr"):
         assert not hasattr(detectors, name), name
     assert not hasattr(errors, "SingularMatrixError")
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    """The pool module, and multiprocessing with it, loads only for workers > 1."""
+    src = os.path.dirname(os.path.dirname(mimobp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, mimobp; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

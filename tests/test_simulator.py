@@ -1,6 +1,7 @@
 """Monte Carlo harness: determinism, pairing, stopping, CSV round-trips."""
 import collections
 import dataclasses
+import os
 import time
 import tracemalloc
 
@@ -551,6 +552,59 @@ class TestBatchMajorSweep:
         elapsed = time.perf_counter() - start
         total = sum(r.wall_seconds for r in records)
         assert 0.9 * elapsed < total <= elapsed
+
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError):
+        return False
+
+
+class TestFreedHeapStaysMapped:
+    """Freed batch arrays stay mapped, so a repeated run takes no page faults."""
+
+    @pytest.mark.skipif(not _on_glibc(), reason="sets glibc's heap thresholds")
+    @pytest.mark.parametrize("n_tx, specs", [
+        (8, (DetectorSpec.rbp(1, 0), DetectorSpec.mmse_rbp(1, 0))),
+        (4, (DetectorSpec.sbp(), DetectorSpec.rbp(1, 0), DetectorSpec.mmse_sic())),
+    ])
+    def test_a_repeated_sweep_faults_nothing_back_in(self, n_tx, specs):
+        resource = pytest.importorskip("resource")
+        cfg = _cfg(n_tx=n_tx, n_rx=n_tx, detectors=specs, snr_points_db=(10.0,),
+                   errors_target=10**9, bits_max=2 * BATCH_TRIALS * n_tx, master_seed=7)
+        run_sweep(cfg)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        records = run_sweep(cfg)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+        assert [r.bits for r in records] == [2 * BATCH_TRIALS * n_tx] * len(specs)
+
+    @pytest.mark.parametrize("confstr", ["raises", "empty"])
+    def test_does_nothing_off_glibc(self, monkeypatch, confstr):
+        def fake_confstr(name):
+            if confstr == "raises":
+                raise ValueError("unrecognized configuration name")
+            return None
+
+        def no_lookup(*args):
+            raise AssertionError("looked up mallopt")
+
+        monkeypatch.setattr(simulator, "_heap_kept", False)
+        monkeypatch.setattr(simulator.os, "confstr", fake_confstr, raising=False)
+        monkeypatch.setattr(simulator.ctypes, "CDLL", no_lookup)
+        simulator._keep_freed_heap()
+        assert simulator._heap_kept  # once per process: later batches skip the check
+
+    def test_does_nothing_without_mallopt(self, monkeypatch):
+        class NoMallopt:
+            def __init__(self, name):
+                pass
+
+        monkeypatch.setattr(simulator, "_heap_kept", False)
+        monkeypatch.setattr(simulator.os, "confstr", lambda name: "glibc 2.36", raising=False)
+        monkeypatch.setattr(simulator.ctypes, "CDLL", NoMallopt)
+        simulator._keep_freed_heap()
+        assert simulator._heap_kept
 
 
 _SPECS = {"SBP": DetectorSpec.sbp(), "RBP(1,0)": DetectorSpec.rbp(1, 0),
