@@ -214,15 +214,12 @@ def _cmd_run(args: argparse.Namespace, mode: str) -> int:
                 lanes.append(_convergence_lane(spec, range(1, settings["l_max"] + 1)))
             else:
                 print(f"[mimobp] skipping {spec.label}: not iterative", file=sys.stderr)
-    records = _run_lanes(cfg, lanes, workers=settings["workers"], progress=True)
+    records, failed = _run_lanes(cfg, lanes, workers=settings["workers"], progress=True)
     write_csv(records, settings["out"])
     print(f"[mimobp] wrote {settings['out']} ({len(records)} records)", file=sys.stderr)
-    # every lane scores as many depths, so a failed point is that many missing rows
-    depths = len(lanes[0][1])
-    expected = len(lanes) * len(cfg.snr_points_db)
-    failed = expected - len(records) // depths
     if failed:
-        print(f"[mimobp] error: {failed} of {expected} points failed", file=sys.stderr)
+        print(f"[mimobp] error: {failed} of {len(lanes) * len(cfg.snr_points_db)} points failed",
+              file=sys.stderr)
         return 1
     return 0
 

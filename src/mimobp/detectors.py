@@ -28,14 +28,17 @@ would double-count information already fed back through the cancellation.
 
 Each detector has one implementation, the batched engine in
 mimobp.simulator, built from the batch steps here. detect() and
-message_history() run it on a batch of one; the per-message helpers
-(sbp_beta_update, rbp_beta_update, interference_mean, ...) return the same
-floats. The relaxed beta is a matched filter plus two maxima of one
-prior-sum table per iteration against tables that depend only on the
+message_history() run it on a batch of one (_one_trial) with a fresh dict
+of shared front-end values, as a sweep lane runs it with its batch's. The
+per-message helpers (sbp_beta_update, rbp_beta_update, interference_mean,
+...) return the same floats. Every one-trial entry point refuses a y whose
+length is not Nr. The relaxed beta is a matched filter plus two maxima of
+one prior-sum table per iteration against tables that depend only on the
 hypothesis, built once per batch (_relaxed_step). Every order is the
 code's own: the prior sums add a fold over the even bits, highest bit
 first, to one over the odd bits, the lump sums add in ascending bit order
-and the MMSE estimates take one inverse. Only the draw's H s calls einsum.
+and the MMSE estimates and error variances take one inverse. Only the
+draw's H s calls einsum.
 """
 from __future__ import annotations
 
@@ -361,10 +364,7 @@ def sbp_beta_update(alpha: np.ndarray, h: np.ndarray, y: np.ndarray,
     """
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be > 0")
-    n_rx, n_tx = np.shape(h)
-    _table_bytes("SBP", m * n_tx, (1, n_rx))
-    step = _sbp_step(np.asarray(h, dtype=np.complex128)[None],
-                     np.asarray(y, dtype=np.complex128)[None], sigma2, m)
+    step = _sbp_step(*_one_trial(DetectorSpec.sbp(), h, y, m), sigma2, m)
     return step(np.asarray(alpha, dtype=np.float64)[None])[0]
 
 
@@ -546,6 +546,7 @@ def rbp_beta_update(alpha: np.ndarray, gains: np.ndarray, edge_sets: np.ndarray,
     is the matched filter, so use_closed_form changes nothing.
     """
     n_rx, n_bits, rd = edge_sets.shape
+    _check_length(y, n_rx)
     _table_bytes("RBP", rd, (1, n_rx, n_bits))
     step = _relaxed_step(gains[None], edge_sets[None], sigma2_z[None], y[None])
     return step(alpha[None], u[None])[0]
@@ -555,11 +556,12 @@ def rbp_beta_update(alpha: np.ndarray, gains: np.ndarray, edge_sets: np.ndarray,
 
 
 def _mmse_estimate(h: np.ndarray, y: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
-    """MMSE estimates of a batch: K = A^-1 (B, Nt, Nt), with A = H^H H +
-    sigma^2 I, and s_hat = K (H^H y) (B, Nt). One inverse serves both."""
+    """MMSE estimates of a batch and their error variances, both (B, Nt):
+    s_hat = K (H^H y) and the real diagonal of K = A^-1, with A = H^H H +
+    sigma^2 I. One inverse serves both."""
     hh = np.swapaxes(h.conj(), 1, 2)
     k = np.linalg.inv(hh @ h + sigma2 * np.eye(h.shape[2]))
-    return (k @ (hh @ y[:, :, None]))[:, :, 0], k
+    return (k @ (hh @ y[:, :, None]))[:, :, 0], np.diagonal(k, axis1=1, axis2=2).real.copy()
 
 
 def _mmse_llrs(s_hat: np.ndarray, mse: np.ndarray, m: int) -> np.ndarray:
@@ -580,16 +582,27 @@ def _mmse_llrs(s_hat: np.ndarray, mse: np.ndarray, m: int) -> np.ndarray:
 # ---------------- whole-vector detection ----------------
 
 
+def _check_length(y, n_rx: int) -> None:
+    if np.shape(y) != (n_rx,):
+        raise LengthMismatchError(f"y has shape {np.shape(y)}, expected ({n_rx},)")
+
+
+def _one_trial(spec: DetectorSpec, h, y, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """h (Nr, Nt) and y (Nr,) as a complex batch of one, (1, Nr, Nt) and (1, Nr),
+    after checking y's length and sizing spec at one trial (_spec_bytes)."""
+    h = np.asarray(h, dtype=np.complex128)
+    _check_length(y, h.shape[0])
+    _spec_bytes(spec, h.shape[1], h.shape[0], m, 1)
+    return h[None], np.asarray(y, dtype=np.complex128)[None]
+
+
 def message_history(spec: DetectorSpec, h: np.ndarray, y: np.ndarray,
                     sigma2: float, m: int = 1) -> list[MessageState]:
     """Alpha/beta after each flooding iteration (for analysis and tests)."""
     from .simulator import _bp_messages  # the simulator imports this module
 
-    h = np.asarray(h, dtype=np.complex128)[None]
-    y = np.asarray(y, dtype=np.complex128)[None]
-    _spec_bytes(spec, h.shape[2], h.shape[1], m, 1)
     return [MessageState(alpha[0], beta[0])
-            for alpha, beta in _bp_messages(spec, h, y, sigma2, m)]
+            for alpha, beta in _bp_messages(spec, *_one_trial(spec, h, y, m), sigma2, m, {})]
 
 
 def detect(spec: DetectorSpec, h: np.ndarray, y: np.ndarray, sigma2: float,
@@ -605,15 +618,10 @@ def detect(spec: DetectorSpec, h: np.ndarray, y: np.ndarray, sigma2: float,
     """
     from .simulator import _engine_soft  # the simulator imports this module
 
-    h = np.asarray(h, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    if y.shape != (h.shape[0],):
-        raise LengthMismatchError(
-            f"y has shape {y.shape}, expected ({h.shape[0]},)")
-    _spec_bytes(spec, h.shape[1], h.shape[0], m, 1)
     record = record_iterations and spec.iterative
     depths = tuple(range(spec.iterations + 1)) if record else (spec.iterations,)
-    outs = [soft[0] for soft in _engine_soft(spec, h[None], y[None], sigma2, m, depths)]
+    outs = [soft[0] for soft in _engine_soft(spec, *_one_trial(spec, h, y, m), sigma2, m,
+                                             depths, {})]
     return DetectionResult(np.where(outs[-1] >= 0.0, 1, -1), outs[-1],
                            spec.iterations if spec.iterative else 0,
                            outs[1:] if record else None)

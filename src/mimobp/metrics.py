@@ -82,7 +82,8 @@ def complexity_counts(kind: str, n_tx: int, n_rx: int, m: int, l: int,
     ML, SBP, RBP (general relax coefficients), MMSE_RBP (RBP plus an
     Nt^3-cost filter and Nt(Nt-1)/2 ordering comparisons), RBP00 (the
     most-simplified scheme counted on its own form), and EB (edge-based
-    reference scheme, counted only; not implemented as a detector).
+    reference scheme, counted only; not implemented as a detector). The
+    published EB counts are RBP's with rd2 = 1, whatever rd2 is given.
     """
     if kind not in _COUNT_KINDS:
         raise ValueError(f"unknown complexity kind {kind!r}")
@@ -93,6 +94,8 @@ def complexity_counts(kind: str, n_tx: int, n_rx: int, m: int, l: int,
     if rd2 not in (0, 1):
         raise ValueError("rd2 must be 0 or 1")
 
+    if kind == "EB":
+        kind, rd2 = "RBP", 1
     mn = m * n_tx
     if kind == "ML":
         mult = 2**mn * n_rx * n_tx + mn
@@ -105,24 +108,18 @@ def complexity_counts(kind: str, n_tx: int, n_rx: int, m: int, l: int,
         comp = (2**mn - 2) * m * n_tx * n_rx * l
         return OpCounts(mult, add, comp)
 
-    if kind in ("RBP", "MMSE_RBP"):
-        rd = rd1 * m + rd2 * (m - 1)
-        mult = 2 ** (rd + 1) * (rd1 + 1) * n_rx + 2**m * (n_tx - rd1 - 1) * n_rx
-        add = mult + (2**rd * (rd1 + 1) + 2 ** (m - 1) + 3 * n_tx) * m * l * n_rx
-        comp = (2 ** (rd + 1) - 2) * m * l * n_tx * n_rx
-        if kind == "MMSE_RBP":
-            mult += n_tx**3
-            add += n_tx**3
-            comp += n_tx * (n_tx - 1) // 2
-        return OpCounts(mult, add, comp)
-
     if kind == "RBP00":
         mult = 2 * n_rx + 2**m * (n_tx - 1) * n_rx
         add = mult + (2 ** (m - 1) + 3 * n_tx + 2) * m * l * n_tx * n_rx
         return OpCounts(mult, add, 0)
 
-    # EB (rd2 does not enter the published EB counts)
-    mult = 2 ** (m * rd1 + m) * (rd1 + 1) * n_rx + 2**m * (n_tx - rd1 - 1) * n_rx
-    add = mult + (2 ** (m * rd1 + m - 1) * (rd1 + 1) + 2 ** (m - 1) + 3 * n_tx) * m * l * n_rx
-    comp = (2 ** (m * rd1 + m) - 2) * m * l * n_tx * n_rx
+    # RBP and MMSE_RBP
+    rd = rd1 * m + rd2 * (m - 1)
+    mult = 2 ** (rd + 1) * (rd1 + 1) * n_rx + 2**m * (n_tx - rd1 - 1) * n_rx
+    add = mult + (2**rd * (rd1 + 1) + 2 ** (m - 1) + 3 * n_tx) * m * l * n_rx
+    comp = (2 ** (rd + 1) - 2) * m * l * n_tx * n_rx
+    if kind == "MMSE_RBP":
+        mult += n_tx**3
+        add += n_tx**3
+        comp += n_tx * (n_tx - 1) // 2
     return OpCounts(mult, add, comp)

@@ -6,8 +6,10 @@ batch index), so results are reproducible bit-for-bit regardless of worker
 count or scheduling, and every detector sees the same channel/noise
 realizations at a given (seed, SNR) - useful for paired comparisons.
 
-The engine here is the only implementation of every detector;
-detectors.detect() and message_history() run it on a batch of one, and a
+The engine here is the only implementation of every detector, with one
+path: every engine call takes its batch's dict of shared front-end values
+(front, see _shared), and detectors.detect() and message_history() pass a
+fresh one, so a one-trial call runs exactly the calls a sweep lane runs. A
 row's result does not depend on the batch around it. The BP kinds share one
 flooding loop, _bp_messages, over the batch steps of mimobp.detectors:
 standard BP, and relaxed BP that lumps nothing, is config-major, (C, B, Nr)
@@ -21,7 +23,11 @@ the even and the odd bits, each added from the highest bit down, and one
 broadcast add. The relaxed step builds its hypothesis-only score tables
 once per batch and one prior-sum table per iteration. The lump sums come
 from detectors._lump, in ascending bit order, and the MMSE kinds share one
-inverse, detectors._mmse_estimate.
+inverse, detectors._mmse_estimate, which returns the estimates and their
+error variances; MMSE, MMSE-SIC and the cascade turn those into LLRs by one
+rule, detectors._mmse_llrs. _engine_edge_sets and _ami_sum are import
+aliases of detectors.build_edge_sets and metrics.ami_sum: names of this
+module that a traced run wraps, called by those names.
 
 Every run is batch-major. A "lane" is a (detector, depths) pair: the
 detector run to spec.iterations and scored after each iteration count in
@@ -79,10 +85,13 @@ from .detectors import (
     _spec_bytes,
     alpha_update,
     bit_gains,
-    build_edge_sets,
 )
 from .errors import IoFailure
-from .metrics import BerAccumulator, ami_sum
+from .metrics import BerAccumulator
+
+# names of this module that a traced run wraps; the engine calls them by these names
+from .detectors import build_edge_sets as _engine_edge_sets
+from .metrics import ami_sum as _ami_sum
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -199,60 +208,46 @@ def _engine_ml(h, y, m):
     return hard * LLR_CLAMP
 
 
-def _mmse_front(h, y, sigma2, front=None):
-    """(s_hat, error variances), both (B, Nt), of a batch's MMSE estimate: the
-    batch's shared one when front (its dict, see _shared) is given."""
-    def build():
-        s_hat, k = _mmse_estimate(h, y, sigma2)
-        return s_hat, np.diagonal(k, axis1=1, axis2=2).real.copy()
-
-    return _shared(front, "mmse", build)
+def _mmse_front(h, y, sigma2, front: dict):
+    """The batch's shared MMSE estimate, (s_hat, error variances) (B, Nt)."""
+    return _shared(front, "mmse", lambda: _mmse_estimate(h, y, sigma2))
 
 
-def _engine_mmse_prior(h, y, sigma2, m, front=None):
+def _engine_mmse_prior(h, y, sigma2, m, front: dict):
     """Per-bit MMSE pseudo-LLRs for a batch, shape (B, Nbits). Unclamped."""
     return _mmse_llrs(*_mmse_front(h, y, sigma2, front), m)
 
 
-def _engine_mmse_sic(h, y, sigma2, m, front=None):
+def _engine_mmse_sic(h, y, sigma2, m, front: dict):
     """Ordered successive cancellation: best post-MMSE stream first,
-    hard-decision re-encode, subtract, re-filter the remainder."""
+    hard-decision re-encode, subtract, re-filter the remainder. Each stream's
+    soft output is _mmse_llrs of its estimate at the stage that decided it."""
     b, n_rx, n_tx = h.shape
-    n_bits = m * n_tx
     rows = np.arange(b)
     active = np.tile(np.arange(n_tx), (b, 1))
     y_res = y
-    soft = np.empty((b, n_bits))
+    s_dec, mse_dec = np.empty((b, n_tx), dtype=np.complex128), np.empty((b, n_tx))
     for stage in range(n_tx):
         n_rem = n_tx - stage
         if stage:
             h_act = np.take_along_axis(h, active[:, None, :], axis=2)
-            s_hat, mse = _mmse_front(h_act, y_res, sigma2)
+            s_hat, mse = _mmse_estimate(h_act, y_res, sigma2)
         else:  # the whole H: the estimate the batch's MMSE detectors share
             s_hat, mse = _mmse_front(h, y, sigma2, front)
         p = np.argmin(mse, axis=1)
         sym = active[rows, p]
         est = s_hat[rows, p]
-        mse_p = mse[rows, p]
-        scale = 2.0 * np.sqrt(m) / mse_p
-        soft[rows, sym * m] = scale * est.real
-        if m == 2:
-            soft[rows, sym * m + 1] = scale * est.imag
+        s_dec[rows, sym], mse_dec[rows, sym] = est, mse[rows, p]
         sliced = modulate(demodulate(est[:, None], m), m)[:, 0]
         h_sym = np.take_along_axis(h, sym[:, None, None], axis=2)[:, :, 0]
         y_res = y_res - h_sym * sliced[:, None]
         keep = np.ones((b, n_rem), dtype=bool)
         keep[rows, p] = False
         active = active[keep].reshape(b, n_rem - 1)
-    return soft
+    return _mmse_llrs(s_dec, mse_dec, m)
 
 
-def _engine_edge_sets(h, spec: DetectorSpec, m: int) -> np.ndarray:
-    """build_edge_sets for a batch, shape (B, Nr, Nbits, R_D)."""
-    return build_edge_sets(h, spec, m)
-
-
-def _cascade_prior(h, y, sigma2, m, front=None):
+def _cascade_prior(h, y, sigma2, m, front: dict):
     """The MMSE cascade's fixed per-bit prior (B, Nbits), clamped like alpha."""
     return np.clip(_engine_mmse_prior(h, y, sigma2, m, front), -LLR_CLAMP, LLR_CLAMP)
 
@@ -263,7 +258,7 @@ def _relaxed_front(h, spec: DetectorSpec, m: int):
     return bit_gains(h, m), sets, _lump(sets)
 
 
-def _bp_messages(spec: DetectorSpec, h, y, sigma2, m, front=None):
+def _bp_messages(spec: DetectorSpec, h, y, sigma2, m, front: dict):
     """The flooding iterations of SBP, RBP or MMSE-RBP over a batch.
 
     Yields (alpha, beta) after each iteration, alpha (B, Nbits, Nr) and beta
@@ -275,9 +270,10 @@ def _bp_messages(spec: DetectorSpec, h, y, sigma2, m, front=None):
     fixed per-bit prior factor: they seed the alphas, remain an additive
     intrinsic term in every alpha update, and shrink the lump variances once
     up front. Where alpha starts at +0 (SBP, RBP), the first iteration takes
-    the alpha sums and the lump mean as +0 instead of computing them. With
-    front (the batch's dict, see _shared), the cascade's MMSE estimate and
-    the relaxed gains, edge sets and lump are the batch's shared ones.
+    the alpha sums and the lump mean as +0 instead of computing them. The
+    cascade's MMSE estimate and the relaxed gains, edge sets and lump come
+    from front, the batch's dict (_shared), which keeps them for its other
+    lanes.
     """
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be > 0 for message passing")
@@ -295,7 +291,7 @@ def _bp_messages(spec: DetectorSpec, h, y, sigma2, m, front=None):
         bit_var = 1.0 if prior is None else (1.0 - np.tanh(prior / 2.0) ** 2)[:, None, :]
         sigma2_z = np.maximum(lump(np.abs(gains) ** 2 * bit_var), 0.0) + sigma2
         relaxed = _relaxed_step(gains, sets, sigma2_z, y)
-        del sets, sigma2_z  # the steps keep what they use; free the rest
+        del sigma2_z  # the step keeps what it uses; free the rest
 
         def step(alpha, fresh):
             # without a cascade, alpha starts at +0: u and the priors are +0
@@ -310,7 +306,7 @@ def _bp_messages(spec: DetectorSpec, h, y, sigma2, m, front=None):
         yield alpha, beta
 
 
-def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, depths, front=None):
+def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, depths, front: dict):
     """Soft outputs (B, Nbits) of the BP family over a batch, one per depth in
     depths (ascending, the last spec.iterations), from one _bp_messages run.
 
@@ -328,7 +324,7 @@ def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, depths, front=None):
     return outs
 
 
-def _engine_soft(spec: DetectorSpec, h, y, sigma2, m, depths, front=None):
+def _engine_soft(spec: DetectorSpec, h, y, sigma2, m, depths, front: dict):
     """spec's soft outputs (B, Nbits) over a batch: one per depth for the BP
     kinds (_engine_bp), the one output of the others."""
     if spec.kind == "ML":
@@ -343,18 +339,12 @@ def _engine_soft(spec: DetectorSpec, h, y, sigma2, m, depths, front=None):
 # ---------------- batch workers ----------------
 
 
-def _shared(front: dict | None, key, build):
-    """build(), or front[key], built by the first lane to ask, with front one batch's
-    dict: "mmse" holds the MMSE estimate, ("edges", rd1, rd2) the relaxed front end."""
-    if front is None:
-        return build()
+def _shared(front: dict, key, build):
+    """front[key], built by the first lane to ask, with front one batch's dict:
+    "mmse" holds the MMSE estimate, ("edges", rd1, rd2) the relaxed front end."""
     if key not in front:
         front[key] = build()
     return front[key]
-
-
-def _ami_sum(soft: np.ndarray, bits: np.ndarray) -> float:
-    return ami_sum(soft, bits)  # a name of its own, so a traced run can time it
 
 
 def _count_errors(soft: np.ndarray, bits: np.ndarray) -> int:
@@ -366,7 +356,7 @@ def _count_errors(soft: np.ndarray, bits: np.ndarray) -> int:
 
 
 def _run_batch(spec: DetectorSpec, bits, h, y, sigma2: float, m: int, want_ami: bool,
-               depths: tuple, front: dict | None = None):
+               depths: tuple, front: dict):
     """(bits, errors per depth, ami sum per depth) of spec on one drawn batch:
     each depth's soft output (_engine_soft) scored against the sent bits."""
     outputs = _engine_soft(spec, h, y, sigma2, m, depths, front)
@@ -482,7 +472,9 @@ class _Lane:
 
 
 def _pool(workers: int):
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
         return contextlib.nullcontext()
     # imported here: concurrent.futures.process pulls in multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -537,8 +529,9 @@ def _run_lanes_at(cfg: SweepConfig, snr_db: float, lanes: list, workers: int = 1
 
 
 def _run_lanes(cfg: SweepConfig, lanes: list, workers: int = 1,
-               progress: bool = False) -> list[SweepRecord]:
-    """Every lane (spec, depths) at every SNR point; records by (lane, snr, depth).
+               progress: bool = False) -> tuple[list[SweepRecord], int]:
+    """Every lane (spec, depths) at every SNR point: (records by (lane, snr,
+    depth), the number of failed (lane, snr) points).
 
     The SNR points run in ascending order, each as one batch-major loop over
     every lane (_run_lanes_at), all on one worker pool. A failing point is
@@ -546,6 +539,7 @@ def _run_lanes(cfg: SweepConfig, lanes: list, workers: int = 1,
     arrive SNR point by SNR point.
     """
     rows: list[list[SweepRecord]] = [[] for _ in lanes]
+    failed = 0
     with _pool(workers) as pool:
         for snr_db in sorted(cfg.snr_points_db):
             try:
@@ -556,6 +550,7 @@ def _run_lanes(cfg: SweepConfig, lanes: list, workers: int = 1,
                 if isinstance(outcome, Exception):  # keep going; a run is many points
                     print(f"[mimobp] point failed: {detector.name} @ {snr_db} dB: {outcome}",
                           file=sys.stderr)
+                    failed += 1
                     continue
                 row.extend(outcome)
                 if progress:
@@ -563,7 +558,7 @@ def _run_lanes(cfg: SweepConfig, lanes: list, workers: int = 1,
                         print(f"[mimobp] {detector.name} L={rec.iterations} "
                               f"snr={rec.snr_db:g} dB  ber={rec.ber:.3e}  errors={rec.errors}  "
                               f"bits={rec.bits}", file=sys.stderr)
-    return [rec for row in rows for rec in row]
+    return [rec for row in rows for rec in row], failed
 
 
 def _convergence_lane(detector: DetectorSpec, l_values: Sequence[int]) -> tuple:
@@ -613,7 +608,7 @@ def run_convergence(cfg: SweepConfig, detector: DetectorSpec, snr_db: float,
 def run_sweep(cfg: SweepConfig, workers: int = 1, progress: bool = False) -> list[SweepRecord]:
     """Every detector at every SNR point (_run_lanes); records sorted by (detector, snr)."""
     return _run_lanes(cfg, [(spec, (spec.iterations,)) for spec in cfg.detectors], workers,
-                      progress)
+                      progress)[0]
 
 
 # ---------------- CSV ----------------

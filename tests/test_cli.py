@@ -120,6 +120,17 @@ class TestUsageErrors:
         assert "point failed" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_fail_before_any_point(self, tmp_path, capsys, workers):
+        out = tmp_path / "workers.csv"
+        assert main(["ber-sweep", "--nt", "2", "--nr", "2", "--detectors", "MMSE",
+                     "--snr-min", "4", "--snr-max", "4", "--errors-target", "5",
+                     "--workers", workers, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"workers must be >= 1, got {workers}" in err
+        assert "[mimobp] MMSE" not in err and "point failed" not in err
+        assert not out.exists()
+
     def test_failed_points_exit_1_and_keep_the_good_rows(self, tmp_path, capsys, monkeypatch):
         """ML fails at run time; MMSE still runs."""
         real = simulator._engine_soft

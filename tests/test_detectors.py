@@ -352,9 +352,9 @@ class TestMmseFrontEnd:
     def test_identity_channel_halves_the_observation(self):
         h = np.eye(2, dtype=complex)
         y = np.array([2.0 + 0j, 0.0 + 0j])
-        s_hat, k = _mmse_estimate(h[None], y[None], 1.0)
+        s_hat, mse = _mmse_estimate(h[None], y[None], 1.0)
         np.testing.assert_allclose(s_hat[0], [1.0, 0.0], rtol=0, atol=1e-14)
-        np.testing.assert_allclose(k[0], np.eye(2) / 2.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(mse[0], [0.5, 0.5], rtol=0, atol=1e-14)
 
     def test_pseudo_llr_reference_value(self):
         h = np.eye(2, dtype=complex)
@@ -365,10 +365,10 @@ class TestMmseFrontEnd:
         rng = np.random.default_rng(45)
         for _ in range(30):
             bits, h, y = _instance(rng, 4, 5, sigma2=0.3)
-            s_hat, k = _mmse_estimate(h[None], y[None], 0.3)
+            s_hat, mse = _mmse_estimate(h[None], y[None], 0.3)
             want_s, want_k = naive_mmse(h, y, 0.3)
             np.testing.assert_allclose(s_hat[0], want_s, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(k[0], want_k, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(mse[0], np.diag(want_k).real, rtol=0, atol=1e-10)
 
     def test_vanishing_noise_approaches_zero_forcing(self):
         rng = np.random.default_rng(46)
@@ -490,6 +490,27 @@ class TestDetect:
         h = np.eye(3, dtype=complex)
         with pytest.raises(LengthMismatchError):
             detect(DetectorSpec.ml(), h, np.zeros(4, dtype=complex), 1.0)
+
+    @pytest.mark.parametrize("length", [1, 3], ids=["one", "nr-1"])
+    def test_every_one_trial_entry_point_checks_y_length(self, length):
+        """A short y is refused, not broadcast to every antenna of a 4x4 h."""
+        rng = np.random.default_rng(57)
+        _, h, _ = _instance(rng, 4, 4)
+        y = np.ones(length, dtype=complex)
+        alpha = np.zeros((4, 4))
+        spec = DetectorSpec.rbp(1, 0, 1)
+        gains, sets = bit_gains(h), build_edge_sets(h, spec)
+        calls = [
+            lambda: detect(DetectorSpec.sbp(1), h, y, 0.5),
+            lambda: message_history(DetectorSpec.sbp(1), h, y, 0.5),
+            lambda: message_history(spec, h, y, 0.5),
+            lambda: sbp_beta_update(alpha, h, y, 0.5),
+            lambda: rbp_beta_update(alpha, gains, sets, np.zeros((4, 4), dtype=complex),
+                                    np.ones((4, 4)), y),
+        ]
+        for call in calls:
+            with pytest.raises(LengthMismatchError):
+                call()
 
     def test_enumeration_guard_on_wide_systems(self):
         n = 13  # 26 bits at two per symbol

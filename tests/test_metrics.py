@@ -102,6 +102,23 @@ class TestComplexityCounts:
         for (kind, rd1, rd2), want in expect.items():
             assert complexity_counts(kind, 4, 4, 1, 5, rd1, rd2) == want, kind
 
+    def test_eb_counts_are_the_published_eb_formulas(self):
+        """EB runs RBP's branch at rd2 = 1: the published EB closed forms,
+        which ignore rd2, over Nt, Nr = 1..8, M = 1, 2, L = 1, 3, 5, every rd1."""
+        for n_tx in range(1, 9):
+            for n_rx in range(1, 9):
+                for m in (1, 2):
+                    for l in (1, 3, 5):
+                        for rd1 in range(n_tx):
+                            mult = (2 ** (m * rd1 + m) * (rd1 + 1) * n_rx
+                                    + 2**m * (n_tx - rd1 - 1) * n_rx)
+                            add = mult + (2 ** (m * rd1 + m - 1) * (rd1 + 1) + 2 ** (m - 1)
+                                          + 3 * n_tx) * m * l * n_rx
+                            comp = (2 ** (m * rd1 + m) - 2) * m * l * n_tx * n_rx
+                            for rd2 in (0, 1):
+                                got = complexity_counts("EB", n_tx, n_rx, m, l, rd1, rd2)
+                                assert got == OpCounts(mult, add, comp)
+
     def test_published_headline_multiplications(self):
         assert complexity_counts("SBP", 4, 4, 1, 5).multiplications == 256
         assert complexity_counts("ML", 4, 4, 1, 5).multiplications == 260

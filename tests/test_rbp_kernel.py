@@ -76,7 +76,7 @@ def _assert_bit_identical(kind, n_tx, n_rx, m, rd1, rd2, sigma2, iterations, cou
     h, y = _draw(n_tx, n_rx, m, sigma2, count, batch_index)
     spec = DetectorSpec(kind, iterations=iterations, rd1=rd1, rd2=rd2)
     assert not spec.exhaustive(n_tx, m)
-    got = _engine_bp(spec, h, y, sigma2, m, tuple(range(1, iterations + 1)))
+    got = _engine_bp(spec, h, y, sigma2, m, tuple(range(1, iterations + 1)), {})
     oracle = (h, y, sigma2, m, rd1, rd2, iterations, kind == "MMSE_RBP")
     _assert_equal_every_iteration(got, batched_rbp_trial_major_oracle(*oracle), iterations)
     for older in OLDER_ARITHMETIC:
@@ -91,10 +91,10 @@ def _assert_full_relaxation_is_sbp(kind, n_tx, n_rx, m, rd2, sigma2, iterations,
     h, y = _draw(n_tx, n_rx, m, sigma2, count, batch_index)
     spec = DetectorSpec(kind, iterations=iterations, rd1=n_tx - 1, rd2=rd2)
     assert spec.exhaustive(n_tx, m)
-    got = _engine_bp(spec, h, y, sigma2, m, tuple(range(1, iterations + 1)))
+    got = _engine_bp(spec, h, y, sigma2, m, tuple(range(1, iterations + 1)), {})
     if kind == "RBP":
         want = _engine_bp(DetectorSpec.sbp(iterations), h, y, sigma2, m,
-                          tuple(range(1, iterations + 1)))
+                          tuple(range(1, iterations + 1)), {})
     else:
         want = batched_sbp_mask_oracle(h, y, sigma2, m, iterations,
                                        prior=cascade_prior_oracle(h, y, sigma2, m))
@@ -183,7 +183,7 @@ def _relaxed_kernel_softs(spec, h, y, sigma2, m):
     """Soft outputs of _relaxed_step's own flooding loop: edge sets, lump
     variances, soft cancellation and alpha updates, all computed."""
     n_rx = h.shape[1]
-    prior = _cascade_prior(h, y, sigma2, m) if spec.kind == "MMSE_RBP" else None
+    prior = _cascade_prior(h, y, sigma2, m, {}) if spec.kind == "MMSE_RBP" else None
     gains = bit_gains(h, m)
     sets = build_edge_sets(h, spec, m)
     lump = _lump(sets)
@@ -218,7 +218,7 @@ def test_relaxed_kernel_at_full_relaxation(kind, n_tx, n_rx, m, rd2, snr_db):
     for older in OLDER_ARITHMETIC:
         _assert_close_every_iteration(got, batched_rbp_trial_major_oracle(
             *oracle, arithmetic=older), 5)
-    _assert_close_every_iteration(got, _engine_bp(spec, h, y, sigma2, m, (1, 2, 3, 4, 5)), 5)
+    _assert_close_every_iteration(got, _engine_bp(spec, h, y, sigma2, m, (1, 2, 3, 4, 5), {}), 5)
 
 
 @pytest.mark.parametrize("n,m,rd1,rd2", [(16, 1, 2, 0), (32, 1, 1, 0), (16, 2, 1, 1)],
@@ -260,7 +260,7 @@ def test_relaxed_batch_builds_no_dense_lump_mask():
     try:
         sigma2 = snr_to_noise_variance(8.0, dims)
         bits, h, y = _draw_batch(dims, sigma2, _batch_rng(2011, 8.0, 0), BATCH_TRIALS)
-        _run_batch(spec, bits, h, y, sigma2, 1, False, (spec.iterations,))
+        _run_batch(spec, bits, h, y, sigma2, 1, False, (spec.iterations,), {})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -20,7 +20,7 @@ def _assert_bit_identical(n_tx, n_rx, m, sigma2, iterations, count, batch_index=
     dims = SystemDims(n_tx, n_rx, m)
     _, h, y = _draw_batch(dims, sigma2, _batch_rng(2011, 8.0, batch_index), count)
     got = _engine_bp(DetectorSpec.sbp(iterations), h, y, sigma2, m,
-                     tuple(range(1, iterations + 1)))
+                     tuple(range(1, iterations + 1)), {})
     want = batched_sbp_mask_oracle(h, y, sigma2, m, iterations)
     older = batched_sbp_mask_oracle(h, y, sigma2, m, iterations, einsum=True)
     assert len(got) == len(want) == len(older) == iterations

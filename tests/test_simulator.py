@@ -146,7 +146,7 @@ class TestConfigValidation:
         try:
             sigma2 = snr_to_noise_variance(8.0, dims)
             bits, h, y = _draw_batch(dims, sigma2, _batch_rng(99, 8.0, 0), BATCH_TRIALS)
-            _run_batch(spec, bits, h, y, sigma2, m, False, (spec.iterations,))
+            _run_batch(spec, bits, h, y, sigma2, m, False, (spec.iterations,), {})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -235,7 +235,7 @@ class TestEngineMatchesPerTrialDetector:
         if rbp_like and m == 2 and spec.rd2 == 0 and spec.rd1 == 0:
             spec = DetectorSpec(spec.kind, spec.iterations, 0, 1)
         bits, h, y = _draw_batch(dims, sigma2, _batch_rng(11, 8.0, 0), 32)
-        [batched] = _engine_soft(spec, h, y, sigma2, m, (spec.iterations,))
+        [batched] = _engine_soft(spec, h, y, sigma2, m, (spec.iterations,), {})
         for b in range(32):
             single = detect(spec, h[b], y[b], sigma2, m=m)
             assert np.array_equal(batched[b], single.soft_llrs), \
@@ -248,7 +248,7 @@ class TestEngineMatchesPerTrialDetector:
         """Every iteration's engine beta is sbp_beta_update of the alpha before it."""
         _, h, y = _draw_batch(SystemDims(n_tx, n_rx, m), sigma2, _batch_rng(13, 8.0, 0), 16)
         alpha = np.zeros((16, m * n_tx, n_rx))  # the engine starts from +0
-        for next_alpha, beta in simulator._bp_messages(DetectorSpec.sbp(4), h, y, sigma2, m):
+        for next_alpha, beta in simulator._bp_messages(DetectorSpec.sbp(4), h, y, sigma2, m, {}):
             for b in range(16):
                 single = sbp_beta_update(alpha[b], h[b], y[b], sigma2, m)
                 assert np.array_equal(beta[b], single), \
@@ -270,7 +270,7 @@ class TestEngineMatchesPerTrialDetector:
         """The kernels work in buffers of their own; the caller's arrays stay as drawn."""
         _, h, y = _draw_batch(SystemDims(3, 4, m), 0.4, _batch_rng(12, 8.0, 0), 16)
         h_bytes, y_bytes = h.tobytes(), y.tobytes()
-        _engine_soft(spec, h, y, 0.4, m, (spec.iterations,))
+        _engine_soft(spec, h, y, 0.4, m, (spec.iterations,), {})
         assert h.tobytes() == h_bytes and y.tobytes() == y_bytes
 
 
@@ -287,6 +287,17 @@ class TestRunPoint:
         serial = run_point(cfg, cfg.detectors[0], 4.0, workers=1)
         pooled = run_point(cfg, cfg.detectors[0], 4.0, workers=2)
         assert (serial.bits, serial.errors) == (pooled.bits, pooled.errors)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_are_refused_before_any_batch(self, monkeypatch, workers):
+        draws = []
+        monkeypatch.setattr(simulator, "_draw_batch", lambda *args: draws.append(args))
+        cfg = _cfg()
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_point(cfg, cfg.detectors[0], 4.0, workers=workers)
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_sweep(cfg, workers=workers)
+        assert not draws
 
     def test_stops_on_bit_budget_and_flags_it(self):
         """At very high SNR the exhaustive detector never errs."""
@@ -358,7 +369,8 @@ class TestRunPoint:
         for index in range(2):
             bits, h, y = _draw_batch(dims, sigma2, _batch_rng(31, 4.0, index),
                                      BATCH_TRIALS)
-            soft_all.append(_engine_soft(DetectorSpec.mmse(), h, y, sigma2, 1, (0,))[0].ravel())
+            [soft] = _engine_soft(DetectorSpec.mmse(), h, y, sigma2, 1, (0,), {})
+            soft_all.append(soft.ravel())
             bits_all.append(bits.ravel())
         want = ami(np.concatenate(soft_all), np.concatenate(bits_all))
         assert rec.ami == pytest.approx(want, rel=1e-12)
@@ -543,6 +555,23 @@ class TestBatchMajorSweep:
             want[1, 0] += max(n["RBP", 1], n["MMSE-RBP", 1])
             want[0, 0] += n["MMSE-RBP", 0]
         assert calls == want
+
+    def test_one_trial_call_builds_the_mmse_estimate_once(self, monkeypatch):
+        """detect() runs a sweep lane's calls: MMSE-RBP's depth-0 output and its
+        message passing read one MMSE estimate from the call's dict."""
+        calls = []
+        real = simulator._mmse_estimate
+
+        def mmse(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(simulator, "_mmse_estimate", mmse)
+        rng = np.random.default_rng(58)
+        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        detect(DetectorSpec.mmse_rbp(1, 0, 3), h, y, 0.5, record_iterations=True)
+        assert len(calls) == 1
 
     def test_record_times_sum_to_the_sweep_time(self):
         """A serial sweep's rows share out its detection time."""
