@@ -37,8 +37,11 @@ one prior-sum table per iteration against tables that depend only on the
 hypothesis, built once per batch (_relaxed_step). Every order is the
 code's own: the prior sums add a fold over the even bits, highest bit
 first, to one over the odd bits, the lump sums add in ascending bit order
-and the MMSE estimates and error variances take one inverse. Only the
-draw's H s calls einsum.
+(gathering the kept bits only where R_D >= 2), the column sums of beta
+add the factors from +0 in ascending order (_ascending_sum, computed once
+per iteration for the soft output and the alpha update) and the MMSE
+estimates and error variances take one inverse. Only the draw's H s calls
+einsum.
 """
 from __future__ import annotations
 
@@ -368,18 +371,34 @@ def sbp_beta_update(alpha: np.ndarray, h: np.ndarray, y: np.ndarray,
     return step(np.asarray(alpha, dtype=np.float64)[None])[0]
 
 
-def alpha_update(beta: np.ndarray, prior: np.ndarray | None = None) -> np.ndarray:
+def _ascending_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """a summed over axis: +0 plus its entries in ascending order. Over the
+    factors of beta (..., Nr, Nbits) these are beta.sum(axis=-2)'s floats at
+    about half its cost, except at Nbits = 1 and Nr >= 8, where numpy adds
+    pairwise."""
+    parts = np.moveaxis(a, axis, 0)
+    total = parts[0] + 0.0               # +0 first: a column of -0 sums to +0
+    for part in parts[1:]:
+        total += part
+    return total
+
+
+def alpha_update(beta: np.ndarray, prior: np.ndarray | None = None,
+                 total: np.ndarray | None = None) -> np.ndarray:
     """alpha[i, j] = sum of beta[t, i] over factors t != j, clamped to +-30.
 
     A per-bit prior, when given, stays as an additive intrinsic term in
     every outgoing alpha (the bit node's own degree-one factor). Leading
     batch axes of beta (..., Nr, Nbits) and prior (..., Nbits) carry through.
+    total is beta's column sum over the factors, _ascending_sum(beta, -2);
+    a caller that holds it passes it in.
     """
-    total = beta.sum(axis=-2)
-    alpha = total[..., :, None] - np.swapaxes(beta, -1, -2)
+    if total is None:
+        total = _ascending_sum(beta, -2)
+    alpha = np.subtract(total[..., :, None], np.swapaxes(beta, -1, -2))
     if prior is not None:
-        alpha = prior[..., :, None] + alpha
-    return np.clip(alpha, -LLR_CLAMP, LLR_CLAMP)
+        alpha += prior[..., :, None]
+    return np.clip(alpha, -LLR_CLAMP, LLR_CLAMP, out=alpha)
 
 
 # ---------------- relaxation: edge selection and the Gaussian lump ----------------
@@ -428,26 +447,35 @@ def _lump(edge_sets: np.ndarray):
     """The Gaussian lump's sums for explicit edges edge_sets (..., Nr, Nbits,
     R_D), as lump(terms (..., Nr, Nbits)) -> (..., Nr, Nbits). Entry (j, i)
     sums terms[j, t] over the bits t != i outside Psi_{j,i}: the factor's
-    total minus the sum over the kept bits, i and Psi_{j,i}. Each sum starts
-    from its lowest bit and adds the rest in ascending t, so where nothing is
-    lumped the two are the same floats and the lump is exactly 0. A call
-    costs O(Nr Nbits R_D); the kept bits are sorted once."""
-    factors, n_bits = edge_sets.shape[:-2], edge_sets.shape[-2]   # factors: (..., Nr)
-    own = np.broadcast_to(np.arange(n_bits)[:, None], edge_sets.shape[:-1] + (1,))
-    kept = np.moveaxis(np.concatenate([own, edge_sets], axis=-1), -1, 0).copy()
-    for p in range(len(kept)):  # odd-even transposition sort, kept-major
-        lo, hi = kept[p % 2:-1:2], kept[p % 2 + 1::2]
-        lo[...], hi[...] = np.minimum(lo, hi), np.maximum(lo, hi)
-    flat = np.arange(math.prod(factors)).reshape(factors + (1,)) * n_bits + kept
+    total minus the sum over the kept bits, i and Psi_{j,i}. Both add in
+    ascending t, the total from +0 (_ascending_sum) and the kept sum from its
+    lowest bit, so where nothing is lumped the two are equal and the lump is
+    exactly +0. A call costs O(Nr Nbits R_D). The kept bits are sorted once
+    where R_D >= 2. At R_D = 0 the kept sum is terms itself, and at R_D = 1
+    it is one gather plus terms: a two-term sum is the same float in either
+    order."""
+    factors, n_bits, rd = edge_sets.shape[:-2], edge_sets.shape[-2], edge_sets.shape[-1]
+    base = np.arange(math.prod(factors)).reshape(factors + (1,)) * n_bits
+    if rd >= 2:
+        own = np.broadcast_to(np.arange(n_bits)[:, None], edge_sets.shape[:-1] + (1,))
+        kept = np.moveaxis(np.concatenate([own, edge_sets], axis=-1), -1, 0).copy()
+        for p in range(len(kept)):  # odd-even transposition sort, kept-major
+            lo, hi = kept[p % 2:-1:2], kept[p % 2 + 1::2]
+            lo[...], hi[...] = np.minimum(lo, hi), np.maximum(lo, hi)
+        flat = base + kept
+    else:                           # bit i's own term needs no gather: the edge alone
+        flat = base + np.moveaxis(edge_sets, -1, 0)
 
     def lump(terms):
-        total = terms[..., 0].copy()
-        for t in range(1, n_bits):
-            total += terms[..., t]
+        total = _ascending_sum(terms, -1)[..., None]
+        if rd == 0:
+            return total - terms
         kept_sum = np.take(terms, flat[0])
         for pos in flat[1:]:
             kept_sum += np.take(terms, pos)
-        return np.subtract(total[..., None], kept_sum, out=kept_sum)
+        if rd == 1:
+            kept_sum += terms
+        return np.subtract(total, kept_sum, out=kept_sum)
 
     return lump
 
@@ -520,6 +548,7 @@ def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray
 
     def step(alpha, u, fresh=False):
         c = y - u
+        del u  # a mean made for this call alone is freed before the step's peak
         beta = scale * (gains.conj() * c).real
         if not rd:
             return beta
@@ -598,11 +627,19 @@ def _one_trial(spec: DetectorSpec, h, y, m: int) -> tuple[np.ndarray, np.ndarray
 
 def message_history(spec: DetectorSpec, h: np.ndarray, y: np.ndarray,
                     sigma2: float, m: int = 1) -> list[MessageState]:
-    """Alpha/beta after each flooding iteration (for analysis and tests)."""
-    from .simulator import _bp_messages  # the simulator imports this module
+    """Alpha/beta after each flooding iteration of an iterative spec (for
+    analysis and tests); ValueError for the others, which pass no messages.
+    Each alpha is the one the engine forms from its beta for the next
+    iteration, the last one included."""
+    from .simulator import _bp_messages, _bp_prior  # the simulator imports this module
 
-    return [MessageState(alpha[0], beta[0])
-            for alpha, beta in _bp_messages(spec, *_one_trial(spec, h, y, m), sigma2, m, {})]
+    if not spec.iterative:
+        raise ValueError(f"{spec.name} passes no messages")
+    batch, front = _one_trial(spec, h, y, m), {}
+    messages = list(_bp_messages(spec, *batch, sigma2, m, front))
+    prior = _bp_prior(spec, *batch, sigma2, m, front)
+    return [MessageState(alpha_update(beta, prior, total)[0], beta[0])
+            for beta, total in messages]
 
 
 def detect(spec: DetectorSpec, h: np.ndarray, y: np.ndarray, sigma2: float,

@@ -22,7 +22,11 @@ relaxed prior sums come from detectors._prior_sums: doubling tables over
 the even and the odd bits, each added from the highest bit down, and one
 broadcast add. The relaxed step builds its hypothesis-only score tables
 once per batch and one prior-sum table per iteration. The lump sums come
-from detectors._lump, in ascending bit order, and the MMSE kinds share one
+from detectors._lump, in ascending bit order; it sorts and gathers the kept
+bits only where R_D >= 2. Each BP iteration sums beta over the factors once,
+in ascending order (detectors._ascending_sum, beta.sum(axis=-2)'s floats):
+that sum is the iteration's soft output and the total of the next alpha,
+which is formed only when a next iteration runs. The MMSE kinds share one
 inverse, detectors._mmse_estimate, which returns the estimates and their
 error variances; MMSE, MMSE-SIC and the cascade turn those into LLRs by one
 rule, detectors._mmse_llrs. _engine_edge_sets and _ami_sum are import
@@ -75,6 +79,7 @@ from .channel import SystemDims, modulate, demodulate, snr_to_noise_variance
 from .detectors import (
     LLR_CLAMP,
     DetectorSpec,
+    _ascending_sum,
     _config_table,
     _lump,
     _mmse_estimate,
@@ -194,11 +199,7 @@ def _draw_batch(dims: SystemDims, sigma2: float, rng: np.random.Generator,
 
 def _ml_metric(h, y, symbols):
     """|y - H s|^2 for every configuration s in symbols, shape (C, B)."""
-    sq = _residual_power(h, y, symbols)                       # (C, B, Nr)
-    metric = sq[..., 0].copy()  # antennas summed in order, as a middle-axis sum does
-    for j in range(1, h.shape[1]):
-        metric += sq[..., j]
-    return metric
+    return _ascending_sum(_residual_power(h, y, symbols), -1)  # antennas in order
 
 
 def _engine_ml(h, y, m):
@@ -252,6 +253,11 @@ def _cascade_prior(h, y, sigma2, m, front: dict):
     return np.clip(_engine_mmse_prior(h, y, sigma2, m, front), -LLR_CLAMP, LLR_CLAMP)
 
 
+def _bp_prior(spec: DetectorSpec, h, y, sigma2, m, front: dict):
+    """The fixed per-bit prior of a BP kind's alphas: the cascade's, None for SBP and RBP."""
+    return _cascade_prior(h, y, sigma2, m, front) if spec.kind == "MMSE_RBP" else None
+
+
 def _relaxed_front(h, spec: DetectorSpec, m: int):
     """(gains, edge sets, lump) of a relaxed spec's batch; see _bp_messages."""
     sets = _engine_edge_sets(h, spec, m)
@@ -261,19 +267,22 @@ def _relaxed_front(h, spec: DetectorSpec, m: int):
 def _bp_messages(spec: DetectorSpec, h, y, sigma2, m, front: dict):
     """The flooding iterations of SBP, RBP or MMSE-RBP over a batch.
 
-    Yields (alpha, beta) after each iteration, alpha (B, Nbits, Nr) and beta
-    (B, Nr, Nbits), both fresh arrays every time. The edge sets, not the
-    kind, pick the step: SBP's, config-major (C, B, Nr), where nothing is
-    lumped (spec.exhaustive), else the relaxed one, hypothesis-major (H, B,
-    Nr, Nbits) with H = 2^R_D. Tables and score buffers are built once per
-    batch and refilled every iteration. The cascade's pseudo-LLRs act as a
-    fixed per-bit prior factor: they seed the alphas, remain an additive
-    intrinsic term in every alpha update, and shrink the lump variances once
-    up front. Where alpha starts at +0 (SBP, RBP), the first iteration takes
-    the alpha sums and the lump mean as +0 instead of computing them. The
-    cascade's MMSE estimate and the relaxed gains, edge sets and lump come
-    from front, the batch's dict (_shared), which keeps them for its other
-    lanes.
+    Yields (beta, total) after each iteration, beta (B, Nr, Nbits) and its
+    column sum over the factors (B, Nbits), _ascending_sum's floats, which
+    is the soft output; both are fresh arrays every time. The alpha that the
+    next iteration reads is alpha_update(beta, _bp_prior(...), total),
+    formed after the yield and only when a next iteration runs, so no run
+    forms the last iteration's alpha. The edge sets, not the kind, pick the
+    step: SBP's, config-major (C, B, Nr), where nothing is lumped
+    (spec.exhaustive), else the relaxed one, hypothesis-major (H, B, Nr,
+    Nbits) with H = 2^R_D. Tables and score buffers are built once per batch
+    and refilled every iteration. The cascade's pseudo-LLRs act as a fixed
+    per-bit prior factor: they seed the alphas, remain an additive intrinsic
+    term in every alpha update, and shrink the lump variances once up front.
+    Where alpha starts at +0 (SBP, RBP), the first iteration takes the alpha
+    sums and the lump mean as +0 instead of computing them. The cascade's
+    MMSE estimate and the relaxed gains, edge sets and lump come from front,
+    the batch's dict (_shared), which keeps them for its other lanes.
     """
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be > 0 for message passing")
@@ -281,7 +290,7 @@ def _bp_messages(spec: DetectorSpec, h, y, sigma2, m, front: dict):
         return
     b, n_rx, n_tx = h.shape
     n_bits = m * n_tx
-    prior = _cascade_prior(h, y, sigma2, m, front) if spec.kind == "MMSE_RBP" else None
+    prior = _bp_prior(spec, h, y, sigma2, m, front)
     if spec.exhaustive(n_tx, m):
         step = _sbp_step(h, y, sigma2, m)
     else:
@@ -293,17 +302,25 @@ def _bp_messages(spec: DetectorSpec, h, y, sigma2, m, front: dict):
         relaxed = _relaxed_step(gains, sets, sigma2_z, y)
         del sigma2_z  # the step keeps what it uses; free the rest
 
+        def mean(alpha):
+            """The lump mean u: the lumped gains times tanh of half each alpha."""
+            soft = np.multiply(alpha, 0.5)               # alpha / 2, exactly
+            np.tanh(soft, out=soft)
+            return lump(gains * np.swapaxes(soft, -1, -2))
+
         def step(alpha, fresh):
-            # without a cascade, alpha starts at +0: u and the priors are +0
-            u = 0.0 if fresh else lump(gains * np.swapaxes(np.tanh(alpha / 2.0), -1, -2))
-            return relaxed(alpha, u, fresh)
+            # without a cascade, alpha starts at +0: u and the priors are +0. u is
+            # passed unnamed, so the relaxed step frees it once it has read it.
+            return relaxed(alpha, 0.0 if fresh else mean(alpha), fresh)
 
     alpha = (np.zeros((b, n_bits, n_rx)) if prior is None
              else np.repeat(prior[:, :, None], n_rx, axis=2))
     for it in range(spec.iterations):
+        if it:
+            alpha = alpha_update(beta, prior, total)
         beta = step(alpha, fresh=it == 0 and prior is None)
-        alpha = alpha_update(beta, prior)
-        yield alpha, beta
+        total = _ascending_sum(beta, -2)
+        yield beta, total
 
 
 def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, depths, front: dict):
@@ -315,12 +332,11 @@ def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, depths, front: dict):
     prior. Every result is bit-identical to the plain formulation
     (tests/test_sbp_kernel.py, tests/test_rbp_kernel.py).
     """
-    outs = [beta.sum(axis=-2)
-            for it, (_, beta) in enumerate(_bp_messages(spec, h, y, sigma2, m, front), 1)
+    outs = [total for it, (_, total) in enumerate(_bp_messages(spec, h, y, sigma2, m, front), 1)
             if it in depths]
     if 0 in depths:
-        outs.insert(0, _cascade_prior(h, y, sigma2, m, front) if spec.kind == "MMSE_RBP"
-                    else np.zeros((h.shape[0], m * h.shape[2])))
+        prior = _bp_prior(spec, h, y, sigma2, m, front)
+        outs.insert(0, np.zeros((h.shape[0], m * h.shape[2])) if prior is None else prior)
     return outs
 
 

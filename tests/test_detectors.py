@@ -541,6 +541,14 @@ class TestDetect:
         # the strong stream's pseudo-LLR reflects its tiny error variance
         assert abs(res.soft_llrs[0]) > abs(res.soft_llrs[1])
 
+    @pytest.mark.parametrize("kind", ["ML", "MMSE", "MMSE_SIC"])
+    def test_message_history_refuses_kinds_that_pass_no_messages(self, kind):
+        """ML, MMSE and MMSE-SIC have no messages; they are not run as SBP or RBP(0,0)."""
+        rng = np.random.default_rng(58)
+        _, h, y = _instance(rng, 3, 3)
+        with pytest.raises(ValueError, match="passes no messages"):
+            message_history(DetectorSpec(kind, 3), h, y, 0.5)
+
     def test_message_history_lengths_and_clamp(self):
         rng = np.random.default_rng(56)
         bits, h, y = _instance(rng, 4, 4, sigma2=0.4)

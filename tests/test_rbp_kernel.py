@@ -21,14 +21,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from mimobp import simulator
 from mimobp.channel import SystemDims, snr_to_noise_variance
 from mimobp.detectors import (
     DetectorSpec,
+    _ascending_sum,
     _lump,
     _relaxed_step,
     alpha_update,
     bit_gains,
     build_edge_sets,
+    message_history,
 )
 from mimobp.simulator import (
     BATCH_TRIALS,
@@ -42,6 +45,7 @@ from reference_impl import (
     batched_rbp_trial_major_oracle,
     batched_sbp_mask_oracle,
     cascade_prior_oracle,
+    lump_sums_oracle,
     naive_edge_set,
     naive_lump_mean,
     naive_lump_variance,
@@ -248,6 +252,69 @@ def test_lump_matches_naive_sums_in_large_mimo(n, m, rd1, rd2):
                     naive_lump_variance(psi, h[b, j], i, sigma2, m), rel=1e-12)
                 assert informed[b, j, i] == pytest.approx(
                     naive_lump_variance(psi, h[b, j], i, sigma2, m, bit_var[b]), rel=1e-12)
+
+
+@pytest.mark.parametrize("n,m,rd1,rd2,rd", [(4, 1, 0, 0, 0), (3, 2, 0, 0, 0), (4, 1, 1, 0, 1),
+                                            (3, 2, 0, 1, 1), (4, 1, 2, 0, 2), (3, 2, 1, 0, 2)],
+                         ids=["BPSK-(0,0)", "QPSK-(0,0)", "BPSK-(1,0)", "QPSK-(0,1)",
+                              "BPSK-(2,0)", "QPSK-(1,0)"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_lump_is_the_oracle_bit_for_bit(n, m, rd1, rd2, rd, dtype):
+    """Every path of _lump, R_D = 0 (no gather), R_D = 1 (one gather plus
+    the bit's own term) and R_D >= 2 (the sorted chain), gives the oracle's
+    floats, signed zeros included: a quarter of the terms are +0 or -0."""
+    h, _ = _draw(n, n, m, 0.5, 32)
+    sets = build_edge_sets(h, DetectorSpec.rbp(rd1, rd2), m)
+    assert sets.shape[-1] == rd
+    rng = np.random.default_rng(61)
+    terms = rng.standard_normal(sets.shape[:-1])
+    if dtype is np.complex128:
+        terms = terms + 1j * rng.standard_normal(sets.shape[:-1])
+    zeros = rng.uniform(size=terms.shape) < 0.25
+    terms[zeros] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zeros)))
+    if dtype is np.complex128:
+        terms.imag[rng.uniform(size=terms.shape) < 0.25] = -0.0
+    got, want = _lump(sets)(terms), lump_sums_oracle(terms, sets)
+    assert got.tobytes() == want.tobytes()   # np.array_equal, and the sign of every zero
+
+
+@pytest.mark.parametrize("trials", [1, 512])
+def test_column_sums_follow_the_factor_order_bit_for_bit(trials):
+    """_ascending_sum over the factors is beta.sum(axis=-2), signed zeros
+    included (a factor column of -0 sums to +0), wherever numpy adds the
+    factors in order: every shape but Nbits = 1 with Nr >= 8."""
+    rng = np.random.default_rng(62)
+    shapes = [(n_rx, 1) for n_rx in range(1, 8)] + [
+        (n_rx, n_bits) for n_rx in (1, 2, 4, 8, 9, 16, 32) for n_bits in (2, 3, 8, 16, 64)]
+    for n_rx, n_bits in shapes:
+        beta = rng.standard_normal((trials, n_rx, n_bits))
+        beta *= 10.0 ** rng.integers(-8, 8, (trials, 1, 1))
+        beta[rng.uniform(size=beta.shape) < 0.3] = -0.0
+        assert _ascending_sum(beta, -2).tobytes() == beta.sum(axis=-2).tobytes(), (n_rx, n_bits)
+
+
+def test_last_iteration_forms_no_alpha(monkeypatch):
+    """A 5-iteration RBP(1,0) lane forms the 4 alphas its later iterations
+    read, not a fifth; every depth's soft output is the column sum of
+    message_history's beta at that depth."""
+    spec = DetectorSpec.rbp(1, 0, iterations=5)
+    sigma2 = snr_to_noise_variance(4.0, SystemDims(4, 4, 1))
+    h, y = _draw(4, 4, 1, sigma2, 8)
+    formed = []
+
+    def counted(*args, **kwargs):
+        formed.append(1)
+        return alpha_update(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "alpha_update", counted)
+    bits = np.ones((8, 4), dtype=np.int64)
+    _run_batch(spec, bits, h, y, sigma2, 1, False, (spec.iterations,), {})
+    assert len(formed) == 4
+    softs = _engine_bp(spec, h, y, sigma2, 1, (1, 2, 3, 4, 5), {})
+    for b in range(8):
+        history = message_history(spec, h[b], y[b], sigma2)
+        for soft, state in zip(softs, history, strict=True):
+            assert np.array_equal(soft[b], state.beta.sum(axis=-2))
 
 
 def test_relaxed_batch_builds_no_dense_lump_mask():

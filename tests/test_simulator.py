@@ -248,12 +248,12 @@ class TestEngineMatchesPerTrialDetector:
         """Every iteration's engine beta is sbp_beta_update of the alpha before it."""
         _, h, y = _draw_batch(SystemDims(n_tx, n_rx, m), sigma2, _batch_rng(13, 8.0, 0), 16)
         alpha = np.zeros((16, m * n_tx, n_rx))  # the engine starts from +0
-        for next_alpha, beta in simulator._bp_messages(DetectorSpec.sbp(4), h, y, sigma2, m, {}):
+        for beta, total in simulator._bp_messages(DetectorSpec.sbp(4), h, y, sigma2, m, {}):
             for b in range(16):
                 single = sbp_beta_update(alpha[b], h[b], y[b], sigma2, m)
                 assert np.array_equal(beta[b], single), \
                     f"trial {b}: max diff {np.abs(beta[b] - single).max()}"
-            alpha = next_alpha
+            alpha = detectors.alpha_update(beta, None, total)  # as the engine forms it
 
     @pytest.mark.parametrize("spec", [
         DetectorSpec.ml(),
