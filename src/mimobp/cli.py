@@ -157,11 +157,8 @@ def _resolve(args: argparse.Namespace, mode: str) -> dict:
 
 
 def _build_sweep_config(settings: dict, record_ami: bool) -> SweepConfig:
-    detectors = []
-    for entry in settings["detectors"]:
-        iterative = DetectorSpec(entry["kind"]).iterative
-        detectors.append(DetectorSpec(entry["kind"], entry["l"] if iterative else 0,
-                                      entry["rd1"], entry["rd2"]))
+    detectors = [DetectorSpec(entry["kind"], entry["l"], entry["rd1"], entry["rd2"])
+                 for entry in settings["detectors"]]
     return SweepConfig(
         dims=SystemDims(settings["nt"], settings["nr"], settings["m"]),
         snr_points_db=tuple(settings["snr_points"]),

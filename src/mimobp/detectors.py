@@ -30,25 +30,15 @@ Each detector has one implementation, the batched engine in
 mimobp.simulator, built from the batch steps here. detect() and
 message_history() run it on a batch of one (_one_trial) with a fresh dict
 of shared front-end values, as a sweep lane runs it with its batch's. The
-per-message helpers (sbp_beta_update, rbp_beta_update, interference_mean,
-...) return the same floats. Every one-trial entry point refuses a y whose
-length is not Nr. The relaxed beta is a matched filter plus two maxima of
-one prior-sum table per iteration against tables that depend only on the
-hypothesis, built once per batch (_relaxed_step). Every order is the
-code's own: the prior sums add a fold over the even bits, highest bit
-first, to one over the odd bits, the lump sums add in ascending bit order
-(gathering the kept bits only where R_D >= 2), the column sums of beta
-add the factors from +0 in ascending order (_ascending_sum, computed once
-per iteration for the soft output and the alpha update) and the MMSE
-estimates and error variances take one inverse. Only the draw's H s calls
-einsum.
+per-message views (sbp_beta_update, rbp_beta_update, interference_mean,
+interference_variance) run the same steps on a batch of one; the one-trial
+entry points refuse a y whose length is not Nr. The Gaussian lump model is
+defined here alone: _lump, _lump_mean and _lump_variance.
 """
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -88,6 +78,8 @@ class DetectorSpec:
             raise ValueError("rd1 must be >= 0")
         if self.rd2 not in (0, 1):
             raise ValueError("rd2 must be 0 or 1")
+        if not self.iterative:  # ML, MMSE and MMSE-SIC run no iterations
+            object.__setattr__(self, "iterations", 0)
 
     @property
     def relaxed(self) -> bool:
@@ -480,11 +472,33 @@ def _lump(edge_sets: np.ndarray):
     return lump
 
 
-def _lump_one(terms: np.ndarray, psi, i: int):
-    """Entry i of _lump over one factor's terms (Nbits,), with the same sums:
-    the total minus the kept bits' sum, each added in ascending bit order."""
-    kept = [terms[t] for t in sorted([i, *psi])]
-    return reduce(operator.add, terms) - reduce(operator.add, kept)
+def _lump_mean(lump, gains: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """The lump mean u (..., Nr, Nbits), soft cancellation: the lumped gains
+    times tanh(alpha/2), alpha (..., Nbits, Nr) the bit-to-factor LLRs."""
+    soft = np.multiply(alpha, 0.5)               # alpha / 2, exactly
+    np.tanh(soft, out=soft)
+    return lump(gains * np.swapaxes(soft, -1, -2))
+
+
+def _lump_variance(lump, gains: np.ndarray, sigma2: float,
+                   prior: np.ndarray | None = None) -> np.ndarray:
+    """The lump variance sigma2_z (..., Nr, Nbits): the lumped |g|^2 times each
+    bit's prior variance, 1 - tanh^2(prior/2) for a prior (..., Nbits) and 1
+    without, clamped at 0, plus sigma^2. Never updated from the feedback."""
+    bit_var = 1.0 if prior is None else (1.0 - np.tanh(prior / 2.0) ** 2)[..., None, :]
+    return np.maximum(lump(np.abs(gains) ** 2 * bit_var), 0.0) + sigma2
+
+
+def _message_lump(psi, h_row: np.ndarray, i: int, m: int):
+    """(_lump, gains (1, 1, Nbits)) of one factor in which every message keeps
+    psi, for message i; ValueError unless i is a bit and psi distinct bits
+    other than i."""
+    gains = bit_gains(h_row, m)[None, None]
+    n_bits, psi = gains.shape[-1], np.asarray(psi, dtype=np.intp).reshape(-1)
+    if not (0 <= i < n_bits and np.all((psi >= 0) & (psi < n_bits) & (psi != i))
+            and len(np.unique(psi)) == len(psi)):
+        raise ValueError(f"message {i} of {n_bits} bits cannot keep edges {psi.tolist()}")
+    return _lump(np.broadcast_to(psi, (1, 1, n_bits, len(psi)))), gains
 
 
 def interference_mean(alpha_col: np.ndarray, psi: np.ndarray, h_row: np.ndarray,
@@ -492,10 +506,12 @@ def interference_mean(alpha_col: np.ndarray, psi: np.ndarray, h_row: np.ndarray,
     """Soft-cancellation mean of the lumped interferers for one message.
 
     u = sum over t not in Psi, t != i of g[t] * tanh(alpha[t]/2), where
-    alpha_col holds the bit-to-factor LLRs heading to this factor. _lump's sums.
+    alpha_col holds the bit-to-factor LLRs heading to this factor. _lump_mean
+    on a batch of one.
     """
-    terms = bit_gains(h_row, m) * np.tanh(np.asarray(alpha_col, dtype=np.float64) / 2.0)
-    return complex(_lump_one(terms, psi, i))
+    lump, gains = _message_lump(psi, h_row, i, m)
+    alpha = np.asarray(alpha_col, dtype=np.float64)[None, :, None]
+    return complex(_lump_mean(lump, gains, alpha)[0, 0, i])
 
 
 def interference_variance(psi: np.ndarray, h_row: np.ndarray, i: int,
@@ -503,11 +519,11 @@ def interference_variance(psi: np.ndarray, h_row: np.ndarray, i: int,
     """Variance of the Gaussian lump: prior unit bit variance plus noise.
 
     sigma2_z = sum over t not in Psi, t != i of |g[t]|^2 + sigma^2, the lumped
-    power clamped at 0 so that sigma2_z >= sigma^2. Computed once per channel
-    realization; never updated from the feedback. _lump's sums.
+    power clamped at 0 so that sigma2_z >= sigma^2. _lump_variance on a batch
+    of one.
     """
-    power = np.abs(bit_gains(h_row, m)) ** 2
-    return float(np.maximum(_lump_one(power, psi, i), 0.0) + sigma2)
+    lump, gains = _message_lump(psi, h_row, i, m)
+    return float(_lump_variance(lump, gains, sigma2)[0, 0, i])
 
 
 def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray,
@@ -659,6 +675,5 @@ def detect(spec: DetectorSpec, h: np.ndarray, y: np.ndarray, sigma2: float,
     depths = tuple(range(spec.iterations + 1)) if record else (spec.iterations,)
     outs = [soft[0] for soft in _engine_soft(spec, *_one_trial(spec, h, y, m), sigma2, m,
                                              depths, {})]
-    return DetectionResult(np.where(outs[-1] >= 0.0, 1, -1), outs[-1],
-                           spec.iterations if spec.iterative else 0,
+    return DetectionResult(np.where(outs[-1] >= 0.0, 1, -1), outs[-1], spec.iterations,
                            outs[1:] if record else None)

@@ -22,6 +22,8 @@ from .detectors import (
     alpha_update,
     build_edge_sets,
     _lump,
+    _lump_mean,
+    _lump_variance,
     _relaxed_step,
     _sbp_step,
 )
@@ -75,7 +77,7 @@ def _relaxed_trials(rng, spec: DetectorSpec, count: int):
     h, y, sigma2 = _trials(rng, 4, count)
     sets = build_edge_sets(h, spec)
     lump = _lump(sets)
-    return h, y, sigma2, sets, lump, np.maximum(lump(np.abs(h) ** 2), 0.0) + sigma2
+    return h, y, sigma2, sets, lump, _lump_variance(lump, h, sigma2)
 
 
 def _check_full_relaxation_is_sbp(rng) -> tuple[bool, str]:
@@ -86,7 +88,7 @@ def _check_full_relaxation_is_sbp(rng) -> tuple[bool, str]:
     alpha, worst = np.zeros((20, 4, 4)), 0.0
     for _ in range(5):
         want = sbp(alpha)
-        got = relaxed(alpha, lump(h * np.swapaxes(np.tanh(alpha / 2.0), 1, 2)))
+        got = relaxed(alpha, _lump_mean(lump, h, alpha))
         worst = max(worst, float(np.max(np.abs(got - want) / (np.abs(want) + 1e-12))))
         alpha = alpha_update(want)
     return worst < 1e-9, f"max rel beta gap {worst:.2e}"
@@ -97,7 +99,7 @@ def _check_closed_form(rng) -> tuple[bool, str]:
     (2/sigma2_z) Re(conj(g) (y - u)) written out, 200 trials: equal floats."""
     h, y, _, sets, lump, sigma2_z = _relaxed_trials(rng, DetectorSpec.rbp(0, 0), 200)
     alpha = rng.uniform(-8, 8, size=(200, 4, 4))
-    u = lump(h * np.swapaxes(np.tanh(alpha / 2.0), 1, 2))
+    u = _lump_mean(lump, h, alpha)
     got = _relaxed_step(h, sets, sigma2_z, y)(alpha, u)
     want = (2.0 / sigma2_z) * (h.conj() * (y[:, :, None] - u)).real
     return bool(np.array_equal(got, want)), f"max gap {float(np.abs(got - want).max()):.2e}"

@@ -11,26 +11,10 @@ path: every engine call takes its batch's dict of shared front-end values
 (front, see _shared), and detectors.detect() and message_history() pass a
 fresh one, so a one-trial call runs exactly the calls a sweep lane runs. A
 row's result does not depend on the batch around it. The BP kinds share one
-flooding loop, _bp_messages, over the batch steps of mimobp.detectors:
-standard BP, and relaxed BP that lumps nothing, is config-major, (C, B, Nr)
-over the C = 2^Nbits joint configurations; the rest of relaxed BP is
-hypothesis-major, (H, B, Nr, Nbits) over the H = 2^R_D edge hypotheses.
-Product tables come from one doubling helper, detectors._config_products,
-which returns einsum's floats bit for bit without einsum; ML and SBP take
-|y - Hs|^2 per antenna from it (detectors._residual_power). The SBP and
-relaxed prior sums come from detectors._prior_sums: doubling tables over
-the even and the odd bits, each added from the highest bit down, and one
-broadcast add. The relaxed step builds its hypothesis-only score tables
-once per batch and one prior-sum table per iteration. The lump sums come
-from detectors._lump, in ascending bit order; it sorts and gathers the kept
-bits only where R_D >= 2. Each BP iteration sums beta over the factors once,
-in ascending order (detectors._ascending_sum, beta.sum(axis=-2)'s floats):
-that sum is the iteration's soft output and the total of the next alpha,
-which is formed only when a next iteration runs. The MMSE kinds share one
-inverse, detectors._mmse_estimate, which returns the estimates and their
-error variances; MMSE, MMSE-SIC and the cascade turn those into LLRs by one
-rule, detectors._mmse_llrs. _engine_edge_sets and _ami_sum are import
-aliases of detectors.build_edge_sets and metrics.ami_sum: names of this
+flooding loop, _bp_messages, over the batch steps and the Gaussian lump of
+mimobp.detectors; the MMSE kinds share one inverse, detectors._mmse_estimate,
+and one LLR rule, detectors._mmse_llrs. _engine_edge_sets and _ami_sum are
+import aliases of detectors.build_edge_sets and metrics.ami_sum: names of this
 module that a traced run wraps, called by those names.
 
 Every run is batch-major. A "lane" is a (detector, depths) pair: the
@@ -82,6 +66,8 @@ from .detectors import (
     _ascending_sum,
     _config_table,
     _lump,
+    _lump_mean,
+    _lump_variance,
     _mmse_estimate,
     _mmse_llrs,
     _relaxed_step,
@@ -248,14 +234,12 @@ def _engine_mmse_sic(h, y, sigma2, m, front: dict):
     return _mmse_llrs(s_dec, mse_dec, m)
 
 
-def _cascade_prior(h, y, sigma2, m, front: dict):
-    """The MMSE cascade's fixed per-bit prior (B, Nbits), clamped like alpha."""
-    return np.clip(_engine_mmse_prior(h, y, sigma2, m, front), -LLR_CLAMP, LLR_CLAMP)
-
-
 def _bp_prior(spec: DetectorSpec, h, y, sigma2, m, front: dict):
-    """The fixed per-bit prior of a BP kind's alphas: the cascade's, None for SBP and RBP."""
-    return _cascade_prior(h, y, sigma2, m, front) if spec.kind == "MMSE_RBP" else None
+    """The fixed per-bit prior (B, Nbits) of a BP kind's alphas: the cascade's
+    MMSE pseudo-LLRs clamped like alpha; None for SBP and RBP."""
+    if spec.kind != "MMSE_RBP":
+        return None
+    return np.clip(_engine_mmse_prior(h, y, sigma2, m, front), -LLR_CLAMP, LLR_CLAMP)
 
 
 def _relaxed_front(h, spec: DetectorSpec, m: int):
@@ -296,22 +280,10 @@ def _bp_messages(spec: DetectorSpec, h, y, sigma2, m, front: dict):
     else:
         gains, sets, lump = _shared(front, ("edges", spec.rd1, spec.rd2),
                                     lambda: _relaxed_front(h, spec, m))
-        # a bit's prior variance: 1 - tanh^2 of half its LLR, 1 without a cascade
-        bit_var = 1.0 if prior is None else (1.0 - np.tanh(prior / 2.0) ** 2)[:, None, :]
-        sigma2_z = np.maximum(lump(np.abs(gains) ** 2 * bit_var), 0.0) + sigma2
-        relaxed = _relaxed_step(gains, sets, sigma2_z, y)
-        del sigma2_z  # the step keeps what it uses; free the rest
+        relaxed = _relaxed_step(gains, sets, _lump_variance(lump, gains, sigma2, prior), y)
 
-        def mean(alpha):
-            """The lump mean u: the lumped gains times tanh of half each alpha."""
-            soft = np.multiply(alpha, 0.5)               # alpha / 2, exactly
-            np.tanh(soft, out=soft)
-            return lump(gains * np.swapaxes(soft, -1, -2))
-
-        def step(alpha, fresh):
-            # without a cascade, alpha starts at +0: u and the priors are +0. u is
-            # passed unnamed, so the relaxed step frees it once it has read it.
-            return relaxed(alpha, 0.0 if fresh else mean(alpha), fresh)
+        def step(alpha, fresh):  # u is passed unnamed, so the step frees it once read
+            return relaxed(alpha, 0.0 if fresh else _lump_mean(lump, gains, alpha), fresh)
 
     alpha = (np.zeros((b, n_bits, n_rx)) if prior is None
              else np.repeat(prior[:, :, None], n_rx, axis=2))

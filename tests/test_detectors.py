@@ -250,6 +250,23 @@ class TestInterferenceLump:
         assert interference_variance(psi, h_row, 0, 1.0) == pytest.approx(1.16)
         assert interference_variance(np.array([1, 2]), h_row, 0, 1.0) == 1.0
 
+    @pytest.mark.parametrize("psi, i", [([0], 0), ([1, 1], 0), ([1], -1), ([], 3), ([3], 0),
+                                        ([-1], 0)],
+                             ids=["holds-i", "duplicate", "i=-1", "i=Nbits", "psi=Nbits",
+                                  "psi=-1"])
+    def test_malformed_edge_sets_are_refused(self, psi, i):
+        """psi holding i, a duplicate or a bit out of range, or i outside
+        0..Nbits-1, raise rather than give a wrong lump: unchecked, the first
+        three read 12.5, 5.5 and 1.5, against 13.5 and 9.5 for psi = [] and
+        [1] at i = 0."""
+        h_row = np.array([1.0, 2.0, 3.0])
+        assert interference_variance(np.array([], dtype=int), h_row, 0, 0.5) == 13.5
+        assert interference_variance(np.array([1]), h_row, 0, 0.5) == 9.5
+        with pytest.raises(ValueError):
+            interference_variance(np.array(psi, dtype=int), h_row, i, 0.5)
+        with pytest.raises(ValueError):
+            interference_mean(np.zeros(3), np.array(psi, dtype=int), h_row, i)
+
     def test_zero_priors_give_zero_mean(self):
         h_row = np.array([1.0 + 1j, 2.0, 3.0])
         u = interference_mean(np.zeros(3), np.array([], dtype=int), h_row, 1)

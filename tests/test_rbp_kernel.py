@@ -27,16 +27,20 @@ from mimobp.detectors import (
     DetectorSpec,
     _ascending_sum,
     _lump,
+    _lump_mean,
+    _lump_variance,
     _relaxed_step,
     alpha_update,
     bit_gains,
     build_edge_sets,
+    interference_mean,
+    interference_variance,
     message_history,
 )
 from mimobp.simulator import (
     BATCH_TRIALS,
     _batch_rng,
-    _cascade_prior,
+    _bp_prior,
     _draw_batch,
     _engine_bp,
     _run_batch,
@@ -187,7 +191,7 @@ def _relaxed_kernel_softs(spec, h, y, sigma2, m):
     """Soft outputs of _relaxed_step's own flooding loop: edge sets, lump
     variances, soft cancellation and alpha updates, all computed."""
     n_rx = h.shape[1]
-    prior = _cascade_prior(h, y, sigma2, m, {}) if spec.kind == "MMSE_RBP" else None
+    prior = _bp_prior(spec, h, y, sigma2, m, {})
     gains = bit_gains(h, m)
     sets = build_edge_sets(h, spec, m)
     lump = _lump(sets)
@@ -254,10 +258,14 @@ def test_lump_matches_naive_sums_in_large_mimo(n, m, rd1, rd2):
                     naive_lump_variance(psi, h[b, j], i, sigma2, m, bit_var[b]), rel=1e-12)
 
 
-@pytest.mark.parametrize("n,m,rd1,rd2,rd", [(4, 1, 0, 0, 0), (3, 2, 0, 0, 0), (4, 1, 1, 0, 1),
-                                            (3, 2, 0, 1, 1), (4, 1, 2, 0, 2), (3, 2, 1, 0, 2)],
-                         ids=["BPSK-(0,0)", "QPSK-(0,0)", "BPSK-(1,0)", "QPSK-(0,1)",
-                              "BPSK-(2,0)", "QPSK-(1,0)"])
+# (n, m, rd1, rd2, R_D): every path of _lump, R_D = 0, 1 and >= 2, at BPSK and QPSK
+LUMP_PATHS = pytest.mark.parametrize(
+    "n,m,rd1,rd2,rd", [(4, 1, 0, 0, 0), (3, 2, 0, 0, 0), (4, 1, 1, 0, 1),
+                       (3, 2, 0, 1, 1), (4, 1, 2, 0, 2), (3, 2, 1, 0, 2)],
+    ids=["BPSK-(0,0)", "QPSK-(0,0)", "BPSK-(1,0)", "QPSK-(0,1)", "BPSK-(2,0)", "QPSK-(1,0)"])
+
+
+@LUMP_PATHS
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_lump_is_the_oracle_bit_for_bit(n, m, rd1, rd2, rd, dtype):
     """Every path of _lump, R_D = 0 (no gather), R_D = 1 (one gather plus
@@ -276,6 +284,30 @@ def test_lump_is_the_oracle_bit_for_bit(n, m, rd1, rd2, rd, dtype):
         terms.imag[rng.uniform(size=terms.shape) < 0.25] = -0.0
     got, want = _lump(sets)(terms), lump_sums_oracle(terms, sets)
     assert got.tobytes() == want.tobytes()   # np.array_equal, and the sign of every zero
+
+
+@LUMP_PATHS
+def test_message_views_are_the_batch_lump_bit_for_bit(n, m, rd1, rd2, rd):
+    """interference_mean and interference_variance, each a batch of one,
+    give the floats of the entries of _lump_mean and _lump_variance over a
+    whole batch, signed zeros included: a quarter of the alphas are +0 or
+    -0, and one gain of every trial is 0."""
+    trials, sigma2 = 8, 0.5
+    h, _ = _draw(n, n, m, sigma2, trials)
+    h[np.arange(trials), np.arange(trials) % n, np.arange(trials) % n] = 0.0
+    rng = np.random.default_rng(63)
+    alpha = rng.uniform(-8.0, 8.0, size=(trials, n * m, n))
+    zeros = rng.uniform(size=alpha.shape) < 0.25
+    alpha[zeros] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zeros)))
+    gains, sets = bit_gains(h, m), build_edge_sets(h, DetectorSpec.rbp(rd1, rd2), m)
+    assert sets.shape[-1] == rd
+    lump = _lump(sets)
+    u, s2z = _lump_mean(lump, gains, alpha), _lump_variance(lump, gains, sigma2)
+    for b, j, i in np.ndindex(sets.shape[:-1]):
+        got_u = np.complex128(interference_mean(alpha[b, :, j], sets[b, j, i], h[b, j], i, m))
+        got_v = np.float64(interference_variance(sets[b, j, i], h[b, j], i, sigma2, m))
+        assert got_u.tobytes() == u[b, j, i].tobytes()
+        assert got_v.tobytes() == s2z[b, j, i].tobytes()
 
 
 @pytest.mark.parametrize("trials", [1, 512])
