@@ -18,7 +18,7 @@ import sys
 from .channel import SystemDims
 from .detectors import DetectorSpec
 from .metrics import complexity_counts
-from .presets import DEFAULT_SEED, PRESET_NAMES, get_preset, snr_grid
+from .presets import DEFAULT_SEED, PRESET_NAMES, PRESETS, snr_grid
 from .selfcheck import run_selftest
 from .simulator import SweepConfig, _convergence_lane, _run_lanes, write_csv
 
@@ -61,9 +61,9 @@ _DETECTOR_KEYS = ("kind", "rd1", "rd2", "l")
 
 
 def _defaults(mode: str) -> dict:
+    """Every key at its default, but workers: None until a layer sets it."""
     settings = {key: cast(text) for key, (cast, text) in _RUN_KEYS.items()}
-    settings["workers"] = int(os.environ.get(WORKERS_ENV, settings["workers"]))
-    return {"mode": mode, **settings, "detectors": []}
+    return {"mode": mode, **settings, "workers": None, "detectors": []}
 
 
 def _apply_grid(settings: dict, lo, hi, step) -> None:
@@ -74,20 +74,6 @@ def _apply_grid(settings: dict, lo, hi, step) -> None:
     settings["snr_points"] = snr_grid(min(points) if lo is None else lo,
                                       max(points) if hi is None else hi,
                                       2.0 if step is None else step)
-
-
-def _apply_preset(settings: dict, name: str) -> None:
-    preset = get_preset(name, master_seed=settings["seed"])
-    cfg = preset.cfg
-    settings.update(
-        nt=cfg.dims.n_tx, nr=cfg.dims.n_rx, m=cfg.dims.bits_per_symbol,
-        errors_target=cfg.errors_target, bits_max=cfg.bits_max, trials_min=cfg.trials_min,
-        seed=cfg.master_seed, snr_points=list(cfg.snr_points_db),
-        detectors=[{"kind": d.kind, "rd1": d.rd1, "rd2": d.rd2, "l": d.iterations}
-                   for d in cfg.detectors])
-    if preset.mode == "convergence":
-        settings["snr"] = cfg.snr_points_db[0]
-        settings["l_max"] = max(d.iterations for d in cfg.detectors)
 
 
 def _check_keys(section: str, keys, allowed) -> None:
@@ -130,6 +116,8 @@ def _apply_flags(settings: dict, args: argparse.Namespace) -> None:
         if value is not None:
             settings[key] = value
     _apply_grid(settings, *(getattr(args, k, None) for k in _GRID_KEYS))
+    if hasattr(args, "snr"):  # flags of a convergence run: its one SNR point
+        settings["snr_points"] = [settings["snr"]]
     if getattr(args, "detectors", None):
         settings["detectors"] = [
             _parse_detector_label(part) for part in _DETECTOR_SEP.split(args.detectors)
@@ -143,8 +131,8 @@ def _apply_flags(settings: dict, args: argparse.Namespace) -> None:
 
 def _resolve(args: argparse.Namespace, mode: str) -> dict:
     settings = _defaults(mode)
-    if getattr(args, "preset", None):
-        _apply_preset(settings, args.preset)
+    if getattr(args, "preset", None):  # a preset is the flags of its command line
+        _apply_flags(settings, build_parser().parse_args(PRESETS[args.preset]))
     if getattr(args, "config", None):
         _apply_config_file(settings, args.config)
     _apply_flags(settings, args)
@@ -153,6 +141,11 @@ def _resolve(args: argparse.Namespace, mode: str) -> dict:
     for entry in settings["detectors"]:
         if entry["l"] is None:
             entry["l"] = settings["l"]
+        if (entry["rd1"] or entry["rd2"]) and not DetectorSpec(entry["kind"]).relaxed:
+            raise ValueError(f"{DetectorSpec(entry['kind']).label} has no relax degrees, "
+                             f"got ({entry['rd1']},{entry['rd2']})")
+    if settings["workers"] is None:  # no layer set it: the environment, else the default
+        settings["workers"] = int(os.environ.get(WORKERS_ENV, _RUN_KEYS["workers"][1]))
     return settings
 
 
@@ -192,15 +185,13 @@ def echo_config(settings: dict, stream=None) -> str:
     return text
 
 
-def _cmd_run(args: argparse.Namespace, mode: str) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     """ber-sweep and ami-sweep (mode "ber", "ami"): every detector at every SNR
     point; convergence: every iterative detector at depths 1..l_max at one SNR."""
-    settings = _resolve(args, mode)
+    settings = _resolve(args, args.mode)
     echo_config(settings)
-    if mode == "convergence":
-        settings["snr_points"] = [settings["snr"]]
-    cfg = _build_sweep_config(settings, record_ami=mode == "ami")
-    if mode != "convergence":
+    cfg = _build_sweep_config(settings, record_ami=args.mode == "ami")
+    if args.mode != "convergence":
         lanes = [(spec, (spec.iterations,)) for spec in cfg.detectors]
     elif not any(spec.iterative for spec in cfg.detectors):
         raise ValueError("convergence needs an iterative detector (SBP, RBP or MMSE-RBP)")
@@ -287,17 +278,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ber-sweep", help="BER vs SNR sweep")
     _add_common(p)
-    p.set_defaults(func=lambda a: _cmd_run(a, "ber"))
+    p.set_defaults(func=_cmd_run, mode="ber")
 
     p = sub.add_parser("ami-sweep", help="BER+AMI vs SNR sweep")
     _add_common(p)
-    p.set_defaults(func=lambda a: _cmd_run(a, "ami"))
+    p.set_defaults(func=_cmd_run, mode="ami")
 
     p = sub.add_parser("convergence", help="BER vs iteration count at one SNR")
     _add_common(p, with_grid=False)
     p.add_argument("--snr", type=float, help="fixed SNR (dB)")
     p.add_argument("--l-max", type=int, dest="l_max", help="sweep L = 1..l_max")
-    p.set_defaults(func=lambda a: _cmd_run(a, "convergence"))
+    p.set_defaults(func=_cmd_run, mode="convergence")
 
     p = sub.add_parser("complexity", help="print the per-vector operation counts")
     _add_link(p)

@@ -357,8 +357,7 @@ def sbp_beta_update(alpha: np.ndarray, h: np.ndarray, y: np.ndarray,
 
     alpha is (Nbits, Nr), beta (Nr, Nbits); _sbp_step on a batch of one.
     """
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be > 0")
+    _check_noise(sigma2)
     step = _sbp_step(*_one_trial(DetectorSpec.sbp(), h, y, m), sigma2, m)
     return step(np.asarray(alpha, dtype=np.float64)[None])[0]
 
@@ -522,6 +521,7 @@ def interference_variance(psi: np.ndarray, h_row: np.ndarray, i: int,
     power clamped at 0 so that sigma2_z >= sigma^2. _lump_variance on a batch
     of one.
     """
+    _check_noise(sigma2)
     lump, gains = _message_lump(psi, h_row, i, m)
     return float(_lump_variance(lump, gains, sigma2)[0, 0, i])
 
@@ -592,6 +592,7 @@ def rbp_beta_update(alpha: np.ndarray, gains: np.ndarray, edge_sets: np.ndarray,
     """
     n_rx, n_bits, rd = edge_sets.shape
     _check_length(y, n_rx)
+    _check_noise(sigma2_z)
     _table_bytes("RBP", rd, (1, n_rx, n_bits))
     step = _relaxed_step(gains[None], edge_sets[None], sigma2_z[None], y[None])
     return step(alpha[None], u[None])[0]
@@ -630,6 +631,12 @@ def _mmse_llrs(s_hat: np.ndarray, mse: np.ndarray, m: int) -> np.ndarray:
 def _check_length(y, n_rx: int) -> None:
     if np.shape(y) != (n_rx,):
         raise LengthMismatchError(f"y has shape {np.shape(y)}, expected ({n_rx},)")
+
+
+def _check_noise(sigma2) -> None:
+    """The per-message views divide by each noise variance: refuse any not > 0."""
+    if not np.all(np.asarray(sigma2) > 0.0):
+        raise ValueError("sigma2 must be > 0")
 
 
 def _one_trial(spec: DetectorSpec, h, y, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,16 +1,14 @@
-"""Canned experiment setups at desk scale.
-
-Each preset fixes antennas, modulation, iteration depth, detector list, SNR
-grid and stopping budgets; seeds and budgets can still be overridden on the
-command line. The convergence preset runs at its first SNR point for
-L = 1 .. its deepest detector's iteration count.
+"""The paper's figure experiments at desk scale, each kept as the ``mimobp``
+command line that runs it. ``--preset NAME`` applies the line's flags over the
+defaults and below ``--config`` and the command's own flags, so a later ``--l``
+or ``[run] l`` sets the depth of every detector of the preset. Budgets a line
+leaves out keep the command's defaults.
 """
 from __future__ import annotations
 
+import shlex
 from dataclasses import dataclass
 
-from .channel import SystemDims
-from .detectors import DetectorSpec
 from .simulator import SweepConfig
 
 DEFAULT_SEED = 12345
@@ -35,35 +33,38 @@ def snr_grid(lo: float, hi: float, step: float) -> list:
     return out
 
 
-_BUDGETS = {"errors_target": 500, "bits_max": 20_000_000}
-_FIG6_FIG7 = (DetectorSpec.sbp(5), DetectorSpec.rbp(1, 0), DetectorSpec.rbp(0, 0),
-              DetectorSpec.mmse_rbp(1, 0), DetectorSpec.mmse_rbp(0, 0))
-
-# name: (mode, (Nt, Nr, M), SNR grid (lo, hi, step) in dB, detectors, budgets
-# that differ from _BUDGETS)
-_PRESETS = {
-    "fig3": ("ber", (4, 4, 1), (0, 14, 2), (DetectorSpec.ml(), DetectorSpec.sbp(5)), {}),
-    "fig5": ("ber", (4, 4, 1), (0, 16, 2), (
-        DetectorSpec.sbp(7), DetectorSpec.rbp(2, 0, 7), DetectorSpec.rbp(1, 0, 7),
-        DetectorSpec.rbp(0, 0, 7), DetectorSpec.mmse_rbp(1, 0, 7),
-        DetectorSpec.mmse_rbp(0, 0, 7), DetectorSpec.mmse_sic()), {}),
-    "fig6": ("ber", (8, 8, 1), (0, 16, 2), _FIG6_FIG7, {"bits_max": 8_000_000}),
-    # a fixed 20,000 trials of 4 bits each, whatever the error count
-    "fig7": ("ami", (4, 4, 1), (0, 12, 2), _FIG6_FIG7,
-             {"errors_target": 1, "trials_min": 20_000, "bits_max": 20_000 * 4}),
-    "fig8": ("convergence", (4, 4, 1), (12, 12, 1), (
-        DetectorSpec.sbp(10), DetectorSpec.rbp(1, 0, 10), DetectorSpec.rbp(0, 0, 10),
-        DetectorSpec.mmse_rbp(0, 0, 10)), {}),
+_FIG6_FIG7 = "'SBP,RBP(1,0),RBP(0,0),MMSE-RBP(1,0),MMSE-RBP(0,0)'"
+_LINES = {
+    # 4x4 ML vs standard BP
+    "fig3": "ber-sweep --nt 4 --nr 4 --m 1 --l 5 --detectors ML,SBP "
+            "--snr-min 0 --snr-max 14 --snr-step 2",
+    # 4x4 relaxation degrees, plain and MMSE-cascaded, against SBP and MMSE-SIC
+    "fig5": "ber-sweep --nt 4 --nr 4 --m 1 --l 7 --detectors "
+            "'SBP,RBP(2,0),RBP(1,0),RBP(0,0),MMSE-RBP(1,0),MMSE-RBP(0,0),MMSE-SIC' "
+            "--snr-min 0 --snr-max 16 --snr-step 2",
+    # 8x8: the MMSE-cascaded relaxed detector against SBP
+    "fig6": f"ber-sweep --nt 8 --nr 8 --m 1 --l 5 --detectors {_FIG6_FIG7} "
+            "--snr-min 0 --snr-max 16 --snr-step 2 --bits-max 8000000",
+    # mutual information over a fixed 20,000 trials of 4 bits, whatever the error count
+    "fig7": f"ami-sweep --nt 4 --nr 4 --m 1 --l 5 --detectors {_FIG6_FIG7} "
+            "--snr-min 0 --snr-max 12 --snr-step 2 "
+            "--errors-target 1 --trials-min 20000 --bits-max 80000",
+    # BER after L = 1 .. 10 iterations at 12 dB
+    "fig8": "convergence --nt 4 --nr 4 --m 1 --l 10 "
+            "--detectors 'SBP,RBP(1,0),RBP(0,0),MMSE-RBP(0,0)' --snr 12 --l-max 10",
 }
-
-PRESET_NAMES = tuple(sorted(_PRESETS))
+PRESETS = {name: tuple(shlex.split(line)) for name, line in _LINES.items()}  # argv of each
+PRESET_NAMES = tuple(sorted(PRESETS))
 
 
 def get_preset(name: str, master_seed: int = DEFAULT_SEED) -> Preset:
-    try:
-        mode, dims, grid, detectors, budgets = _PRESETS[name]
-    except KeyError:
-        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}") from None
-    cfg = SweepConfig(SystemDims(*dims), snr_grid(*grid), detectors, master_seed=master_seed,
-                      record_ami=mode == "ami", **{**_BUDGETS, **budgets})
-    return Preset(name, mode, cfg)
+    """The preset as ``mimobp <its command> --preset NAME --seed SEED`` resolves it."""
+    from .cli import _build_sweep_config, _resolve, build_parser  # the CLI imports this module
+
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    # a SweepConfig holds no worker count: name one, so the environment's is not read
+    args = build_parser().parse_args([PRESETS[name][0], "--preset", name,
+                                      "--seed", str(master_seed), "--workers", "1"])
+    return Preset(name, args.mode, _build_sweep_config(_resolve(args, args.mode),
+                                                       args.mode == "ami"))

@@ -4,17 +4,19 @@ import io
 import pytest
 
 from mimobp import simulator
+from mimobp.channel import SystemDims
 from mimobp.cli import (
     WORKERS_ENV,
-    _defaults,
+    _build_sweep_config,
     _parse_detector_label,
     _resolve,
     build_parser,
     echo_config,
     main,
 )
+from mimobp.detectors import DetectorSpec
 from mimobp.presets import PRESET_NAMES, get_preset
-from mimobp.simulator import BATCH_TRIALS, read_csv
+from mimobp.simulator import BATCH_TRIALS, SweepConfig, read_csv
 
 
 def _settings(argv, mode="ber"):
@@ -52,6 +54,35 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["ber-sweep", "--m", "3"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv, ini, named", [
+        (["--detectors", "ML(3,1),SBP(2,0)"], None, "ML has no relax degrees, got (3,1)"),
+        (["--detectors", "SBP(2,0)"], None, "SBP has no relax degrees, got (2,0)"),
+        (["--detectors", "MMSE(0,1)"], None, "MMSE has no relax degrees, got (0,1)"),
+        (["--detectors", "MMSE-SIC(1,0)"], None, "MMSE-SIC has no relax degrees, got (1,0)"),
+        ([], "[detector:1]\nkind = ML\nrd1 = 3\n", "ML has no relax degrees, got (3,0)"),
+        ([], "[detector:1]\nkind = SBP\nrd2 = 1\n", "SBP has no relax degrees, got (0,1)"),
+    ], ids=["ML-flag", "SBP-flag", "MMSE-flag", "MMSE-SIC-flag", "ML-rd1-key", "SBP-rd2-key"])
+    def test_relax_degrees_on_kinds_without_them_fail_before_any_point(
+            self, tmp_path, capsys, argv, ini, named):
+        out = tmp_path / "rd.csv"
+        if ini is not None:
+            path = tmp_path / "rd.ini"
+            path.write_text(ini)
+            argv = ["--config", str(path)]
+        assert main(["ber-sweep", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert named in err
+        assert " snr=" not in err  # no point ran
+        assert not out.exists()
+
+    def test_echoed_zero_relax_degrees_of_every_kind_read_back(self, tmp_path):
+        ini = tmp_path / "zero.ini"
+        ini.write_text("".join(f"[detector:{pos}]\nkind = {kind}\nrd1 = 0\nrd2 = 0\n"
+                               for pos, kind in enumerate(("ML", "MMSE", "MMSE-SIC", "SBP"))))
+        settings = _settings(["ber-sweep", "--config", str(ini)])
+        assert [(d["kind"], d["rd1"], d["rd2"]) for d in settings["detectors"]] == [
+            ("ML", 0, 0), ("MMSE", 0, 0), ("MMSE_SIC", 0, 0), ("SBP", 0, 0)]
 
     def test_runtime_error_exits_1(self, capsys):
         assert main(["ber-sweep", "--detectors", "ZF"]) == 1
@@ -159,7 +190,16 @@ class TestResolutionOrder:
 
     def test_workers_env_feeds_default(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "3")
-        assert _defaults("ber")["workers"] == 3
+        assert _settings(["ber-sweep"])["workers"] == 3
+
+    def test_workers_env_is_read_only_when_no_layer_sets_workers(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(WORKERS_ENV, "abc")
+        with pytest.raises(ValueError):
+            _settings(["ber-sweep"])
+        assert _settings(["ber-sweep", "--workers", "2"])["workers"] == 2
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nworkers = 1\n")
+        assert _settings(["ber-sweep", "--config", str(ini)])["workers"] == 1
 
     def test_preset_fills_everything(self):
         settings = _settings(["ber-sweep", "--preset", "fig3"])
@@ -222,7 +262,9 @@ class TestEchoRoundTrip:
                  "--snr-step", "2", "--errors-target", "111"]),
         ("ber", ["ber-sweep", "--snr-min", "10.00051", "--snr-max", "10.00051"]),
         ("convergence", ["convergence", "--snr", "10.00051", "--l-max", "3"]),
-    ], ids=["grid", "seven-digit-point", "convergence-snr"])
+        ("ber", ["ber-sweep", "--preset", "fig5", "--l", "3", "--bits-max", "9"]),
+        ("convergence", ["convergence", "--preset", "fig8", "--l-max", "4"]),
+    ], ids=["grid", "seven-digit-point", "convergence-snr", "preset", "convergence-preset"])
     def test_echoed_ini_reproduces_the_settings(self, tmp_path, mode, argv):
         first = _settings(argv + ["--out", str(tmp_path / "a.csv")], mode)
         buf = io.StringIO()
@@ -234,9 +276,40 @@ class TestEchoRoundTrip:
         assert second == first
 
 
+_RELAXED = ["SBP", "RBP(1,0)", "RBP(0,0)", "MMSE-RBP(1,0)", "MMSE-RBP(0,0)"]
+# name: (mode, (Nt, Nr, M), SNR points in dB, [(detector, L)], errors_target,
+# bits_max, trials_min), written out from the figure setups
+PRESET_TABLE = {
+    "fig3": ("ber", (4, 4, 1), range(0, 15, 2), [("ML", 0), ("SBP", 5)], 500, 20_000_000, 1),
+    "fig5": ("ber", (4, 4, 1), range(0, 17, 2),
+             [("SBP", 7), ("RBP(2,0)", 7), ("RBP(1,0)", 7), ("RBP(0,0)", 7),
+              ("MMSE-RBP(1,0)", 7), ("MMSE-RBP(0,0)", 7), ("MMSE-SIC", 0)], 500, 20_000_000, 1),
+    "fig6": ("ber", (8, 8, 1), range(0, 17, 2), [(d, 5) for d in _RELAXED], 500, 8_000_000, 1),
+    "fig7": ("ami", (4, 4, 1), range(0, 13, 2), [(d, 5) for d in _RELAXED], 1, 80_000, 20_000),
+    "fig8": ("convergence", (4, 4, 1), [12],
+             [("SBP", 10), ("RBP(1,0)", 10), ("RBP(0,0)", 10), ("MMSE-RBP(0,0)", 10)],
+             500, 20_000_000, 1),
+}
+_COMMAND = {"ber": "ber-sweep", "ami": "ami-sweep", "convergence": "convergence"}
+
+
+def _expected_cfg(name, seed):
+    mode, dims, snrs, detectors, errors_target, bits_max, trials_min = PRESET_TABLE[name]
+    specs = []
+    for label, l in detectors:
+        entry = _parse_detector_label(label)
+        specs.append(DetectorSpec(entry["kind"], l, entry["rd1"], entry["rd2"]))
+    return SweepConfig(SystemDims(*dims), tuple(float(v) for v in snrs), tuple(specs),
+                       errors_target, bits_max, trials_min, seed, mode == "ami")
+
+
+def _preset_cfg(argv, mode):
+    return _build_sweep_config(_settings(argv, mode), mode == "ami")
+
+
 class TestPresets:
     def test_names_are_stable(self):
-        assert PRESET_NAMES == ("fig3", "fig5", "fig6", "fig7", "fig8")
+        assert PRESET_NAMES == tuple(PRESET_TABLE) == ("fig3", "fig5", "fig6", "fig7", "fig8")
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
@@ -250,6 +323,51 @@ class TestPresets:
         assert (cfg.dims.n_tx, cfg.dims.n_rx) == (8, 8)
         labels = [d.label for d in cfg.detectors]
         assert "MMSE-RBP" in labels and "RBP" in labels and "SBP" in labels
+
+    @pytest.mark.parametrize("seed", [12345, 7])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_get_preset_is_the_table(self, monkeypatch, name, seed):
+        """Whatever the workers variable holds: a SweepConfig has no worker count."""
+        monkeypatch.setenv(WORKERS_ENV, "abc")
+        preset = get_preset(name, master_seed=seed)
+        assert (preset.name, preset.mode) == (name, PRESET_TABLE[name][0])
+        assert preset.cfg == _expected_cfg(name, seed)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_flag_resolves_to_the_table(self, name):
+        mode = PRESET_TABLE[name][0]
+        argv = [_COMMAND[mode], "--preset", name]
+        assert _preset_cfg(argv, mode) == _expected_cfg(name, 12345)
+        assert _preset_cfg(argv + ["--seed", "7"], mode) == _expected_cfg(name, 7)
+        settings = _settings(argv, mode)
+        assert settings["l"] == max(l for _, l in PRESET_TABLE[name][3])
+        if mode == "convergence":
+            assert (settings["snr"], settings["l_max"]) == (12.0, 10)
+
+    @pytest.mark.parametrize("flags, ini, l", [
+        ([], None, 7), (["--l", "3"], None, 3), ([], "[run]\nl = 3\n", 3),
+    ], ids=["preset", "flag", "run-key"])
+    def test_run_level_l_sets_every_detector_of_the_preset(self, tmp_path, flags, ini, l):
+        if ini is not None:
+            path = tmp_path / "run.ini"
+            path.write_text(ini)
+            flags = ["--config", str(path)]
+        cfg = _preset_cfg(["ber-sweep", "--preset", "fig5", *flags], "ber")
+        assert [d.iterations for d in cfg.detectors if d.iterative] == [l] * 6
+
+    def test_ber_sweep_of_the_convergence_preset_sweeps_its_one_snr(self):
+        cfg = _preset_cfg(["ber-sweep", "--preset", "fig8"], "ber")
+        assert cfg.snr_points_db == (12.0,)
+        assert [d.iterations for d in cfg.detectors] == [10] * 4
+
+    def test_convergence_preset_takes_a_shorter_l_max(self, tmp_path):
+        out = tmp_path / "conv.csv"
+        assert main(["convergence", "--preset", "fig8", "--l-max", "4", "--bits-max", "1",
+                     "--out", str(out)]) == 0
+        records = read_csv(out)
+        assert [(r.detector, r.iterations) for r in records] == [
+            (kind, l) for kind in ("SBP", "RBP", "RBP", "MMSE-RBP") for l in (1, 2, 3, 4)]
+        assert {r.snr_db for r in records} == {12.0}
 
     def test_ami_preset_uses_fixed_trial_count(self):
         cfg = get_preset("fig7").cfg

@@ -119,6 +119,22 @@ class TestSbpBetaUpdate:
         with pytest.raises(ValueError, match="sigma2 must be > 0"):
             detect(DetectorSpec.sbp(1), h, np.ones(2, dtype=complex), 0.0)
 
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, float("nan")])
+    def test_relaxed_views_reject_nonpositive_noise(self, sigma2):
+        """The lump variance adds sigma^2 and the relaxed update divides by
+        sigma2_z: both refuse as sbp_beta_update does, not return NaN betas."""
+        rng = np.random.default_rng(35)
+        h_row = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        with pytest.raises(ValueError, match="sigma2 must be > 0"):
+            interference_variance(np.array([1]), h_row, 0, sigma2)
+        bits, h, y = _instance(rng, 4, 4)
+        sets = build_edge_sets(h, DetectorSpec.rbp(1, 0, 1))
+        s2z = np.full((4, 4), 0.5)
+        s2z[2, 1] = sigma2
+        with pytest.raises(ValueError, match="sigma2 must be > 0"):
+            rbp_beta_update(np.zeros((4, 4)), bit_gains(h, 1), sets,
+                            np.zeros((4, 4), dtype=complex), s2z, y)
+
     def test_enumeration_guard(self):
         n = 25
         h = np.eye(n, dtype=complex)
