@@ -144,7 +144,8 @@ def _resolve(args: argparse.Namespace, mode: str) -> dict:
         if (entry["rd1"] or entry["rd2"]) and not DetectorSpec(entry["kind"]).relaxed:
             raise ValueError(f"{DetectorSpec(entry['kind']).label} has no relax degrees, "
                              f"got ({entry['rd1']},{entry['rd2']})")
-    if settings["workers"] is None:  # no layer set it: the environment, else the default
+    # no layer set it: the environment, else the default; the complexity table runs no pool
+    if settings["workers"] is None and mode != "complexity":
         settings["workers"] = int(os.environ.get(WORKERS_ENV, _RUN_KEYS["workers"][1]))
     return settings
 
@@ -217,8 +218,7 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
     nt, nr, m, l = settings["nt"], settings["nr"], settings["m"], settings["l"]
     rd1 = args.rd1 if args.rd1 is not None else min(1, nt - 1)
     rd2 = args.rd2 if args.rd2 is not None else 0
-    print(f"# per-vector operation counts at Nt={nt} Nr={nr} M={m} L={l}")
-    rows = [
+    rows = [  # every row before any output: a refused rd1 prints nothing
         ("ML", complexity_counts("ML", nt, nr, m, l)),
         ("SBP", complexity_counts("SBP", nt, nr, m, l)),
         (f"RBP({rd1},{rd2})", complexity_counts("RBP", nt, nr, m, l, rd1, rd2)),
@@ -227,6 +227,7 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
         (f"EB({rd1})", complexity_counts("EB", nt, nr, m, l, rd1, rd2)),
     ]
     width = max(len(name) for name, _ in rows)
+    print(f"# per-vector operation counts at Nt={nt} Nr={nr} M={m} L={l}")
     print(f"{'detector':<{width}}  {'multiplications':>15}  {'additions':>12}  {'comparisons':>12}")
     for name, counts in rows:
         print(f"{name:<{width}}  {counts.multiplications:>15}  "

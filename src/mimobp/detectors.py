@@ -173,8 +173,9 @@ def _table_bytes(name: str, power: int, rest: tuple) -> int:
     rest is (B, Nr) where every bit is enumerated jointly (power = Nbits),
     else (B, Nr, Nbits) with power = R_D. An upper bound on the call's
     tracemalloc peak, fitted: 24 bytes per entry of the joint table, 32 of
-    the relaxed one, 26 power bytes per row of its _config_table (which
-    dominates at B = 1), 128 + 48 R_D per message (B, Nr, Nbits) and 1 MiB.
+    the relaxed one (whose three float tables hold 24), 26 power bytes per
+    row of a _config_table (which dominates at B = 1), 128 + 48 R_D per
+    message (B, Nr, Nbits) and 1 MiB.
     """
     relaxed = len(rest) == 3
     row = (32 if relaxed else 24) * math.prod(rest) + 26 * power   # per configuration
@@ -534,13 +535,20 @@ def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray
 
     Bit i is enumerated jointly with its explicit edges r; the lump enters
     through u and sigma2_z. With c = y - u, half = 2 sigma2_z and I_h = sum_r
-    x_r g_r, hypothesis h scores its prior minus |c - I_h -+ g_i|^2 / half.
-    Expanded, beta = (2/sigma2_z) Re(conj(g_i) c) + max_h(S_h - (Q_h + W_h))
-    - max_h(S_h - (Q_h - W_h)). Q_h = |I_h|^2 / half and W_h = Re(conj(I_h)
-    g_i) 2 / half depend on no message: Q +- W are built once per batch. S is
-    _prior_sums (H, B, Nr, Nbits) over e_r = alpha_r + (2/sigma2_z) Re(conj(c)
-    g_r), its two tables held in the score buffer. Without explicit edges
-    there is no hypothesis term. fresh says alpha is +0, not gathered.
+    x_r g_r (x_r = +1 where bit r of h is clear), hypothesis h scores its
+    prior minus |c - I_h -+ g_i|^2 / half. Expanded, beta = (2/sigma2_z)
+    Re(conj(g_i) c) + max_h(S_h - (Q_h + W_h)) - max_h(S_h - (Q_h - W_h)).
+    Q_h = |I_h|^2 / half and W_h = Re(conj(I_h) g_i) 2 / half depend on no
+    message. Flipping every edge turns h into H-1-h and negates I_h exactly
+    (rounding is sign-symmetric), so Q_{H-1-h} = Q_h and W_{H-1-h} = -W_h.
+    One table, plus = Q + W, is thus built once per batch from the H/2
+    hypotheses with x_last = +1: I_h on real planes, +-g_r added in
+    ascending r from +0 (the floats of complex products with +-1), then
+    plus[:H/2] = Q + W, plus[H/2:] reversed = Q - W, and minus is the view
+    plus[::-1]. S is _prior_sums (H, B, Nr, Nbits) over e_r = alpha_r +
+    (2/sigma2_z) Re(conj(c) g_r), its two tables held in the score buffer:
+    a batch holds three hypothesis tables, plus, S and score. Without explicit
+    edges there is no hypothesis term. fresh says alpha is +0, not gathered.
     """
     b, n_rx, n_bits, rd = edge_sets.shape
     y, scale, half = y[:, :, None], 2.0 / sigma2_z, 2.0 * sigma2_z
@@ -548,18 +556,30 @@ def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray
         # edge-major (R_D, B, Nr, Nbits) positions of (b, j, sets) in (B, Nr, Nbits)
         flat = np.moveaxis(np.arange(b * n_rx).reshape(b, n_rx, 1, 1) * n_bits + edge_sets,
                            -1, 0).copy()
-        interf = _config_products(np.moveaxis(np.take(gains, flat), 0, -1),
-                                  _config_table(1, rd).symbols)
-        g_re, g_im = np.take(gains.real, flat) * scale, np.take(gains.imag, flat) * scale
+        g_re, g_im = np.take(gains.real, flat), np.take(gains.imag, flat)
+        mid = 1 << (rd - 1)
+        i_re, i_im = np.empty((mid,) + half.shape), np.empty((mid,) + half.shape)
+        for plane, g in ((i_re, g_re), (i_im, g_im)):
+            plane[0] = 0.0
+            for r in range(rd - 1):                              # x_r = -1 in [size, 2 size)
+                size = 1 << r
+                np.subtract(plane[:size], g[r], out=plane[size:2 * size])
+                plane[:size] += g[r]
+            plane += g[-1]
+        plus = np.empty((2 * mid,) + half.shape)
+        q, spare = plus[:mid], plus[mid:]
+        np.multiply(i_re, i_re, out=q)
+        q += np.multiply(i_im, i_im, out=spare)
+        q /= half                                                        # Q
         g2 = gains * (2.0 / half)
-        plus, minus = interf.real * interf.real, interf.imag * interf.imag
-        plus += minus
-        plus /= half                                                     # Q
-        w = np.multiply(interf.real, g2.real, out=interf.real)
-        w += np.multiply(interf.imag, g2.imag, out=interf.imag)          # W
-        np.subtract(plus, w, out=minus)
-        plus += w
-        del interf, w
+        w = np.multiply(i_re, g2.real, out=i_re)
+        w += np.multiply(i_im, g2.imag, out=i_im)                        # W
+        np.subtract(q, w, out=spare[::-1])
+        q += w
+        minus = plus[::-1]
+        del i_re, i_im, w, plane                 # plane: the last one is i_im
+        g_re *= scale
+        g_im *= scale
         sums, score = np.empty(plus.shape), np.empty(plus.shape)
 
     def step(alpha, u, fresh=False):

@@ -397,6 +397,22 @@ class TestEndToEnd:
         assert "Nt=1 Nr=4 M=1 L=5" in out
         assert "MMSE-RBP(0,0)" in out
 
+    def test_complexity_runs_whatever_the_workers_variable_holds(self, monkeypatch, capsys,
+                                                                 tmp_path):
+        """The table runs no pool; a sweep without --workers still refuses the value."""
+        monkeypatch.setenv(WORKERS_ENV, "abc")
+        assert main(["complexity"]) == 0
+        assert "Nt=4 Nr=4 M=1 L=5" in capsys.readouterr().out
+        assert main(["ber-sweep", "--out", str(tmp_path / "never.csv")]) == 1
+        assert "invalid literal for int()" in capsys.readouterr().err
+        assert not (tmp_path / "never.csv").exists()
+
+    def test_complexity_refused_rd1_prints_nothing_to_stdout(self, capsys):
+        assert main(["complexity", "--rd1", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rd1 must be in 0..3" in captured.err
+
     @pytest.mark.parametrize("argv", [["--nt", "1"], ["--rd1", "0"]], ids=["nt1", "rd1-0"])
     def test_complexity_rows_carry_distinct_labels(self, capsys, argv):
         """RBP(0,0) is the relaxed row at rd1 = 0; the RBP00 count has a row of its own."""

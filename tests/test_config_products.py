@@ -1,8 +1,8 @@
 """The shared product-table helper against np.einsum, bit for bit.
 
 detectors._config_products builds H s for every joint configuration (SBP,
-ML) and g_sel x for every +-1 hypothesis (relaxed BP) by doubling over
-symbols. The kernels pinned elsewhere are exact only if the helper returns
+ML) by doubling over symbols; it takes any symbol table, the +-1 hypothesis
+tables too. The kernels pinned elsewhere are exact only if the helper returns
 the very floats einsum returns, so these tests compare int64 views, which
 also tell +0 from -0.
 """

@@ -80,8 +80,10 @@ def _assert_close_every_iteration(got, want, iterations):
 
 
 def _assert_bit_identical(kind, n_tx, n_rx, m, rd1, rd2, sigma2, iterations, count,
-                          batch_index=0):
+                          batch_index=0, degrade=None):
     h, y = _draw(n_tx, n_rx, m, sigma2, count, batch_index)
+    if degrade is not None:
+        h = degrade(h.copy())
     spec = DetectorSpec(kind, iterations=iterations, rd1=rd1, rd2=rd2)
     assert not spec.exhaustive(n_tx, m)
     got = _engine_bp(spec, h, y, sigma2, m, tuple(range(1, iterations + 1)), {})
@@ -115,7 +117,7 @@ def _assert_full_relaxation_is_sbp(kind, n_tx, n_rx, m, rd2, sigma2, iterations,
 # shapes whose relaxed specs lump something (R_D < Nbits - 1)
 CASES = (
     [(n, n, 1, rd1, 0) for n in (4, 8) for rd1 in (0, 1, 2)]
-    + [(4, 4, 2, rd1, rd2) for rd1, rd2 in ((0, 1), (1, 0), (2, 0), (1, 1))]
+    + [(4, 4, 2, rd1, rd2) for rd1, rd2 in ((0, 1), (1, 0), (2, 0), (1, 1), (2, 1))]
     + [(2, 5, 1, 0, 0)]
     + [(5, 3, 1, rd1, 0) for rd1 in (0, 1)]
 )
@@ -144,6 +146,38 @@ def test_engine_equals_trial_major_oracle_with_eight_or_more_edges(n, kind, rd1,
     """QPSK, R_D = 8 and 9: the prior sums fold 4 even and 4 odd bits, and 5 and 4."""
     sigma2 = snr_to_noise_variance(snr_db, SystemDims(n, n, 2))
     _assert_bit_identical(kind, n, n, 2, rd1, rd2, sigma2, 4, 32)
+
+
+def _duplicate_column(h):
+    h[:, :, 1] = h[:, :, 0]
+    return h
+
+
+def _zero_column(h):
+    h[:, :, 0] = 0.0
+    return h
+
+
+def _zero_row(h):
+    h[:, 0, :] = 0.0
+    return h
+
+
+@pytest.mark.parametrize("degrade", [_duplicate_column, _zero_column, _zero_row],
+                         ids=["duplicate-column", "zero-column", "zero-row"])
+@pytest.mark.parametrize("n_tx,n_rx,m,rd1,rd2",
+                         [(4, 4, 1, 2, 0), (5, 5, 1, 3, 0), (4, 4, 2, 1, 1), (4, 4, 2, 2, 1)],
+                         ids=lambda v: str(v))
+@pytest.mark.parametrize("kind", KINDS)
+def test_engine_equals_trial_major_oracle_on_degenerate_channels(kind, n_tx, n_rx, m, rd1, rd2,
+                                                                 degrade):
+    """R_D >= 2 where hypotheses' interference sums cancel to exactly 0 (two
+    equal gains), hold zero gains (a silent transmit antenna, whose own-symbol
+    partner edges the QPSK cases keep) or are all 0 (a silent receive
+    antenna): the set-up builds half the hypotheses and reads the rest
+    backwards, which must hold at these zeros too."""
+    sigma2 = snr_to_noise_variance(12.0, SystemDims(n_tx, n_rx, m))
+    _assert_bit_identical(kind, n_tx, n_rx, m, rd1, rd2, sigma2, 5, 64, degrade=degrade)
 
 
 @given(
@@ -349,21 +383,33 @@ def test_last_iteration_forms_no_alpha(monkeypatch):
             assert np.array_equal(soft[b], state.beta.sum(axis=-2))
 
 
-def test_relaxed_batch_builds_no_dense_lump_mask():
-    """32x32 BPSK RBP(1,0): one batch's allocation peak stays below the size
-    of one (B, Nr, Nbits, Nbits) float array, the dense lump mask of old."""
-    dims = SystemDims(32, 32, 1)
-    spec = DetectorSpec.rbp(1, 0, iterations=5)
-    mask_bytes = BATCH_TRIALS * 32 * 32 * 32 * 8
+def _one_batch_peak(dims, spec, seed):
+    """tracemalloc's allocation peak over one batch of spec at 8 dB."""
     tracemalloc.start()
     try:
         sigma2 = snr_to_noise_variance(8.0, dims)
-        bits, h, y = _draw_batch(dims, sigma2, _batch_rng(2011, 8.0, 0), BATCH_TRIALS)
-        _run_batch(spec, bits, h, y, sigma2, 1, False, (spec.iterations,), {})
-        peak = tracemalloc.get_traced_memory()[1]
+        bits, h, y = _draw_batch(dims, sigma2, _batch_rng(seed, 8.0, 0), BATCH_TRIALS)
+        _run_batch(spec, bits, h, y, sigma2, dims.bits_per_symbol, False, (spec.iterations,), {})
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_relaxed_batch_builds_no_dense_lump_mask():
+    """32x32 BPSK RBP(1,0): one batch's allocation peak stays below the size
+    of one (B, Nr, Nbits, Nbits) float array, the dense lump mask of old."""
+    mask_bytes = BATCH_TRIALS * 32 * 32 * 32 * 8
+    peak = _one_batch_peak(SystemDims(32, 32, 1), DetectorSpec.rbp(1, 0, iterations=5), 2011)
     assert peak < mask_bytes, f"peak {peak / 2**20:.0f} MiB"
+
+
+def test_relaxed_batch_holds_three_hypothesis_tables():
+    """6x6 QPSK RBP(3,1), R_D = 7: each of the set-up's tables (plus, the prior
+    sums and the score buffer) is a 36 MiB (128, B, Nr, Nbits) float array,
+    so one batch's allocation peak stays below 140 MiB, less than four such
+    tables (144 MiB)."""
+    peak = _one_batch_peak(SystemDims(6, 6, 2), DetectorSpec.rbp(3, 1), 99)
+    assert peak < 140 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("m", [1, 2])
