@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -147,25 +146,6 @@ class DetectionResult:
     per_iteration_soft: list | None = None
 
 
-class _ConfigTable(NamedTuple):
-    """Every joint configuration; x_t = +1 exactly when bit t of the index is 0."""
-
-    bits: np.ndarray       # (C, n_bits) int8, +1/-1
-    symbols: np.ndarray    # (C, n_tx) complex128
-
-
-def _config_table(m: int, n_tx: int) -> _ConfigTable:
-    from .channel import modulate
-
-    n_bits = m * n_tx
-    count = 1 << n_bits
-    cc = np.arange(count, dtype=np.int64)[:, None]
-    tt = np.arange(n_bits, dtype=np.int64)[None, :]
-    bits = (1 - 2 * ((cc >> tt) & 1)).astype(np.int8)
-    symbols = modulate(bits.astype(np.float64), m)
-    return _ConfigTable(bits, symbols)
-
-
 def _table_bytes(name: str, power: int, rest: tuple) -> int:
     """Bytes of one call that enumerates a (2^power, *rest) table, checked
     before anything is built: DimensionTooLargeError past MAX_BATCH_BYTES.
@@ -174,7 +154,7 @@ def _table_bytes(name: str, power: int, rest: tuple) -> int:
     else (B, Nr, Nbits) with power = R_D. An upper bound on the call's
     tracemalloc peak, fitted: 24 bytes per entry of the joint table, 32 of
     the relaxed one (whose three float tables hold 24), 26 power bytes per
-    row of a _config_table (which dominates at B = 1), 128 + 48 R_D per
+    configuration (a margin that dominates at B = 1), 128 + 48 R_D per
     message (B, Nr, Nbits) and 1 MiB.
     """
     relaxed = len(rest) == 3
@@ -201,37 +181,40 @@ def _spec_bytes(spec: DetectorSpec, n_tx: int, n_rx: int, m: int, trials: int) -
     return 0
 
 
-def _config_products(g: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """np.einsum("...k,ck->c...", g, symbols), bit for bit, shape (C, ...).
-
-    symbols is a _config_table symbol table, whose symbol k is digit k of
-    the config index, symbol 0 lowest. Doubling over symbols: the block for
-    symbols 0..k holds the block for 0..k-1 plus g[..., k] v for each value
-    v of symbol k. As in einsum, each product takes the plain real formula
-    (numpy's complex g * v may fuse a multiply-add and round differently)
-    and each sum starts from +0 and adds the terms in ascending k.
-    """
-    count, n_sym = symbols.shape
-    q = 1 << ((count.bit_length() - 1) // max(n_sym, 1))   # values per symbol
-    out = np.empty((count,) + g.shape[:-1], dtype=np.complex128)
+def _doubling_sums(out: np.ndarray, steps) -> np.ndarray:
+    """Every signed sum of an enumeration, written to out (C, ...) and returned:
+    out[c] sums steps[k][digit k of c] over the steps k, from +0 in step
+    order. Digit 0 is the lowest and value 0 means "bit clear", x = +1. A
+    step of q values widens the filled block q times; block 0, the others'
+    base, is filled last. A sum from +0 is never -0, so a -0 term adds as +0
+    does. steps may be a generator; it is read one step at a time."""
     out[0] = 0.0
-    prod = np.empty(g.shape[:-1], dtype=np.complex128)
     size = 1
-    for k in range(n_sym):
-        gr, gi = g[..., k].real, g[..., k].imag
-        for v in range(q - 1, -1, -1):  # block 0 is the others' base, so it goes last
-            sr, si = symbols[v * size, k].real, symbols[v * size, k].imag
-            np.subtract(gr * sr, gi * si, out=prod.real)
-            np.add(gr * si, gi * sr, out=prod.imag)
-            np.add(out[:size], prod, out=out[v * size:(v + 1) * size])
-        size *= q
+    for values in steps:
+        for v in range(len(values) - 1, -1, -1):
+            np.add(out[:size], values[v], out=out[v * size:(v + 1) * size])
+        size *= len(values)
     return out
 
 
-def _residual_power(h: np.ndarray, y: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """|y_j - (H s)_j|^2 per antenna for every configuration s in symbols,
-    shape (C, B, Nr), from one _config_products table."""
-    resid = _config_products(h, symbols)
+def _channel_sums(h: np.ndarray, m: int) -> np.ndarray:
+    """H s for every configuration s, (C, B, Nr), np.einsum's product floats: a
+    _doubling_sums whose step k, built when read, is symbol k's values, a
+    _doubling_sums over its bits' gains +-g_t, so each symbol's sum is first."""
+    shape = h.shape[:-1]
+
+    def symbol_values(k):   # made after the table, these leave no freed hole below it
+        bits = np.moveaxis(bit_gains(h[..., k:k + 1], m), -1, 0)
+        return _doubling_sums(np.empty((1 << m,) + shape, dtype=np.complex128),
+                              ((g, -g) for g in bits))
+
+    return _doubling_sums(np.empty((1 << m * h.shape[-1],) + shape, dtype=np.complex128),
+                          (symbol_values(k) for k in range(h.shape[-1])))
+
+
+def _residual_power(h: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """|y_j - (H s)_j|^2 per antenna for every configuration s, shape (C, B, Nr)."""
+    resid = _channel_sums(h, m)
     np.subtract(y, resid, out=resid)
     power = np.abs(resid)
     return np.square(power, out=power)
@@ -242,8 +225,8 @@ def _prior_sums(terms: np.ndarray, out: np.ndarray,
     """Sums of terms over the clear bits of every config index, written to out.
 
     terms is (n, ...) and out (2^n, ...): out[c] sums terms[t] over the bits
-    t clear in c (x_t = +1 in _config_table order). The even and the odd bits
-    each get one doubling table that starts from +0 and adds from the highest
+    t clear in c (x_t = +1, as in _doubling_sums). The even and the odd bits
+    each get one _doubling_sums table, steps (terms[t], 0.0) from the highest
     t down (no odd bit: +0), and one broadcast add, even + odd, fills out. At
     n <= 4 and n = 8, every width perfbench runs, these are the floats of the
     two-lane einsum reduction this replaced. work, a float buffer of out's
@@ -267,11 +250,7 @@ def _prior_sums(terms: np.ndarray, out: np.ndarray,
             tables.append(0.0)
             continue
         tbl, free = free[:width << k].reshape((1 << k,) + rest), free[width << k:]
-        tbl[0] = 0.0
-        for s, t in enumerate(bits):                  # bit t becomes table bit s
-            size = 1 << s
-            tbl[size:2 * size] = tbl[:size]
-            tbl[:size] += terms[t]                    # bit t clear: x_t = +1
+        _doubling_sums(tbl, ((terms[t], 0.0) for t in bits))
         # table axis a is this parity's a-th lowest bit; size 1 on the other's
         tables.append(tbl.reshape(tuple(2 if t % 2 == parity else 1 for t in range(n)) + rest))
     # axis t of this view of out is bit t of the config index
@@ -300,7 +279,7 @@ def _sbp_max_marginals(t: np.ndarray,
                        scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-bit max of t over configs with x_i = +1 and x_i = -1: (pos, neg).
 
-    t has the config axis first, (C, ...), in _config_table order, so bit i
+    t has the config axis first, (C, ...), in _doubling_sums order, so bit i
     is the top bit of the block left once bits i+1.. are maxed out: its first
     half holds x_i = +1, its second x_i = -1. Outputs are (..., n_bits).
     scratch, (C/2, ...), if given, takes the folded blocks; t is never written.
@@ -332,7 +311,7 @@ def _sbp_step(h: np.ndarray, y: np.ndarray, sigma2: float, m: int):
     depend on alpha's layout. fresh says alpha is +0: the priors are +0, not
     computed.
     """
-    d = _residual_power(h, y, _config_table(m, h.shape[-1]).symbols)
+    d = _residual_power(h, y, m)
     d /= -(2.0 * sigma2)
     t = np.empty_like(d)
     scratch = np.empty((d.shape[0] // 2,) + d.shape[1:])
@@ -358,8 +337,7 @@ def sbp_beta_update(alpha: np.ndarray, h: np.ndarray, y: np.ndarray,
 
     alpha is (Nbits, Nr), beta (Nr, Nbits); _sbp_step on a batch of one.
     """
-    _check_noise(sigma2)
-    step = _sbp_step(*_one_trial(DetectorSpec.sbp(), h, y, m), sigma2, m)
+    step = _sbp_step(*_one_trial(DetectorSpec.sbp(), h, y, sigma2, m), sigma2, m)
     return step(np.asarray(alpha, dtype=np.float64)[None])[0]
 
 
@@ -542,8 +520,8 @@ def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray
     message. Flipping every edge turns h into H-1-h and negates I_h exactly
     (rounding is sign-symmetric), so Q_{H-1-h} = Q_h and W_{H-1-h} = -W_h.
     One table, plus = Q + W, is thus built once per batch from the H/2
-    hypotheses with x_last = +1: I_h on real planes, +-g_r added in
-    ascending r from +0 (the floats of complex products with +-1), then
+    hypotheses with x_last = +1: I_h on real planes, a _doubling_sums with
+    steps (g_r, -g_r) for r < R_D - 1 and a last step (g_last,), then
     plus[:H/2] = Q + W, plus[H/2:] reversed = Q - W, and minus is the view
     plus[::-1]. S is _prior_sums (H, B, Nr, Nbits) over e_r = alpha_r +
     (2/sigma2_z) Re(conj(c) g_r), its two tables held in the score buffer:
@@ -558,14 +536,9 @@ def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray
                            -1, 0).copy()
         g_re, g_im = np.take(gains.real, flat), np.take(gains.imag, flat)
         mid = 1 << (rd - 1)
-        i_re, i_im = np.empty((mid,) + half.shape), np.empty((mid,) + half.shape)
-        for plane, g in ((i_re, g_re), (i_im, g_im)):
-            plane[0] = 0.0
-            for r in range(rd - 1):                              # x_r = -1 in [size, 2 size)
-                size = 1 << r
-                np.subtract(plane[:size], g[r], out=plane[size:2 * size])
-                plane[:size] += g[r]
-            plane += g[-1]
+        i_re, i_im = [_doubling_sums(np.empty((mid,) + half.shape),
+                                     ((g[r], -g[r]) if r < rd - 1 else (g[r],) for r in range(rd)))
+                      for g in (g_re, g_im)]
         plus = np.empty((2 * mid,) + half.shape)
         q, spare = plus[:mid], plus[mid:]
         np.multiply(i_re, i_re, out=q)
@@ -577,7 +550,7 @@ def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray
         np.subtract(q, w, out=spare[::-1])
         q += w
         minus = plus[::-1]
-        del i_re, i_im, w, plane                 # plane: the last one is i_im
+        del i_re, i_im, w
         g_re *= scale
         g_im *= scale
         sums, score = np.empty(plus.shape), np.empty(plus.shape)
@@ -654,16 +627,17 @@ def _check_length(y, n_rx: int) -> None:
 
 
 def _check_noise(sigma2) -> None:
-    """The per-message views divide by each noise variance: refuse any not > 0."""
-    if not np.all(np.asarray(sigma2) > 0.0):
-        raise ValueError("sigma2 must be > 0")
+    """Every detector divides by its noise variances: refuse any not finite and > 0."""
+    if not np.all(np.isfinite(sigma2) & (np.asarray(sigma2) > 0.0)):
+        raise ValueError("sigma2 must be > 0 and finite")
 
 
-def _one_trial(spec: DetectorSpec, h, y, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _one_trial(spec: DetectorSpec, h, y, sigma2, m: int) -> tuple[np.ndarray, np.ndarray]:
     """h (Nr, Nt) and y (Nr,) as a complex batch of one, (1, Nr, Nt) and (1, Nr),
-    after checking y's length and sizing spec at one trial (_spec_bytes)."""
+    after checking y's length and sigma2 and sizing spec at one trial (_spec_bytes)."""
     h = np.asarray(h, dtype=np.complex128)
     _check_length(y, h.shape[0])
+    _check_noise(sigma2)
     _spec_bytes(spec, h.shape[1], h.shape[0], m, 1)
     return h[None], np.asarray(y, dtype=np.complex128)[None]
 
@@ -678,7 +652,7 @@ def message_history(spec: DetectorSpec, h: np.ndarray, y: np.ndarray,
 
     if not spec.iterative:
         raise ValueError(f"{spec.name} passes no messages")
-    batch, front = _one_trial(spec, h, y, m), {}
+    batch, front = _one_trial(spec, h, y, sigma2, m), {}
     messages = list(_bp_messages(spec, *batch, sigma2, m, front))
     prior = _bp_prior(spec, *batch, sigma2, m, front)
     return [MessageState(alpha_update(beta, prior, total)[0], beta[0])
@@ -700,7 +674,7 @@ def detect(spec: DetectorSpec, h: np.ndarray, y: np.ndarray, sigma2: float,
 
     record = record_iterations and spec.iterative
     depths = tuple(range(spec.iterations + 1)) if record else (spec.iterations,)
-    outs = [soft[0] for soft in _engine_soft(spec, *_one_trial(spec, h, y, m), sigma2, m,
+    outs = [soft[0] for soft in _engine_soft(spec, *_one_trial(spec, h, y, sigma2, m), sigma2, m,
                                              depths, {})]
     return DetectionResult(np.where(outs[-1] >= 0.0, 1, -1), outs[-1], spec.iterations,
                            outs[1:] if record else None)

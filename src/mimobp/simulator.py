@@ -64,7 +64,6 @@ from .detectors import (
     LLR_CLAMP,
     DetectorSpec,
     _ascending_sum,
-    _config_table,
     _lump,
     _lump_mean,
     _lump_variance,
@@ -183,16 +182,15 @@ def _draw_batch(dims: SystemDims, sigma2: float, rng: np.random.Generator,
 # ---------------- batched detection kernels ----------------
 
 
-def _ml_metric(h, y, symbols):
-    """|y - H s|^2 for every configuration s in symbols, shape (C, B)."""
-    return _ascending_sum(_residual_power(h, y, symbols), -1)  # antennas in order
+def _ml_metric(h, y, m):
+    """|y - H s|^2 for every configuration s, shape (C, B)."""
+    return _ascending_sum(_residual_power(h, y, m), -1)  # antennas in order
 
 
 def _engine_ml(h, y, m):
-    tbl = _config_table(m, h.shape[2])
-    best = np.argmin(_ml_metric(h, y, tbl.symbols), axis=0)
-    hard = tbl.bits[best].astype(np.float64)
-    return hard * LLR_CLAMP
+    """+-LLR_CLAMP per bit of the best configuration: bit t of its index set is x_t = -1."""
+    best = np.argmin(_ml_metric(h, y, m), axis=0)
+    return np.where((best[:, None] >> np.arange(m * h.shape[2])) & 1, -LLR_CLAMP, LLR_CLAMP)
 
 
 def _mmse_front(h, y, sigma2, front: dict):
@@ -268,8 +266,6 @@ def _bp_messages(spec: DetectorSpec, h, y, sigma2, m, front: dict):
     MMSE estimate and the relaxed gains, edge sets and lump come from front,
     the batch's dict (_shared), which keeps them for its other lanes.
     """
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be > 0 for message passing")
     if not spec.iterations:
         return
     b, n_rx, n_tx = h.shape

@@ -68,6 +68,16 @@ def cascade_prior_oracle(h, y, sigma2, m, clamp=30.0, solve=False):
     return np.clip(prior, -clamp, clamp)
 
 
+def config_table_oracle(m, n_tx):
+    """Every joint configuration in the engine's order: (bits (C, M*Nt) int8
+    +-1, symbols (C, Nt) complex). x_t = +1 exactly when bit t of the index
+    c is 0, bit 0 lowest; itertools.product varies its last entry fastest,
+    so each of its tuples is read backwards."""
+    combos = itertools.product((1, -1), repeat=m * n_tx)
+    bits = np.array([combo[::-1] for combo in combos], dtype=np.int8)
+    return bits, modulate(bits.astype(np.float64), m)
+
+
 def prior_sums_oracle(terms):
     """Sums of terms (..., n) over the bits t clear in each index c (x_t = +1),
     shape (..., 2^n), in the engine's order.
@@ -102,11 +112,8 @@ def batched_sbp_mask_oracle(h, y, sigma2, m, iterations, prior=None, clamp=30.0,
     """
     b, n_rx, n_tx = h.shape
     n_bits = m * n_tx
-    cc = np.arange(1 << n_bits, dtype=np.int64)[:, None]
-    tt = np.arange(n_bits, dtype=np.int64)[None, :]
-    bits = (1 - 2 * ((cc >> tt) & 1)).astype(np.int8)
+    bits, symbols = config_table_oracle(m, n_tx)
     xpos = (bits > 0).astype(np.float64)
-    symbols = modulate(bits.astype(np.float64), m)
     pos_mask = bits.T > 0
 
     hs = np.einsum("bjk,ck->bjc", h, symbols)

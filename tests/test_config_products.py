@@ -1,10 +1,11 @@
-"""The shared product-table helper against np.einsum, bit for bit.
+"""The enumerated sum tables against np.einsum, bit for bit.
 
-detectors._config_products builds H s for every joint configuration (SBP,
-ML) by doubling over symbols; it takes any symbol table, the +-1 hypothesis
-tables too. The kernels pinned elsewhere are exact only if the helper returns
-the very floats einsum returns, so these tests compare int64 views, which
-also tell +0 from -0.
+detectors._doubling_sums builds every signed-sum table: H s for every joint
+configuration (SBP, ML; detectors._channel_sums) and relaxed BP's
+interference I_h over the hypotheses with x_last = +1. The kernels pinned
+elsewhere are exact only if these tables hold the very floats einsum
+returns, so these tests compare int64 views, which also tell +0 from -0.
+The configurations come from reference_impl.config_table_oracle.
 """
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mimobp.channel import SystemDims, snr_to_noise_variance
-from mimobp.detectors import LLR_CLAMP, _config_products, _config_table
+from mimobp.detectors import LLR_CLAMP, _channel_sums, _doubling_sums
 from mimobp.simulator import _batch_rng, _draw_batch, _engine_ml, _ml_metric
+from reference_impl import config_table_oracle
 
 
 def _assert_same_bits(got, want):
@@ -29,18 +31,24 @@ def _gaussian(rng, shape):
 @pytest.mark.parametrize("n_tx", range(1, 7))
 @pytest.mark.parametrize("count", [1, 7, 512])
 def test_channel_products_equal_einsum(m, n_tx, count):
-    symbols = _config_table(m, n_tx).symbols
+    _, symbols = config_table_oracle(m, n_tx)
     h = _gaussian(np.random.default_rng(n_tx * 10 + m), (count, 2, n_tx))
-    _assert_same_bits(_config_products(h, symbols), np.einsum("bjk,ck->cbj", h, symbols))
+    _assert_same_bits(_channel_sums(h, m), np.einsum("bjk,ck->cbj", h, symbols))
 
 
-@pytest.mark.parametrize("rd", range(0, 9))
-def test_hypothesis_products_equal_einsum(rd):
-    hyp = _config_table(1, rd)
-    xh = hyp.bits.astype(np.float64)          # the real +-1 patterns, as einsum saw them
+@pytest.mark.parametrize("rd", range(1, 9))
+def test_relaxed_half_table_equals_einsum(rd):
+    """I_h on real planes as the relaxed step builds it: steps (g_r, -g_r)
+    for r < R_D - 1, then the one-value step (g_last,), over the H/2
+    hypotheses with x_last = +1, the first half in config order."""
+    bits, _ = config_table_oracle(1, rd)
+    xh = bits[:len(bits) // 2].astype(np.float64)    # the real +-1 patterns, as einsum sees them
     g_sel = _gaussian(np.random.default_rng(rd), (16, 3, 4, rd))
-    _assert_same_bits(_config_products(g_sel, hyp.symbols),
-                      np.einsum("bjir,hr->hbji", g_sel, xh))
+    want = np.einsum("bjir,hr->hbji", g_sel, xh)
+    for g, part in ((np.moveaxis(g_sel.real, -1, 0), want.real),
+                    (np.moveaxis(g_sel.imag, -1, 0), want.imag)):   # edge-major, as gathered
+        steps = ((g[r], -g[r]) if r < rd - 1 else (g[r],) for r in range(rd))
+        _assert_same_bits(_doubling_sums(np.empty(part.shape), steps), part)
 
 
 _PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
@@ -57,8 +65,8 @@ def test_products_equal_einsum_property(m, n_tx, re, im):
     g = np.empty(re.shape, dtype=np.complex128)
     g.real, g.imag = re, im                   # re + 1j * im would lose signs of zero
     g = g[..., :n_tx]
-    symbols = _config_table(m, n_tx).symbols
-    _assert_same_bits(_config_products(g, symbols), np.einsum("...k,ck->c...", g, symbols))
+    _, symbols = config_table_oracle(m, n_tx)
+    _assert_same_bits(_channel_sums(g, m), np.einsum("...k,ck->c...", g, symbols))
 
 
 @pytest.mark.parametrize("n_tx,n_rx,m", [
@@ -69,9 +77,9 @@ def test_ml_metric_and_decisions_equal_the_einsum_form(n_tx, n_rx, m, snr_db):
     dims = SystemDims(n_tx, n_rx, m)
     sigma2 = snr_to_noise_variance(snr_db, dims)
     _, h, y = _draw_batch(dims, sigma2, _batch_rng(7, snr_db, 0), 64)
-    tbl = _config_table(m, n_tx)
-    hs = np.einsum("bjk,ck->bjc", h, tbl.symbols)
+    bits, symbols = config_table_oracle(m, n_tx)
+    hs = np.einsum("bjk,ck->bjc", h, symbols)
     want = (np.abs(y[:, :, None] - hs) ** 2).sum(axis=1)              # (B, C)
-    assert np.array_equal(_ml_metric(h, y, tbl.symbols), want.T)
-    hard = tbl.bits[np.argmin(want, axis=1)].astype(np.float64) * LLR_CLAMP
+    assert np.array_equal(_ml_metric(h, y, m), want.T)
+    hard = bits[np.argmin(want, axis=1)].astype(np.float64) * LLR_CLAMP
     assert np.array_equal(_engine_ml(h, y, m), hard)

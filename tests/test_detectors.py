@@ -111,13 +111,24 @@ class TestSbpBetaUpdate:
         minus = sbp_beta_update(alpha, h, -y, 0.4)
         np.testing.assert_allclose(minus, -plus, rtol=0, atol=1e-11)
 
-    def test_rejects_nonpositive_noise(self):
-        """D_j(s) divides by 2 sigma^2: both the helper and detect() refuse 0."""
-        h = np.eye(2, dtype=complex)
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("spec", [
+        DetectorSpec.ml(), DetectorSpec.mmse(), DetectorSpec.mmse_sic(), DetectorSpec.sbp(1),
+        DetectorSpec.rbp(1, 0, 1), DetectorSpec.mmse_rbp(1, 0, 1),
+    ], ids=lambda spec: spec.name)
+    def test_rejects_nonpositive_noise(self, spec, sigma2):
+        """Every kind is defined for a finite sigma^2 > 0 (D_j(s) divides by
+        2 sigma^2): detect(), message_history() and the SBP helper refuse
+        any other, not return NaN or saturated LLRs."""
+        h, y = np.eye(2, dtype=complex), np.ones(2, dtype=complex)
         with pytest.raises(ValueError, match="sigma2 must be > 0"):
-            sbp_beta_update(np.zeros((2, 2)), h, np.ones(2, dtype=complex), 0.0)
-        with pytest.raises(ValueError, match="sigma2 must be > 0"):
-            detect(DetectorSpec.sbp(1), h, np.ones(2, dtype=complex), 0.0)
+            detect(spec, h, y, sigma2)
+        if spec.iterative:
+            with pytest.raises(ValueError, match="sigma2 must be > 0"):
+                message_history(spec, h, y, sigma2)
+        if spec.kind == "SBP":
+            with pytest.raises(ValueError, match="sigma2 must be > 0"):
+                sbp_beta_update(np.zeros((2, 2)), h, y, sigma2)
 
     @pytest.mark.parametrize("sigma2", [0.0, -1.0, float("nan")])
     def test_relaxed_views_reject_nonpositive_noise(self, sigma2):
