@@ -155,7 +155,10 @@ def _table_bytes(name: str, power: int, rest: tuple) -> int:
     tracemalloc peak, fitted: 24 bytes per entry of the joint table, 32 of
     the relaxed one (whose three float tables hold 24), 26 power bytes per
     configuration (a margin that dominates at B = 1), 128 + 48 R_D per
-    message (B, Nr, Nbits) and 1 MiB.
+    message (B, Nr, Nbits) and 1 MiB. The joint term is what a table built
+    whole holds (at most 1 MiB of complex H s, _one_block); a blocked one
+    holds at most 20 bytes per entry for SBP and 16 for ML
+    (_residual_power), so that term is loose there.
     """
     relaxed = len(rest) == 3
     row = (32 if relaxed else 24) * math.prod(rest) + 26 * power   # per configuration
@@ -197,27 +200,76 @@ def _doubling_sums(out: np.ndarray, steps) -> np.ndarray:
     return out
 
 
+def _symbol_values(h: np.ndarray, k: int, m: int) -> np.ndarray:
+    """Symbol k's 2^m values h_k s_k, (2^m, ...): a _doubling_sums over its
+    bits' gains +-g_t."""
+    bits = np.moveaxis(bit_gains(h[..., k:k + 1], m), -1, 0)
+    return _doubling_sums(np.empty((1 << m,) + h.shape[:-1], dtype=np.complex128),
+                          ((g, -g) for g in bits))
+
+
 def _channel_sums(h: np.ndarray, m: int) -> np.ndarray:
     """H s for every configuration s, (C, B, Nr), np.einsum's product floats: a
-    _doubling_sums whose step k, built when read, is symbol k's values, a
-    _doubling_sums over its bits' gains +-g_t, so each symbol's sum is first."""
-    shape = h.shape[:-1]
+    _doubling_sums whose step k, built when read, is _symbol_values(h, k, m),
+    so each symbol's sum is first. Made after the table, the values leave no
+    freed hole below it."""
+    return _doubling_sums(np.empty((1 << m * h.shape[-1],) + h.shape[:-1], dtype=np.complex128),
+                          (_symbol_values(h, k, m) for k in range(h.shape[-1])))
 
-    def symbol_values(k):   # made after the table, these leave no freed hole below it
-        bits = np.moveaxis(bit_gains(h[..., k:k + 1], m), -1, 0)
-        return _doubling_sums(np.empty((1 << m,) + shape, dtype=np.complex128),
-                              ((g, -g) for g in bits))
 
-    return _doubling_sums(np.empty((1 << m * h.shape[-1],) + shape, dtype=np.complex128),
-                          (symbol_values(k) for k in range(h.shape[-1])))
+def _one_block(h: np.ndarray, m: int) -> bool:
+    """Whether the complex H s table of h, at most 1 MiB, is built whole."""
+    return 16 * h[..., 0].size << m * h.shape[-1] <= 1 << 20
+
+
+def _residual_blocks(h: np.ndarray, y: np.ndarray, m: int):
+    """y - H s for every configuration s, block by block: yields (start, resid),
+    resid (rows, B, Nr) the residuals of configurations start.., in a buffer
+    that the next block overwrites; C/4 rows (C/2 at one BPSK symbol).
+
+    The base table is _channel_sums over every symbol but the top ceil(2/M).
+    A loop enumerates those depth-first, values in _doubling_sums's order: a
+    node is its parent plus the symbol's value, the add _doubling_sums makes,
+    built once, so every float is the whole table's. Value 0 comes last and
+    is added in place in its parent's buffer; the others use one buffer per
+    level."""
+    n_tx = h.shape[-1]
+    low = max(n_tx + (-2 // m), 0)        # symbols in the base table: Nt - ceil(2/M)
+    base = _channel_sums(h[..., :low], m)
+    tops = [_symbol_values(h, k, m) for k in range(low, n_tx)]
+    nodes = np.empty((len(tops),) + base.shape, dtype=np.complex128)
+    q = 1 << m
+    for n in range(q ** len(tops)):
+        start, parent = 0, base
+        for level, values in enumerate(tops):
+            below = q ** (len(tops) - 1 - level)      # leaves under one node of this level
+            v = q - 1 - n // below % q
+            node = parent if v == 0 else nodes[level]
+            if n % below == 0:                        # a new node here and at every level under it
+                np.add(parent, values[v], out=node)
+            start, parent = start + (v << m * (low + level)), node
+        yield start, np.subtract(y, parent, out=parent)
 
 
 def _residual_power(h: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
-    """|y_j - (H s)_j|^2 per antenna for every configuration s, shape (C, B, Nr)."""
-    resid = _channel_sums(h, m)
-    np.subtract(y, resid, out=resid)
-    power = np.abs(resid)
-    return np.square(power, out=power)
+    """|y_j - (H s)_j|^2 per antenna for every configuration s, (C, B, Nr).
+
+    A table whose complex H s fits 1 MiB (_one_block) is built whole, then
+    y - Hs in place and the power into a fresh table: a batch holds 24 bytes
+    per entry. Else the power table comes first, and each _residual_blocks
+    block writes |.|^2 straight into its rows: 16 bytes per entry at QPSK
+    (the power, the base table and one level), at most 20 at BPSK (two
+    levels). No (C, B, Nr) complex table exists."""
+    if _one_block(h, m):
+        resid = _channel_sums(h, m)
+        np.subtract(y, resid, out=resid)
+        power = np.abs(resid)
+        return np.square(power, out=power)
+    power = np.empty((1 << m * h.shape[-1],) + y.shape)    # before the block buffers
+    for start, resid in _residual_blocks(h, y, m):
+        rows = power[start:start + len(resid)]
+        np.square(np.abs(resid, out=rows), out=rows)
+    return power
 
 
 def _prior_sums(terms: np.ndarray, out: np.ndarray,
@@ -275,26 +327,25 @@ def bit_gains(h: np.ndarray, m: int = 1) -> np.ndarray:
     return np.repeat(h, m, axis=-1) * axis
 
 
-def _sbp_max_marginals(t: np.ndarray,
-                       scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _sbp_max_marginals(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-bit max of t over configs with x_i = +1 and x_i = -1: (pos, neg).
 
     t has the config axis first, (C, ...), in _doubling_sums order, so bit i
     is the top bit of the block left once bits i+1.. are maxed out: its first
     half holds x_i = +1, its second x_i = -1. Outputs are (..., n_bits).
-    scratch, (C/2, ...), if given, takes the folded blocks; t is never written.
+    Each fold writes its maxima over the first half in place, so t is
+    overwritten: afterwards t[0] and t[1] hold bit 0's pos and neg.
     """
     n_bits = t.shape[0].bit_length() - 1
     pos = np.empty(t.shape[1:] + (n_bits,))
     neg = np.empty_like(pos)
-    cur = t
     for i in range(n_bits - 1, -1, -1):
-        half = cur.shape[0] // 2
-        lo, hi = cur[:half], cur[half:]
+        half = 1 << i
+        lo, hi = t[:half], t[half:2 * half]
         pos[..., i] = lo.max(axis=0)
         neg[..., i] = hi.max(axis=0)
         if i:
-            cur = np.maximum(lo, hi, out=None if scratch is None else scratch[:half])
+            np.maximum(lo, hi, out=lo)
     return pos, neg
 
 
@@ -304,17 +355,17 @@ def _sbp_step(h: np.ndarray, y: np.ndarray, sigma2: float, m: int):
 
     beta[j, i] = max over configs with x_i = +1 of {D_j(s) + sum of alpha[t, j]
     over t != i with x_t = +1} minus the analogous max with x_i = -1. D
-    (C, B, Nr) is built once in _residual_power's buffer, with the
+    (C, B, Nr) is built once in _residual_power's table, with the
     roundings of -|y - Hs|^2 / (2 sigma^2) (rounding is sign-symmetric, so
-    dividing by -(2 sigma^2) equals negating first); the score buffers are
-    reused. The priors (C, B, Nr) come from _prior_sums, whose floats do not
-    depend on alpha's layout. fresh says alpha is +0: the priors are +0, not
-    computed.
+    dividing by -(2 sigma^2) equals negating first). A batch then holds two
+    (C, B, Nr) float tables, D and the score t, which every step rebuilds and
+    _sbp_max_marginals folds in place. The priors come from _prior_sums,
+    whose floats do not depend on alpha's layout. fresh says alpha is +0: the
+    priors are +0, not computed.
     """
     d = _residual_power(h, y, m)
     d /= -(2.0 * sigma2)
     t = np.empty_like(d)
-    scratch = np.empty((d.shape[0] // 2,) + d.shape[1:])
 
     def step(alpha, fresh=False):
         if fresh:
@@ -322,7 +373,7 @@ def _sbp_step(h: np.ndarray, y: np.ndarray, sigma2: float, m: int):
         else:
             _prior_sums(alpha.transpose(1, 0, 2), t)
             np.add(t, d, out=t)
-        beta, neg = _sbp_max_marginals(t, scratch)
+        beta, neg = _sbp_max_marginals(t)
         # the x_i = +1 branch double-counts alpha[i, :]; subtract it back out
         beta -= alpha.transpose(0, 2, 1)
         beta -= neg
@@ -521,7 +572,8 @@ def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray
     (rounding is sign-symmetric), so Q_{H-1-h} = Q_h and W_{H-1-h} = -W_h.
     One table, plus = Q + W, is thus built once per batch from the H/2
     hypotheses with x_last = +1: I_h on real planes, a _doubling_sums with
-    steps (g_r, -g_r) for r < R_D - 1 and a last step (g_last,), then
+    steps (g_r, -g_r) for r < R_D - 1 (each plane's -g_r negated once per
+    batch) and a last step (g_last,), then
     plus[:H/2] = Q + W, plus[H/2:] reversed = Q - W, and minus is the view
     plus[::-1]. S is _prior_sums (H, B, Nr, Nbits) over e_r = alpha_r +
     (2/sigma2_z) Re(conj(c) g_r), its two tables held in the score buffer:
@@ -536,8 +588,7 @@ def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray
                            -1, 0).copy()
         g_re, g_im = np.take(gains.real, flat), np.take(gains.imag, flat)
         mid = 1 << (rd - 1)
-        i_re, i_im = [_doubling_sums(np.empty((mid,) + half.shape),
-                                     ((g[r], -g[r]) if r < rd - 1 else (g[r],) for r in range(rd)))
+        i_re, i_im = [_doubling_sums(np.empty((mid,) + half.shape), [*zip(g, -g[:-1]), g[-1:]])
                       for g in (g_re, g_im)]
         plus = np.empty((2 * mid,) + half.shape)
         q, spare = plus[:mid], plus[mid:]

@@ -6,6 +6,8 @@ per-bit mask gathers of reference_impl.batched_sbp_mask_oracle exactly, on
 every iteration, not just to a tolerance. The oracle's earlier prior order,
 np.einsum's, must agree to 1e-9.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -59,10 +61,20 @@ def test_engine_equals_mask_oracle_property(n_tx, n_rx, m, sigma2, iterations):
 
 @pytest.mark.parametrize("n_bits", range(1, 8))
 def test_max_marginals_equal_direct_masked_max(n_bits):
+    """The fold runs in place in t: it allocates nothing the size of a half
+    of t, and leaves bit 0's two maxima in t[0] and t[1]."""
     bits, _ = config_table_oracle(1, n_bits)
-    t = np.random.default_rng(n_bits).standard_normal((1 << n_bits, 3, 2))
-    pos, neg = _sbp_max_marginals(t)
-    assert pos.shape == neg.shape == (3, 2, n_bits)
+    drawn = np.random.default_rng(n_bits).standard_normal((1 << n_bits, 64, 2))
+    t = drawn.copy()
+    tracemalloc.start()
+    try:
+        pos, neg = _sbp_max_marginals(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pos.shape == neg.shape == (64, 2, n_bits)
+    assert peak < 2 * pos.nbytes + drawn[0].nbytes + 4096       # pos, neg, one row's max
     for i in range(n_bits):
-        assert np.array_equal(pos[..., i], t[bits[:, i] > 0].max(axis=0))
-        assert np.array_equal(neg[..., i], t[bits[:, i] < 0].max(axis=0))
+        assert np.array_equal(pos[..., i], drawn[bits[:, i] > 0].max(axis=0))
+        assert np.array_equal(neg[..., i], drawn[bits[:, i] < 0].max(axis=0))
+    assert np.array_equal(t[0], pos[..., 0]) and np.array_equal(t[1], neg[..., 0])

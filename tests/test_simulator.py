@@ -171,6 +171,25 @@ class TestConfigValidation:
             tracemalloc.stop()
         assert peak <= admitted, f"peak {peak / 2**20:.1f} MiB, admitted {admitted / 2**20:.1f}"
 
+    @pytest.mark.parametrize("spec,per_entry", [
+        (DetectorSpec.sbp(6), 16),   # the power table D, the score t; while D is built, base and one level
+        (DetectorSpec.ml(), 12),     # the base table and one level (8), one block's power (2), the metric (2)
+    ], ids=["SBP", "ML"])
+    def test_exhaustive_batch_holds_no_complex_table(self, spec, per_entry):
+        """A 4x4 QPSK batch enumerates a (256, 512, 4) table; its complex H s
+        alone would take 16 bytes per entry, and H s with the power 24."""
+        dims = SystemDims(4, 4, 2)
+        sigma2 = snr_to_noise_variance(12.0, dims)
+        bits, h, y = _draw_batch(dims, sigma2, _batch_rng(5, 12.0, 0), BATCH_TRIALS)
+        tracemalloc.start()
+        try:
+            _run_batch(spec, bits, h, y, sigma2, 2, False, (spec.iterations,), {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = per_entry * 256 * BATCH_TRIALS * 4 + (1 << 20)
+        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f}"
+
     def test_one_vector_keeps_no_table_after_it_returns(self):
         """A 16-bit ML detect builds a 2^16-row configuration table and drops it."""
         rng = np.random.default_rng(3)
