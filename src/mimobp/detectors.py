@@ -155,10 +155,10 @@ def _table_bytes(name: str, power: int, rest: tuple) -> int:
     tracemalloc peak, fitted: 24 bytes per entry of the joint table, 32 of
     the relaxed one (whose three float tables hold 24), 26 power bytes per
     configuration (a margin that dominates at B = 1), 128 + 48 R_D per
-    message (B, Nr, Nbits) and 1 MiB. The joint term is what a table built
-    whole holds (at most 1 MiB of complex H s, _one_block); a blocked one
-    holds at most 20 bytes per entry for SBP and 16 for ML
-    (_residual_power), so that term is loose there.
+    message (B, Nr, Nbits) and 1 MiB. The joint term is what a whole
+    complex H s table and its power held; built block by block
+    (_residual_power_blocks), SBP holds at most 20 bytes per entry and ML
+    at most 14 plus its (C, B) metric, so that term is loose.
     """
     relaxed = len(rest) == 3
     row = (32 if relaxed else 24) * math.prod(rest) + 26 * power   # per configuration
@@ -217,28 +217,26 @@ def _channel_sums(h: np.ndarray, m: int) -> np.ndarray:
                           (_symbol_values(h, k, m) for k in range(h.shape[-1])))
 
 
-def _one_block(h: np.ndarray, m: int) -> bool:
-    """Whether the complex H s table of h, at most 1 MiB, is built whole."""
-    return 16 * h[..., 0].size << m * h.shape[-1] <= 1 << 20
-
-
-def _residual_blocks(h: np.ndarray, y: np.ndarray, m: int):
-    """y - H s for every configuration s, block by block: yields (start, resid),
-    resid (rows, B, Nr) the residuals of configurations start.., in a buffer
-    that the next block overwrites; C/4 rows (C/2 at one BPSK symbol).
+def _residual_power_blocks(h: np.ndarray, y: np.ndarray, m: int, out: np.ndarray | None = None):
+    """|y_j - (H s)_j|^2 per antenna for every configuration s, block by block:
+    yields (start, power), power (rows, B, Nr) the configurations start..;
+    C/4 rows (C/2 at one BPSK symbol). power is out[start:start + rows] if
+    out (C, B, Nr) is given, else one buffer that the next block overwrites.
 
     The base table is _channel_sums over every symbol but the top ceil(2/M).
     A loop enumerates those depth-first, values in _doubling_sums's order: a
     node is its parent plus the symbol's value, the add _doubling_sums makes,
     built once, so every float is the whole table's. Value 0 comes last and
     is added in place in its parent's buffer; the others use one buffer per
-    level."""
+    level. Each leaf's y - Hs is written in place, so a call holds the base
+    table and one buffer per level, C/4 complex rows each, and no (C, B, Nr)
+    complex table exists."""
     n_tx = h.shape[-1]
     low = max(n_tx + (-2 // m), 0)        # symbols in the base table: Nt - ceil(2/M)
     base = _channel_sums(h[..., :low], m)
     tops = [_symbol_values(h, k, m) for k in range(low, n_tx)]
     nodes = np.empty((len(tops),) + base.shape, dtype=np.complex128)
-    q = 1 << m
+    q, power = 1 << m, None
     for n in range(q ** len(tops)):
         start, parent = 0, base
         for level, values in enumerate(tops):
@@ -248,27 +246,21 @@ def _residual_blocks(h: np.ndarray, y: np.ndarray, m: int):
             if n % below == 0:                        # a new node here and at every level under it
                 np.add(parent, values[v], out=node)
             start, parent = start + (v << m * (low + level)), node
-        yield start, np.subtract(y, parent, out=parent)
+        resid = np.subtract(y, parent, out=parent)
+        power = np.abs(resid, out=power if out is None else out[start:start + len(resid)])
+        yield start, np.square(power, out=power)
 
 
 def _residual_power(h: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     """|y_j - (H s)_j|^2 per antenna for every configuration s, (C, B, Nr).
 
-    A table whose complex H s fits 1 MiB (_one_block) is built whole, then
-    y - Hs in place and the power into a fresh table: a batch holds 24 bytes
-    per entry. Else the power table comes first, and each _residual_blocks
-    block writes |.|^2 straight into its rows: 16 bytes per entry at QPSK
-    (the power, the base table and one level), at most 20 at BPSK (two
-    levels). No (C, B, Nr) complex table exists."""
-    if _one_block(h, m):
-        resid = _channel_sums(h, m)
-        np.subtract(y, resid, out=resid)
-        power = np.abs(resid)
-        return np.square(power, out=power)
-    power = np.empty((1 << m * h.shape[-1],) + y.shape)    # before the block buffers
-    for start, resid in _residual_blocks(h, y, m):
-        rows = power[start:start + len(resid)]
-        np.square(np.abs(resid, out=rows), out=rows)
+    The table comes first, below the block buffers, and each
+    _residual_power_blocks block is written straight into its rows: a call
+    holds 16 bytes per entry at QPSK (the power, the base table and one
+    level), at most 20 at BPSK (two levels)."""
+    power = np.empty((1 << m * h.shape[-1],) + y.shape)
+    for _ in _residual_power_blocks(h, y, m, power):
+        pass
     return power
 
 

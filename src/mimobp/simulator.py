@@ -69,10 +69,8 @@ from .detectors import (
     _lump_variance,
     _mmse_estimate,
     _mmse_llrs,
-    _one_block,
     _relaxed_step,
-    _residual_blocks,
-    _residual_power,
+    _residual_power_blocks,
     _sbp_step,
     _spec_bytes,
     alpha_update,
@@ -186,14 +184,11 @@ def _draw_batch(dims: SystemDims, sigma2: float, rng: np.random.Generator,
 
 def _ml_metric(h, y, m):
     """|y - H s|^2 for every configuration s, shape (C, B), the antennas summed
-    in order. Past 1 MiB of complex H s (_one_block), each _residual_blocks
-    block is summed as it is built, so no (C, B, Nr) table is held."""
-    if _one_block(h, m):
-        return _ascending_sum(_residual_power(h, y, m), -1)
-    metric, power = np.empty((1 << m * h.shape[2], h.shape[0])), None
-    for start, resid in _residual_blocks(h, y, m):
-        power = np.abs(resid, out=power)                  # one block buffer for every block
-        metric[start:start + len(resid)] = _ascending_sum(np.square(power, out=power), -1)
+    in order: each _residual_power_blocks block is summed as it is built, so
+    no (C, B, Nr) table is held."""
+    metric = np.empty((1 << m * h.shape[2], h.shape[0]))
+    for start, power in _residual_power_blocks(h, y, m):
+        metric[start:start + len(power)] = _ascending_sum(power, -1)
     return metric
 
 

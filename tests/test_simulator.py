@@ -171,9 +171,14 @@ class TestConfigValidation:
             tracemalloc.stop()
         assert peak <= admitted, f"peak {peak / 2**20:.1f} MiB, admitted {admitted / 2**20:.1f}"
 
+    # Bytes per (C, B, Nr) entry of the buffers a batch holds at its peak. While
+    # the blocks are built: the base table and one level, C/4 complex rows each
+    # (4 + 4). SBP adds its power table D (8), and its score t (8) replaces the
+    # block buffers; ML adds one block of power, C/4 float rows (2), and its
+    # (C, B) metric (8 / Nr).
     @pytest.mark.parametrize("spec,per_entry", [
-        (DetectorSpec.sbp(6), 16),   # the power table D, the score t; while D is built, base and one level
-        (DetectorSpec.ml(), 12),     # the base table and one level (8), one block's power (2), the metric (2)
+        (DetectorSpec.sbp(6), 8 + max(4 + 4, 8)),
+        (DetectorSpec.ml(), 4 + 4 + 2 + 8 / 4),
     ], ids=["SBP", "ML"])
     def test_exhaustive_batch_holds_no_complex_table(self, spec, per_entry):
         """A 4x4 QPSK batch enumerates a (256, 512, 4) table; its complex H s
@@ -187,7 +192,7 @@ class TestConfigValidation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = per_entry * 256 * BATCH_TRIALS * 4 + (1 << 20)
+        bound = int(per_entry * 256 * BATCH_TRIALS * 4) + (1 << 20)
         assert peak <= bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f}"
 
     def test_one_vector_keeps_no_table_after_it_returns(self):
