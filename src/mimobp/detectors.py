@@ -156,9 +156,10 @@ def _table_bytes(name: str, power: int, rest: tuple) -> int:
     the relaxed one (whose three float tables hold 24), 26 power bytes per
     configuration (a margin that dominates at B = 1), 128 + 48 R_D per
     message (B, Nr, Nbits) and 1 MiB. The joint term is what a whole
-    complex H s table and its power held; built block by block
-    (_residual_power_blocks), SBP holds at most 20 bytes per entry and ML
-    at most 14 plus its (C, B) metric, so that term is loose.
+    complex H s table and its power hold, as at most 1 MiB of H s still
+    does; past that, built block by block (_residual_power_blocks), SBP
+    holds at most 20 bytes per entry and ML at most 14 plus its (C, B)
+    metric, so that term is loose there.
     """
     relaxed = len(rest) == 3
     row = (32 if relaxed else 24) * math.prod(rest) + 26 * power   # per configuration
@@ -217,22 +218,30 @@ def _channel_sums(h: np.ndarray, m: int) -> np.ndarray:
                           (_symbol_values(h, k, m) for k in range(h.shape[-1])))
 
 
+# A table with at most this much complex H s is one block: cutting 4x4 BPSK's
+# (0.5 MiB at 512 trials) in quarters cost sweep4-bpsk 2.3% vec/s.
+_WHOLE_TABLE_BYTES = 1 << 20
+
+
 def _residual_power_blocks(h: np.ndarray, y: np.ndarray, m: int, out: np.ndarray | None = None):
     """|y_j - (H s)_j|^2 per antenna for every configuration s, block by block:
     yields (start, power), power (rows, B, Nr) the configurations start..;
-    C/4 rows (C/2 at one BPSK symbol). power is out[start:start + rows] if
-    out (C, B, Nr) is given, else one buffer that the next block overwrites.
+    C/4 rows (C/2 at one BPSK symbol), or all C where the complex H s takes
+    at most _WHOLE_TABLE_BYTES. power is out[start:start + rows] if out
+    (C, B, Nr) is given, else one buffer that the next block overwrites.
 
-    The base table is _channel_sums over every symbol but the top ceil(2/M).
-    A loop enumerates those depth-first, values in _doubling_sums's order: a
-    node is its parent plus the symbol's value, the add _doubling_sums makes,
-    built once, so every float is the whole table's. Value 0 comes last and
-    is added in place in its parent's buffer; the others use one buffer per
-    level. Each leaf's y - Hs is written in place, so a call holds the base
-    table and one buffer per level, C/4 complex rows each, and no (C, B, Nr)
-    complex table exists."""
+    The base table is _channel_sums over every symbol but the top ceil(2/M)
+    (over all of them for one block). A loop enumerates those depth-first,
+    values in _doubling_sums's order: a node is its parent plus the symbol's
+    value, the add _doubling_sums makes, built once, so every float is the
+    whole table's. Value 0 comes last and is added in place in its parent's
+    buffer; the others use one buffer per level. Each leaf's y - Hs is
+    written in place, so past one block a call holds the base table and one
+    buffer per level, C/4 complex rows each, and no (C, B, Nr) complex
+    table exists."""
     n_tx = h.shape[-1]
-    low = max(n_tx + (-2 // m), 0)        # symbols in the base table: Nt - ceil(2/M)
+    whole = 16 * h[..., 0].size << m * n_tx <= _WHOLE_TABLE_BYTES
+    low = n_tx if whole else max(n_tx + (-2 // m), 0)     # the base table's symbols
     base = _channel_sums(h[..., :low], m)
     tops = [_symbol_values(h, k, m) for k in range(low, n_tx)]
     nodes = np.empty((len(tops),) + base.shape, dtype=np.complex128)
@@ -257,7 +266,7 @@ def _residual_power(h: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     The table comes first, below the block buffers, and each
     _residual_power_blocks block is written straight into its rows: a call
     holds 16 bytes per entry at QPSK (the power, the base table and one
-    level), at most 20 at BPSK (two levels)."""
+    level), at most 20 at BPSK (two levels), and 24 for one block."""
     power = np.empty((1 << m * h.shape[-1],) + y.shape)
     for _ in _residual_power_blocks(h, y, m, power):
         pass

@@ -7,12 +7,15 @@ elsewhere are exact only if these tables hold the very floats einsum
 returns, so these tests compare int64 views, which also tell +0 from -0.
 The configurations come from reference_impl.config_table_oracle.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mimobp.channel import SystemDims, snr_to_noise_variance
+from mimobp import detectors
 from mimobp.detectors import LLR_CLAMP, _channel_sums, _doubling_sums, _residual_power
 from mimobp.simulator import _batch_rng, _draw_batch, _engine_ml, _ml_metric
 from reference_impl import config_table_oracle
@@ -81,20 +84,24 @@ def test_products_equal_einsum_property(m, n_tx, re, im):
     im=arrays(np.float64, (3, 2, 5), elements=_PARTS),
 )
 def test_residuals_equal_einsum_property(m, n_tx, re, im):
-    """|y - H s|^2 with the same parts, y in the last column: written into
-    the power table, and in ML's one reused block buffer, summed over the
-    two antennas."""
+    """|y - H s|^2 with the same parts, y in the last column, as one block
+    and cut in blocks (forced on these small tables): written into the
+    power table, and in ML's one reused block buffer, summed over the two
+    antennas."""
     parts = np.empty(re.shape, dtype=np.complex128)
     parts.real, parts.imag = re, im
     h, y = parts[..., :n_tx], parts[..., -1]
     _, symbols = config_table_oracle(m, n_tx)
     want = _residual_einsum(h, y, symbols)
-    _assert_same_bits(_residual_power(h, y, m), want)
-    _assert_same_bits(_ml_metric(h, y, m), want[..., 0] + want[..., 1])
+    for whole in (1 << 20, 0):
+        with mock.patch.object(detectors, "_WHOLE_TABLE_BYTES", whole):
+            _assert_same_bits(_residual_power(h, y, m), want)
+            _assert_same_bits(_ml_metric(h, y, m), want[..., 0] + want[..., 1])
 
 
-# Blocks of one top symbol (QPSK) and of two (BPSK, Nt >= 2), base tables of
-# one row (Nt <= ceil(2/M)) and of many.
+# At 64 trials, (4, 4, 2) is 1 MiB of complex H s, one block; (8, 8, 1), (5, 5, 2)
+# and (4, 5, 2) are past it, cut in blocks of one top symbol (QPSK) or two (BPSK).
+# The larger counts cut tables whose base has one row (Nt <= ceil(2/M)).
 _ML_SHAPES = [(4, 4, 1), (4, 4, 2), (8, 8, 1), (3, 5, 1), (3, 5, 2), (5, 3, 1), (5, 3, 2),
               (6, 6, 1), (5, 5, 2), (4, 5, 2)]
 
@@ -104,7 +111,7 @@ _ML_SHAPES = [(4, 4, 1), (4, 4, 2), (8, 8, 1), (3, 5, 1), (3, 5, 2), (5, 3, 1), 
     (1, 1, 1, 40000), (1, 3, 2, 20000), (2, 2, 1, 20000), (3, 1, 1, 10000),
 ], ids=lambda v: str(v))
 def test_residual_power_equals_the_einsum_form(n_tx, n_rx, m, count):
-    """A base table of one row or many, one level or two."""
+    """One block, or blocks over a base table of one row or many, one level or two."""
     dims = SystemDims(n_tx, n_rx, m)
     sigma2 = snr_to_noise_variance(10.0, dims)
     _, h, y = _draw_batch(dims, sigma2, _batch_rng(11, 10.0, 0), count)
