@@ -10,30 +10,15 @@ Graph and message conventions:
   * factor metrics use the complex-distance log likelihood
     D_j(s) = -|y_j - h_j s|^2 / (2 sigma^2) under the max-log approximation
 
-Relaxed BP keeps, per message (j, i), only a small set Psi of interferer
-bits explicit (the rd1 strongest-gain symbols plus, optionally, the bit's
-own-symbol partners); everything else is lumped into a Gaussian whose mean
-is rebuilt each iteration from the previous alphas (soft interference
-cancellation) and whose variance is fixed at the priors. With rd1 = Nt-1,
-rd2 = 1 nothing is lumped: the scheme is standard BP and runs SBP's step
-(DetectorSpec.exhaustive); with rd1 = rd2 = 0 the beta update collapses to
-a matched filter against the cancelled observation. The MMSE-cascaded
-variant turns per-stream MMSE pseudo-LLRs into a fixed per-bit prior: it
-seeds the alphas, stays as an additive intrinsic term in every alpha
-update, and shrinks the lump variances (informative priors mean less
-residual interference power), which lets the cascade track the MMSE-SIC
-baseline instead of relaxing back to the uninformed fixed point. The soft
-output remains the plain column sum of beta; re-adding the prior there
-would double-count information already fed back through the cancellation.
+The MMSE cascade's prior (simulator._bp_messages) shrinks the lump
+variances, as informative priors mean less residual interference power: the
+cascade then tracks MMSE-SIC instead of relaxing back to the uninformed
+fixed point. Its soft output stays the plain column sum of beta: re-adding
+the prior would double-count what the cancellation already fed back.
 
-Each detector has one implementation, the batched engine in
-mimobp.simulator, built from the batch steps here. detect() and
-message_history() run it on a batch of one (_one_trial) with a fresh dict
-of shared front-end values, as a sweep lane runs it with its batch's. The
-per-message views (sbp_beta_update, rbp_beta_update, interference_mean,
-interference_variance) run the same steps on a batch of one; the one-trial
-entry points refuse a y whose length is not Nr. The Gaussian lump model is
-defined here alone: _lump, _lump_mean and _lump_variance.
+This module holds the batch steps and the Gaussian lump (_lump, _lump_mean,
+_lump_variance) that the engine in mimobp.simulator runs, their per-message
+views, and detect().
 """
 from __future__ import annotations
 
@@ -44,8 +29,7 @@ import numpy as np
 
 from .errors import DimensionTooLargeError, LengthMismatchError
 
-# Hard clamp applied to bit-to-factor LLRs (and to exponent arguments wherever
-# an LLR is converted to a probability-domain quantity).
+# Hard clamp on bit-to-factor LLRs, the cascade's prior and ML's outputs.
 LLR_CLAMP = 30.0
 
 # Largest working set one detector call may allocate; _table_bytes applies it.
@@ -151,15 +135,11 @@ def _table_bytes(name: str, power: int, rest: tuple) -> int:
     before anything is built: DimensionTooLargeError past MAX_BATCH_BYTES.
 
     rest is (B, Nr) where every bit is enumerated jointly (power = Nbits),
-    else (B, Nr, Nbits) with power = R_D. An upper bound on the call's
-    tracemalloc peak, fitted: 24 bytes per entry of the joint table, 32 of
-    the relaxed one (whose three float tables hold 24), 26 power bytes per
-    configuration (a margin that dominates at B = 1), 128 + 48 R_D per
-    message (B, Nr, Nbits) and 1 MiB. The joint term is what a whole
-    complex H s table and its power hold, as at most 1 MiB of H s still
-    does; past that, built block by block (_residual_power_blocks), SBP
-    holds at most 20 bytes per entry and ML at most 14 plus its (C, B)
-    metric, so that term is loose there.
+    else (B, Nr, Nbits) with power = R_D. A fitted upper bound on the call's
+    tracemalloc peak: the joint term is a whole complex H s and its power,
+    and 26 power bytes per configuration are a margin that dominates at
+    B = 1. Both table terms are loose where the steps hold less
+    (_residual_power_blocks, _relaxed_step).
     """
     relaxed = len(rest) == 3
     row = (32 if relaxed else 24) * math.prod(rest) + 26 * power   # per configuration
@@ -231,14 +211,13 @@ def _residual_power_blocks(h: np.ndarray, y: np.ndarray, m: int, out: np.ndarray
     (C, B, Nr) is given, else one buffer that the next block overwrites.
 
     The base table is _channel_sums over every symbol but the top ceil(2/M)
-    (over all of them for one block). A loop enumerates those depth-first,
-    values in _doubling_sums's order: a node is its parent plus the symbol's
-    value, the add _doubling_sums makes, built once, so every float is the
-    whole table's. Value 0 comes last and is added in place in its parent's
-    buffer; the others use one buffer per level. Each leaf's y - Hs is
-    written in place, so past one block a call holds the base table and one
-    buffer per level, C/4 complex rows each, and no (C, B, Nr) complex
-    table exists."""
+    (over all of them for one block). A loop enumerates those depth-first in
+    _doubling_sums's order, each node built once as its parent plus the
+    symbol's value, the add _doubling_sums makes, so every float is the
+    whole table's. Value 0 comes last, in place in its parent's buffer; the
+    others use one buffer per level. Each leaf's y - Hs is written in place,
+    so past one block a call holds the base table and one buffer per level,
+    C/4 complex rows each, and no (C, B, Nr) complex table."""
     n_tx = h.shape[-1]
     whole = 16 * h[..., 0].size << m * n_tx <= _WHOLE_TABLE_BYTES
     low = n_tx if whole else max(n_tx + (-2 // m), 0)     # the base table's symbols
@@ -261,10 +240,8 @@ def _residual_power_blocks(h: np.ndarray, y: np.ndarray, m: int, out: np.ndarray
 
 
 def _residual_power(h: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
-    """|y_j - (H s)_j|^2 per antenna for every configuration s, (C, B, Nr).
-
-    The table comes first, below the block buffers, and each
-    _residual_power_blocks block is written straight into its rows: a call
+    """|y_j - (H s)_j|^2 per antenna for every configuration s, (C, B, Nr),
+    allocated before the block buffers and filled block by block: a call
     holds 16 bytes per entry at QPSK (the power, the base table and one
     level), at most 20 at BPSK (two levels), and 24 for one block."""
     power = np.empty((1 << m * h.shape[-1],) + y.shape)
@@ -278,13 +255,13 @@ def _prior_sums(terms: np.ndarray, out: np.ndarray,
     """Sums of terms over the clear bits of every config index, written to out.
 
     terms is (n, ...) and out (2^n, ...): out[c] sums terms[t] over the bits
-    t clear in c (x_t = +1, as in _doubling_sums). The even and the odd bits
-    each get one _doubling_sums table, steps (terms[t], 0.0) from the highest
-    t down (no odd bit: +0), and one broadcast add, even + odd, fills out. At
-    n <= 4 and n = 8, every width perfbench runs, these are the floats of the
-    two-lane einsum reduction this replaced. work, a float buffer of out's
-    size, if given, holds the two tables and is overwritten. At n = 1 those
-    sums are terms[0] + 0.0 (-0 becomes +0) and +0, written directly.
+    t clear in c (x_t = +1, as in _doubling_sums). Past n = 1 the even and
+    the odd bits each get one _doubling_sums table, steps (terms[t], 0.0)
+    from the highest t down, and one broadcast add, even + odd, fills out.
+    At n <= 4 and n = 8, every width perfbench runs, these equal np.einsum's
+    two-lane reduction, in which perfbench's golden rows were recorded.
+    work, a float buffer of out's size, if given, holds the two tables and
+    is overwritten. At n = 1 out is terms[0] + 0.0 (-0 becomes +0) and +0.
     """
     n, rest = terms.shape[0], terms.shape[1:]
     if n == 1:
@@ -299,9 +276,6 @@ def _prior_sums(terms: np.ndarray, out: np.ndarray,
     for parity in (0, 1):
         bits = range(parity, n, 2)[::-1]
         k = len(bits)
-        if not k:                                     # no odd bit: +0
-            tables.append(0.0)
-            continue
         tbl, free = free[:width << k].reshape((1 << k,) + rest), free[width << k:]
         _doubling_sums(tbl, ((terms[t], 0.0) for t in bits))
         # table axis a is this parity's a-th lowest bit; size 1 on the other's
@@ -334,9 +308,8 @@ def _sbp_max_marginals(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t has the config axis first, (C, ...), in _doubling_sums order, so bit i
     is the top bit of the block left once bits i+1.. are maxed out: its first
     half holds x_i = +1, its second x_i = -1. Outputs are (..., n_bits).
-    Each fold writes its maxima over the first half in place, so t is
-    overwritten: afterwards t[0] and t[1] hold bit 0's pos and neg.
-    """
+    Each fold writes its maxima over the first half in place: t is
+    overwritten."""
     n_bits = t.shape[0].bit_length() - 1
     pos = np.empty(t.shape[1:] + (n_bits,))
     neg = np.empty_like(pos)
@@ -356,12 +329,10 @@ def _sbp_step(h: np.ndarray, y: np.ndarray, sigma2: float, m: int):
 
     beta[j, i] = max over configs with x_i = +1 of {D_j(s) + sum of alpha[t, j]
     over t != i with x_t = +1} minus the analogous max with x_i = -1. D
-    (C, B, Nr) is built once in _residual_power's table, with the
-    roundings of -|y - Hs|^2 / (2 sigma^2) (rounding is sign-symmetric, so
-    dividing by -(2 sigma^2) equals negating first). A batch then holds two
-    (C, B, Nr) float tables, D and the score t, which every step rebuilds and
-    _sbp_max_marginals folds in place. The priors come from _prior_sums,
-    whose floats do not depend on alpha's layout. fresh says alpha is +0: the
+    (C, B, Nr), built once, has the roundings of -|y - Hs|^2 / (2 sigma^2):
+    rounding is sign-symmetric, so dividing by -(2 sigma^2) equals negating
+    first. Every step rebuilds the score table t in place; _prior_sums's
+    floats do not depend on alpha's layout. fresh says alpha is +0: the
     priors are +0, not computed.
     """
     d = _residual_power(h, y, m)
@@ -385,10 +356,8 @@ def _sbp_step(h: np.ndarray, y: np.ndarray, sigma2: float, m: int):
 
 def sbp_beta_update(alpha: np.ndarray, h: np.ndarray, y: np.ndarray,
                     sigma2: float, m: int = 1) -> np.ndarray:
-    """One standard-BP factor-to-bit update by exhaustive enumeration.
-
-    alpha is (Nbits, Nr), beta (Nr, Nbits); _sbp_step on a batch of one.
-    """
+    """One standard-BP factor-to-bit update by exhaustive enumeration: alpha
+    (Nbits, Nr), beta (Nr, Nbits); _sbp_step on a batch of one."""
     step = _sbp_step(*_one_trial(DetectorSpec.sbp(), h, y, sigma2, m), sigma2, m)
     return step(np.asarray(alpha, dtype=np.float64)[None])[0]
 
@@ -412,8 +381,7 @@ def alpha_update(beta: np.ndarray, prior: np.ndarray | None = None,
     A per-bit prior, when given, stays as an additive intrinsic term in
     every outgoing alpha (the bit node's own degree-one factor). Leading
     batch axes of beta (..., Nr, Nbits) and prior (..., Nbits) carry through.
-    total is beta's column sum over the factors, _ascending_sum(beta, -2);
-    a caller that holds it passes it in.
+    total, beta's column sum _ascending_sum(beta, -2), may be passed in.
     """
     if total is None:
         total = _ascending_sum(beta, -2)
@@ -472,10 +440,9 @@ def _lump(edge_sets: np.ndarray):
     total minus the sum over the kept bits, i and Psi_{j,i}. Both add in
     ascending t, the total from +0 (_ascending_sum) and the kept sum from its
     lowest bit, so where nothing is lumped the two are equal and the lump is
-    exactly +0. A call costs O(Nr Nbits R_D). The kept bits are sorted once
-    where R_D >= 2. At R_D = 0 the kept sum is terms itself, and at R_D = 1
-    it is one gather plus terms: a two-term sum is the same float in either
-    order."""
+    exactly +0. A call costs O(Nr Nbits R_D). At R_D = 0 the kept sum is
+    terms itself, and at R_D = 1 it is one gather plus terms: a two-term sum
+    is the same float in either order."""
     factors, n_bits, rd = edge_sets.shape[:-2], edge_sets.shape[-2], edge_sets.shape[-1]
     base = np.arange(math.prod(factors)).reshape(factors + (1,)) * n_bits
     if rd >= 2:
@@ -573,13 +540,12 @@ def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray
     (rounding is sign-symmetric), so Q_{H-1-h} = Q_h and W_{H-1-h} = -W_h.
     One table, plus = Q + W, is thus built once per batch from the H/2
     hypotheses with x_last = +1: I_h on real planes, a _doubling_sums with
-    steps (g_r, -g_r) for r < R_D - 1 (each plane's -g_r negated once per
-    batch) and a last step (g_last,), then
+    steps (g_r, -g_r) for r < R_D - 1 and a last step (g_last,), then
     plus[:H/2] = Q + W, plus[H/2:] reversed = Q - W, and minus is the view
     plus[::-1]. S is _prior_sums (H, B, Nr, Nbits) over e_r = alpha_r +
     (2/sigma2_z) Re(conj(c) g_r), its two tables held in the score buffer:
-    a batch holds three hypothesis tables, plus, S and score. Without explicit
-    edges there is no hypothesis term. fresh says alpha is +0, not gathered.
+    a batch holds three hypothesis tables, plus, S and score. fresh says
+    alpha is +0, not gathered.
     """
     b, n_rx, n_bits, rd = edge_sets.shape
     y, scale, half = y[:, :, None], 2.0 / sigma2_z, 2.0 * sigma2_z
@@ -684,6 +650,11 @@ def _check_noise(sigma2) -> None:
         raise ValueError("sigma2 must be > 0 and finite")
 
 
+def _hard_decisions(soft: np.ndarray) -> np.ndarray:
+    """The +-1 decision on each soft LLR: its sign, ties (0) toward +1."""
+    return np.where(soft >= 0.0, 1, -1)
+
+
 def _one_trial(spec: DetectorSpec, h, y, sigma2, m: int) -> tuple[np.ndarray, np.ndarray]:
     """h (Nr, Nt) and y (Nr,) as a complex batch of one, (1, Nr, Nt) and (1, Nr),
     after checking y's length and sigma2 and sizing spec at one trial (_spec_bytes)."""
@@ -728,5 +699,5 @@ def detect(spec: DetectorSpec, h: np.ndarray, y: np.ndarray, sigma2: float,
     depths = tuple(range(spec.iterations + 1)) if record else (spec.iterations,)
     outs = [soft[0] for soft in _engine_soft(spec, *_one_trial(spec, h, y, sigma2, m), sigma2, m,
                                              depths, {})]
-    return DetectionResult(np.where(outs[-1] >= 0.0, 1, -1), outs[-1], spec.iterations,
+    return DetectionResult(_hard_decisions(outs[-1]), outs[-1], spec.iterations,
                            outs[1:] if record else None)

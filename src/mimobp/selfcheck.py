@@ -1,13 +1,9 @@
 """Built-in oracle checks behind the `selftest` subcommand.
 
-Deliberately naive implementations (scalar loops, itertools enumeration)
-recompute what the production kernels vectorize; the two must agree. The
-oracles share no code with the engine, and what they are checked against
-(sbp_beta_update, the relaxed and SBP batch steps) is the batched engine's
-own steps, so every check exercises the production kernel. The relaxed
-step at full relaxation is checked against SBP's step. Kept
-inside the package so an installed copy can vouch for itself without the
-test suite.
+Naive oracles (scalar loops, itertools enumeration) share no code with the
+engine and are checked against its own batch steps, so every check
+exercises the production kernel. Kept inside the package so an installed
+copy can vouch for itself without the test suite.
 """
 from __future__ import annotations
 

@@ -1,48 +1,7 @@
-"""Monte Carlo BER/AMI harness.
-
-Trials are organized in fixed-size batches. Each batch draws its data from
-its own counter-based Philox stream keyed by (master seed, SNR in milli-dB,
-batch index), so results are reproducible bit-for-bit regardless of worker
-count or scheduling, and every detector sees the same channel/noise
-realizations at a given (seed, SNR) - useful for paired comparisons.
-
-The engine here is the only implementation of every detector, with one
-path: every engine call takes its batch's dict of shared front-end values
-(front, see _shared), and detectors.detect() and message_history() pass a
-fresh one, so a one-trial call runs exactly the calls a sweep lane runs. A
-row's result does not depend on the batch around it. The BP kinds share one
-flooding loop, _bp_messages, over the batch steps and the Gaussian lump of
-mimobp.detectors; the MMSE kinds share one inverse, detectors._mmse_estimate,
-and one LLR rule, detectors._mmse_llrs. _engine_edge_sets and _ami_sum are
-import aliases of detectors.build_edge_sets and metrics.ami_sum: names of this
-module that a traced run wraps, called by those names.
-
-Every run is batch-major. A "lane" is a (detector, depths) pair: the
-detector run to spec.iterations and scored after each iteration count in
-depths, the last of which is spec.iterations. A plain point has that one
-depth; the non-iterative kinds give one output. One loop, _run_lanes_at,
-runs lanes at one SNR point: batch i is drawn once (in the pool worker when
-workers > 1) and one worker, _run_batch, scores every lane still running on
-it, every depth from one engine call (_engine_soft). Within a batch, the
-MMSE estimate (MMSE, MMSE-SIC's first stage, the cascade prior) and the
-relaxed gains, edge sets and lump (relaxed detectors of one (rd1, rd2)) are
-built by the first lane that asks and kept in the batch's dict (_shared).
-Each lane tallies its batches in batch order and stops at a batch boundary,
-which keeps its stopping point deterministic too. run_point and
-run_convergence run one lane; run_sweep, and the CLI's convergence study,
-run their lanes at every SNR point on one worker pool (_run_lanes). A
-record's wall_seconds is its lane's share of the loop's time, in proportion
-to its own _run_batch time (the first user pays for a shared build), so the
-lanes' shares of a serial run sum to its detection time; every depth of a
-lane carries its share.
-
-Heap policy: every process that runs batches (the serial loop and each pool
-worker) sets glibc's mmap threshold to 32 MiB and its trim threshold to
-64 MiB once, before its first batch (_keep_freed_heap). glibc would
-otherwise size both from the largest block freed so far, 0.25-1 MiB at 4x4
-and 8x8 BPSK, and return each lane's freed working set to the kernel, so the
-next lane or batch page-faulted it back in. The setting is process-wide and
-glibc-only, and changes no result.
+"""Monte Carlo BER/AMI harness: the trial draw (_draw_batch), the batched
+engine, the only implementation of every detector (_engine_soft), the batch
+worker (_run_batch), the batch-major loop behind points, sweeps and
+convergence runs (_run_lanes_at, _run_lanes), and CSV I/O.
 """
 from __future__ import annotations
 
@@ -64,6 +23,7 @@ from .detectors import (
     LLR_CLAMP,
     DetectorSpec,
     _ascending_sum,
+    _hard_decisions,
     _lump,
     _lump_mean,
     _lump_variance,
@@ -158,6 +118,10 @@ def _snr_key(snr_db: float) -> int:
 
 
 def _batch_rng(master_seed: int, snr_db: float, batch_index: int) -> np.random.Generator:
+    """The batch's own Philox stream, keyed by (master seed, SNR in milli-dB,
+    batch index): results are reproducible bit for bit for any worker count
+    or schedule, and every detector sees the same trials at a given (seed,
+    SNR), so detectors can be compared trial by trial."""
     seq = np.random.SeedSequence(
         [int(master_seed) & 0xFFFFFFFFFFFFFFFF, _snr_key(snr_db), int(batch_index)]
     )
@@ -246,7 +210,7 @@ def _bp_prior(spec: DetectorSpec, h, y, sigma2, m, front: dict):
 
 
 def _relaxed_front(h, spec: DetectorSpec, m: int):
-    """(gains, edge sets, lump) of a relaxed spec's batch; see _bp_messages."""
+    """(gains, edge sets, lump) of a relaxed spec's batch."""
     sets = _engine_edge_sets(h, spec, m)
     return bit_gains(h, m), sets, _lump(sets)
 
@@ -259,17 +223,10 @@ def _bp_messages(spec: DetectorSpec, h, y, sigma2, m, front: dict):
     is the soft output; both are fresh arrays every time. The alpha that the
     next iteration reads is alpha_update(beta, _bp_prior(...), total),
     formed after the yield and only when a next iteration runs, so no run
-    forms the last iteration's alpha. The edge sets, not the kind, pick the
-    step: SBP's, config-major (C, B, Nr), where nothing is lumped
-    (spec.exhaustive), else the relaxed one, hypothesis-major (H, B, Nr,
-    Nbits) with H = 2^R_D. Tables and score buffers are built once per batch
-    and refilled every iteration. The cascade's pseudo-LLRs act as a fixed
-    per-bit prior factor: they seed the alphas, remain an additive intrinsic
-    term in every alpha update, and shrink the lump variances once up front.
-    Where alpha starts at +0 (SBP, RBP), the first iteration takes the alpha
-    sums and the lump mean as +0 instead of computing them. The cascade's
-    MMSE estimate and the relaxed gains, edge sets and lump come from front,
-    the batch's dict (_shared), which keeps them for its other lanes.
+    forms the last iteration's alpha. The cascade's prior seeds the alphas,
+    stays an additive intrinsic term in every alpha update, and shrinks the
+    lump variances once up front. Where alpha starts at +0 (SBP, RBP), the
+    first iteration takes it as +0 (fresh).
     """
     if not spec.iterations:
         return
@@ -298,13 +255,10 @@ def _bp_messages(spec: DetectorSpec, h, y, sigma2, m, front: dict):
 
 def _engine_bp(spec: DetectorSpec, h, y, sigma2, m, depths, front: dict):
     """Soft outputs (B, Nbits) of the BP family over a batch, one per depth in
-    depths (ascending, the last spec.iterations), from one _bp_messages run.
-
-    Depth l is the column sum of beta after l iterations, which equals a run
-    with iterations = l; depth 0 is the initial belief: +0, or the cascade's
-    prior. Every result is bit-identical to the plain formulation
-    (tests/test_sbp_kernel.py, tests/test_rbp_kernel.py).
-    """
+    depths, from one _bp_messages run. Depth l equals a run with iterations
+    = l; depth 0 is the initial belief, +0 or the cascade's prior. Each is
+    bit-identical to tests/test_sbp_kernel.py's and test_rbp_kernel.py's
+    plain formulation."""
     outs = [total for it, (_, total) in enumerate(_bp_messages(spec, h, y, sigma2, m, front), 1)
             if it in depths]
     if 0 in depths:
@@ -341,7 +295,7 @@ def _count_errors(soft: np.ndarray, bits: np.ndarray) -> int:
     if not np.isfinite(soft).all():
         raise FloatingPointError(
             f"{np.count_nonzero(~np.isfinite(soft))} non-finite LLRs in a batch")
-    return int(np.count_nonzero(np.where(soft >= 0.0, 1, -1) != bits))
+    return int(np.count_nonzero(_hard_decisions(soft) != bits))
 
 
 def _run_batch(spec: DetectorSpec, bits, h, y, sigma2: float, m: int, want_ami: bool,
@@ -363,10 +317,12 @@ _heap_kept = False
 
 def _keep_freed_heap() -> None:
     """Set glibc's mmap and trim thresholds to 32 and 64 MiB, the ceilings
-    its dynamic rule reaches on 64-bit hosts, once per process, so freed
-    batch arrays stay mapped for the next lane and batch (see the module
-    docstring). Process-wide; does nothing off glibc. Both are set: a trim
-    threshold alone pins the mmap threshold at 128 KiB."""
+    its dynamic rule reaches on 64-bit hosts, once per process. That rule
+    sizes both from the largest block freed so far, 0.25-1 MiB at 4x4 and
+    8x8 BPSK, and would hand each lane's freed arrays back to the kernel for
+    the next lane or batch to page-fault in. Process-wide; does nothing off
+    glibc; changes no result. Both are set: a trim threshold alone pins the
+    mmap threshold at 128 KiB."""
     global _heap_kept
     if _heap_kept:
         return
@@ -387,11 +343,8 @@ def _run_lanes_on_batch(dims: SystemDims, snr_db: float, sigma2: float, master_s
     """Draw one batch and run _run_batch on it for every lane (spec, depths).
 
     Returns, per lane, _run_batch's result or the exception it raised, and
-    its own _run_batch time in seconds. The lanes share one dict of front-end
-    values (_shared), dropped with the batch. This is the task a pool
-    worker runs, so every process that runs batches keeps its freed heap
-    (_keep_freed_heap).
-    """
+    its own _run_batch time in seconds. The lanes share one dict (_shared);
+    a pool worker runs this task, so it sets the heap policy first."""
     _keep_freed_heap()
     bits, h, y = _draw_batch(dims, sigma2, _batch_rng(master_seed, snr_db, batch_index),
                              BATCH_TRIALS)
@@ -413,8 +366,9 @@ def _run_lanes_on_batch(dims: SystemDims, snr_db: float, sigma2: float, master_s
 
 @dataclasses.dataclass
 class _Lane:
-    """One (spec, depths) point of the batch-major loop: its tallies per
-    depth, in batch order, and whether and why it stopped."""
+    """A lane: spec run to spec.iterations, its last depth, and scored after
+    each iteration count in depths. Keeps its tallies per depth, in batch
+    order, and whether and why it stopped."""
 
     spec: DetectorSpec
     depths: tuple
@@ -431,7 +385,8 @@ class _Lane:
         self.amis = [0.0] * len(self.depths)
 
     def add(self, outcome, cfg: SweepConfig) -> None:
-        """Tally one batch's _run_batch outcome and apply the stop rule."""
+        """Tally one batch's _run_batch outcome; stop once every depth has
+        errors_target errors and trials_min trials have run, or bits_max bits."""
         if isinstance(outcome, Exception):
             self.failure, self.running = outcome, False
             return
@@ -475,14 +430,12 @@ def _run_lanes_at(cfg: SweepConfig, snr_db: float, lanes: list, workers: int = 1
     """Every lane (spec, depths) at one SNR point, batch-major: per lane, its
     records (one per depth) or the exception that ended it.
 
-    Batch i is drawn once and runs every lane still running; each lane
-    stops at the first batch boundary where every depth has errors_target
-    errors and trials_min trials have run, or where bits_max bits have.
-    With a pool, up to 2 x workers batches run ahead, each for the lanes
-    running when it was submitted, and are tallied in batch order, so every
-    lane sees exactly the serial results. A lane's wall_seconds is its share
-    of the loop's time, draw included, in proportion to its own _run_batch
-    time in the batches it used; the lanes' shares sum to the loop's time.
+    Batch i is drawn once and runs every lane still running (_Lane.add stops
+    a lane). With a pool, up to 2 x workers batches run ahead, each for the
+    lanes running when it was submitted, and are tallied in batch order, so
+    every lane sees exactly the serial results. A lane's wall_seconds is its
+    share of the loop's time, draw included, in proportion to its own
+    _run_batch time in the batches it used; the shares sum to the loop's time.
     """
     sigma2 = snr_to_noise_variance(snr_db, cfg.dims)
     tally = [_Lane(spec, depths) for spec, depths in lanes]
@@ -562,10 +515,11 @@ def _convergence_lane(detector: DetectorSpec, l_values: Sequence[int]) -> tuple:
 
 def _run_alone(cfg: SweepConfig, spec: DetectorSpec, depths: tuple, snr_db: float,
                workers: int) -> list[SweepRecord]:
-    dims = cfg.dims
-    _spec_bytes(spec, dims.n_tx, dims.n_rx, dims.bits_per_symbol, BATCH_TRIALS)
+    """One lane's records at snr_db, run on a one-point copy of cfg that
+    SweepConfig checks as it checks every run; the lane's failure raises."""
+    cfg = dataclasses.replace(cfg, snr_points_db=(snr_db,), detectors=(spec,))
     with _pool(workers) as pool:
-        [outcome] = _run_lanes_at(cfg, snr_db, [(spec, depths)], workers, pool)
+        [outcome] = _run_lanes_at(cfg, cfg.snr_points_db[0], [(spec, depths)], workers, pool)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

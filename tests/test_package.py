@@ -2,6 +2,7 @@
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -49,3 +50,16 @@ def test_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_every_name_the_readme_cites_resolves():
+    """`module.name` in README.md, for the package's modules, names a real attribute."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        cited = set(re.findall(r"`(?:mimobp\.)?(channel|detectors|simulator|metrics|presets"
+                               r"|selfcheck|cli)\.([A-Za-z_]\w*)", fh.read()))
+    assert cited
+    missing = [f"{module}.{name}" for module, name in sorted(cited)
+               if not hasattr(importlib.import_module(f"mimobp.{module}"), name)]
+    assert not missing, missing

@@ -70,6 +70,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="SNR points must be finite"):
             _cfg(snr_points_db=(bad, 4.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 4000.0, -4000.0],
+                             ids=["nan", "inf", "-inf", "4000", "-4000"])
+    def test_lone_points_refuse_the_snr_points_a_sweep_refuses(self, bad):
+        """10^(snr/10) overflows at 4000 dB and underflows to 0 at -4000 dB."""
+        cfg = _cfg()
+        with pytest.raises(ValueError, match="SNR points must be finite"):
+            _cfg(snr_points_db=(bad,))
+        with pytest.raises(ValueError, match="SNR points must be finite"):
+            run_point(cfg, DetectorSpec.sbp(2), bad)
+        with pytest.raises(ValueError, match="SNR points must be finite"):
+            run_convergence(cfg, DetectorSpec.sbp(2), bad, [1, 2])
+
     @pytest.mark.parametrize("spec", [DetectorSpec.rbp(4, 0), DetectorSpec.mmse_rbp(5, 0)],
                              ids=lambda s: f"{s.label}({s.rd1},{s.rd2})")
     def test_rejects_rd1_past_the_interferer_count(self, spec):
