@@ -207,8 +207,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     write_csv(records, settings["out"])
     print(f"[mimobp] wrote {settings['out']} ({len(records)} records)", file=sys.stderr)
     if failed:
-        print(f"[mimobp] error: {failed} of {len(lanes) * len(cfg.snr_points_db)} points failed",
-              file=sys.stderr)
+        points = len(lanes) * len(cfg.snr_points_db)
+        print(f"[mimobp] error: {len(failed)} of {points} points failed", file=sys.stderr)
         return 1
     return 0
 

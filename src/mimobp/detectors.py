@@ -138,8 +138,8 @@ def _table_bytes(name: str, power: int, rest: tuple) -> int:
     else (B, Nr, Nbits) with power = R_D. A fitted upper bound on the call's
     tracemalloc peak: the joint term is a whole complex H s and its power,
     and 26 power bytes per configuration are a margin that dominates at
-    B = 1. Both table terms are loose where the steps hold less
-    (_residual_power_blocks, _relaxed_step).
+    B = 1. Both table terms are loose: SBP holds D and blocks, and a relaxed
+    batch peaks at two float tables, plus and the set-up's I_h planes.
     """
     relaxed = len(rest) == 3
     row = (32 if relaxed else 24) * math.prod(rest) + 26 * power   # per configuration
@@ -250,41 +250,56 @@ def _residual_power(h: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     return power
 
 
-def _prior_sums(terms: np.ndarray, out: np.ndarray,
-                work: np.ndarray | None = None) -> np.ndarray:
-    """Sums of terms over the clear bits of every config index, written to out.
+# Bytes per block of a score table (_block_rows): 1 MiB kept more memory and ran slower.
+_BLOCK_BYTES = 256 << 10
 
-    terms is (n, ...) and out (2^n, ...): out[c] sums terms[t] over the bits
-    t clear in c (x_t = +1, as in _doubling_sums). Past n = 1 the even and
+
+def _block_rows(table: np.ndarray) -> int:
+    """Rows per block of table (C, ...), C a power of two: the most rows, a
+    power of two and at least 1, that fit in _BLOCK_BYTES; all C if they fit."""
+    fit = max(_BLOCK_BYTES // table[0].nbytes, 1)
+    return min(1 << fit.bit_length() - 1, len(table))
+
+
+def _prior_sum_blocks(terms: np.ndarray, rows: int, out: np.ndarray | None = None,
+                      work: np.ndarray | None = None):
+    """Sums of terms (n, ...) over the clear bits of every config index, block
+    by block: yields (start, sums), sums (rows, ...) the configurations
+    start.., where row c sums terms[t] over the bits t clear in c (x_t = +1,
+    as in _doubling_sums). rows is a power of two, at most 2^n; sums is out
+    if given, else one buffer that the next block overwrites. The even and
     the odd bits each get one _doubling_sums table, steps (terms[t], 0.0)
-    from the highest t down, and one broadcast add, even + odd, fills out.
-    At n <= 4 and n = 8, every width perfbench runs, these equal np.einsum's
-    two-lane reduction, in which perfbench's golden rows were recorded.
-    work, a float buffer of out's size, if given, holds the two tables and
-    is overwritten. At n = 1 out is terms[0] + 0.0 (-0 becomes +0) and +0.
-    """
+    from the highest t down, written to work if it has room (out's size does,
+    past n = 1). A block fixes the bits from log2(rows) up: one broadcast
+    add, even + odd, the whole table's floats. At n <= 4 and n = 8, every
+    width perfbench runs, these equal np.einsum's two-lane reduction, in
+    which perfbench's golden rows were recorded."""
     n, rest = terms.shape[0], terms.shape[1:]
-    if n == 1:
-        np.add(terms[0], 0.0, out=out[0])
-        out[1] = 0.0
-        return out
-    width = math.prod(rest)
-    if work is None:
-        work = np.empty(((1 << (n + 1) // 2) + (1 << n // 2)) * width)
-    free = work.reshape(-1)
+    width, low = math.prod(rest), rows.bit_length() - 1    # bits 0..low-1 vary in a block
+    need = ((1 << (n + 1) // 2) + (1 << n // 2)) * width
+    free = work.reshape(-1) if work is not None and work.size >= need else np.empty(need)
     tables = []
     for parity in (0, 1):
         bits = range(parity, n, 2)[::-1]
         k = len(bits)
         tbl, free = free[:width << k].reshape((1 << k,) + rest), free[width << k:]
         _doubling_sums(tbl, ((terms[t], 0.0) for t in bits))
-        # table axis a is this parity's a-th lowest bit; size 1 on the other's
+        # axis t is bit t of the config index: size 2 on this parity's bits, 1 on the other's
         tables.append(tbl.reshape(tuple(2 if t % 2 == parity else 1 for t in range(n)) + rest))
-    # axis t of this view of out is bit t of the config index
-    by_bit = out.reshape((2,) * n + rest)
-    by_bit = by_bit.transpose((*range(n - 1, -1, -1), *range(n, by_bit.ndim)))
-    np.add(tables[0], tables[1], out=by_bit)
-    return out
+    del terms                       # the blocks read only the tables: a caller may free terms
+    out = np.empty((rows,) + rest) if out is None else out
+    by_bit = out.reshape((2,) * low + rest)           # axis t of this view of out is bit t
+    by_bit = by_bit.transpose((*range(low - 1, -1, -1), *range(low, by_bit.ndim)))
+    for start in range(0, 1 << n, rows):
+        np.add(*(tbl[(slice(None),) * low + tuple((start >> t) & (tbl.shape[t] - 1)
+                                                  for t in range(low, n))]
+                 for tbl in tables), out=by_bit)
+        yield start, out
+
+
+def _prior_sums(terms: np.ndarray, out: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """_prior_sum_blocks in one block: the whole (2^n, ...) table, in out."""
+    return next(_prior_sum_blocks(terms, len(out), out, work))[1]
 
 
 def bit_gains(h: np.ndarray, m: int = 1) -> np.ndarray:
@@ -331,21 +346,32 @@ def _sbp_step(h: np.ndarray, y: np.ndarray, sigma2: float, m: int):
     over t != i with x_t = +1} minus the analogous max with x_i = -1. D
     (C, B, Nr), built once, has the roundings of -|y - Hs|^2 / (2 sigma^2):
     rounding is sign-symmetric, so dividing by -(2 sigma^2) equals negating
-    first. Every step rebuilds the score table t in place; _prior_sums's
-    floats do not depend on alpha's layout. fresh says alpha is +0: the
-    priors are +0, not computed.
+    first. A step forms t = prior sums + D (D's rows + 0.0 if fresh: alpha
+    is +0) in blocks of _block_rows(D) rows (_prior_sum_blocks, whose floats
+    do not depend on alpha's layout). Past one block, each block's row
+    maximum goes into tops and the block is folded into a running maximum:
+    a step holds D and two blocks. _sbp_max_marginals of the running maximum
+    gives the low bits' maxima, and of tops the high bits'.
     """
     d = _residual_power(h, y, m)
     d /= -(2.0 * sigma2)
-    t = np.empty_like(d)
+    rows = _block_rows(d)
+    whole = rows == len(d)
+    run, tops = np.empty_like(d[:rows]), np.empty((len(d) // rows,) + d.shape[1:])
 
     def step(alpha, fresh=False):
-        if fresh:
-            np.add(d, 0.0, out=t)
-        else:
-            _prior_sums(alpha.transpose(1, 0, 2), t)
-            np.add(t, d, out=t)
-        beta, neg = _sbp_max_marginals(t)
+        blocks = (((start, None) for start in range(0, len(d), rows)) if fresh else
+                  _prior_sum_blocks(alpha.transpose(1, 0, 2), rows, run if whole else None))
+        for start, sums in blocks:       # + is commutative: sums + D's floats
+            block = np.add(d[start:start + rows], 0.0 if fresh else sums,
+                           out=run if start == 0 else sums)
+            if not whole:
+                block.max(axis=0, out=tops[start // rows])
+                np.maximum(run, block, out=run)         # the first block is run itself
+        beta, neg = _sbp_max_marginals(run)
+        if not whole:
+            high_pos, high_neg = _sbp_max_marginals(tops)
+            beta, neg = np.concatenate((beta, high_pos), -1), np.concatenate((neg, high_neg), -1)
         # the x_i = +1 branch double-counts alpha[i, :]; subtract it back out
         beta -= alpha.transpose(0, 2, 1)
         beta -= neg
@@ -543,9 +569,12 @@ def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray
     steps (g_r, -g_r) for r < R_D - 1 and a last step (g_last,), then
     plus[:H/2] = Q + W, plus[H/2:] reversed = Q - W, and minus is the view
     plus[::-1]. S is _prior_sums (H, B, Nr, Nbits) over e_r = alpha_r +
-    (2/sigma2_z) Re(conj(c) g_r), its two tables held in the score buffer:
-    a batch holds three hypothesis tables, plus, S and score. fresh says
-    alpha is +0, not gathered.
+    (2/sigma2_z) Re(conj(c) g_r), in blocks of _block_rows(plus) rows; each
+    block's S - plus and S - minus go into (score, sums) and are folded into
+    two running maxima, maxed over their rows at the end: a batch holds plus
+    and four blocks. At R_D = 1, S is (e_0 + 0.0, +0) and plus is stored as
+    0.0 - plus, never -0, so e_0 + plus_0 is (e_0 + 0.0) - plus_0 bit for
+    bit. fresh says alpha is +0.
     """
     b, n_rx, n_bits, rd = edge_sets.shape
     y, scale, half = y[:, :, None], 2.0 / sigma2_z, 2.0 * sigma2_z
@@ -571,7 +600,12 @@ def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray
         del i_re, i_im, w
         g_re *= scale
         g_im *= scale
-        sums, score = np.empty(plus.shape), np.empty(plus.shape)
+        if rd == 1:
+            np.subtract(0.0, plus, out=plus)
+        else:
+            rows = _block_rows(plus)
+            pair = np.empty((2, rows) + plus.shape[1:])            # (score, sums)
+            run = pair if rows == len(plus) else np.empty_like(pair)
 
     def step(alpha, u, fresh=False):
         c = y - u
@@ -583,10 +617,22 @@ def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray
         terms += c.imag * g_im
         if not fresh:
             terms += np.take(alpha.transpose(0, 2, 1), flat)
-        _prior_sums(terms, sums, work=score)
         # the best with x_i = +1 minus the best with x_i = -1, over slabs
-        beta += np.subtract(sums, plus, out=score).max(axis=0)
-        beta -= np.subtract(sums, minus, out=sums).max(axis=0)
+        if rd == 1:
+            best = np.add(terms[0], plus[0])
+            beta += np.maximum(best, plus[1], out=best)
+            beta -= np.maximum(np.add(terms[0], plus[1], out=best), plus[0], out=best)
+            return beta
+        blocks = _prior_sum_blocks(terms, rows, pair[1], pair[0] if run is pair else None)
+        del c, terms
+        for start, s in blocks:
+            dst = pair if start else run                  # the first block starts the maxima
+            np.subtract(s, plus[start:start + rows], out=dst[0])
+            np.subtract(s, minus[start:start + rows], out=dst[1])
+            if start:
+                np.maximum(run, pair, out=run)
+        beta += run[0].max(axis=0)
+        beta -= run[1].max(axis=0)
         return beta
 
     return step

@@ -471,9 +471,9 @@ def _run_lanes_at(cfg: SweepConfig, snr_db: float, lanes: list, workers: int = 1
 
 
 def _run_lanes(cfg: SweepConfig, lanes: list, workers: int = 1,
-               progress: bool = False) -> tuple[list[SweepRecord], int]:
+               progress: bool = False) -> tuple[list[SweepRecord], list[Exception]]:
     """Every lane (spec, depths) at every SNR point: (records by (lane, snr,
-    depth), the number of failed (lane, snr) points).
+    depth), the failures of the failed (lane, snr) points, in run order).
 
     The SNR points run in ascending order, each as one batch-major loop over
     every lane (_run_lanes_at), all on one worker pool. A failing point is
@@ -481,7 +481,7 @@ def _run_lanes(cfg: SweepConfig, lanes: list, workers: int = 1,
     arrive SNR point by SNR point.
     """
     rows: list[list[SweepRecord]] = [[] for _ in lanes]
-    failed = 0
+    failed = []
     with _pool(workers) as pool:
         for snr_db in sorted(cfg.snr_points_db):
             try:
@@ -492,7 +492,7 @@ def _run_lanes(cfg: SweepConfig, lanes: list, workers: int = 1,
                 if isinstance(outcome, Exception):  # keep going; a run is many points
                     print(f"[mimobp] point failed: {detector.name} @ {snr_db} dB: {outcome}",
                           file=sys.stderr)
-                    failed += 1
+                    failed.append(outcome)
                     continue
                 row.extend(outcome)
                 if progress:
@@ -549,9 +549,13 @@ def run_convergence(cfg: SweepConfig, detector: DetectorSpec, snr_db: float,
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1, progress: bool = False) -> list[SweepRecord]:
-    """Every detector at every SNR point (_run_lanes); records sorted by (detector, snr)."""
-    return _run_lanes(cfg, [(spec, (spec.iterations,)) for spec in cfg.detectors], workers,
-                      progress)[0]
+    """Every detector at every SNR point (_run_lanes); records sorted by (detector, snr). A
+    failed point is skipped; RuntimeError, chained from the first failure, if all failed."""
+    records, failed = _run_lanes(cfg, [(spec, (spec.iterations,)) for spec in cfg.detectors],
+                                 workers, progress)
+    if failed and not records:
+        raise RuntimeError(f"every point of the sweep failed ({len(failed)} points)") from failed[0]
+    return records
 
 
 # ---------------- CSV ----------------

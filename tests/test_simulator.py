@@ -454,8 +454,11 @@ class TestNonFiniteOutputs:
             run_convergence(cfg, DetectorSpec.sbp(), 4.0, [1, 2])
 
     def test_run_sweep_reports_the_point_as_failed(self, broken_engine, capsys):
+        """Each failed point is reported on stderr; with none left, the sweep raises."""
         cfg = _cfg(detectors=(DetectorSpec.mmse(),), snr_points_db=(0.0, 4.0))
-        assert run_sweep(cfg) == []
+        with pytest.raises(RuntimeError, match=r"\(2 points\)") as raised:
+            run_sweep(cfg)
+        assert isinstance(raised.value.__cause__, FloatingPointError)
         err = capsys.readouterr().err
         assert err.count("point failed") == 2
         assert "non-finite LLR" in err
