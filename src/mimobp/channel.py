@@ -47,14 +47,20 @@ def modulate(bits: np.ndarray, m: int) -> np.ndarray:
     raise ValueError("bits_per_symbol must be 1 or 2")
 
 
+def _hard_decisions(x: np.ndarray) -> np.ndarray:
+    """The +-1 decision on each real value, a soft LLR or a symbol axis: its
+    sign, ties (+0 and -0) toward +1. Every hard decision takes this rule."""
+    return np.where(x >= 0.0, 1, -1)
+
+
 def demodulate(symbols: np.ndarray, m: int) -> np.ndarray:
-    """Hard-demap symbols back to +1/-1 bits (sign per axis, sign(0) = +1)."""
+    """Hard-demap symbols back to +1/-1 bits: _hard_decisions on each axis."""
     symbols = np.asarray(symbols)
-    re = np.where(symbols.real >= 0.0, 1, -1)
+    re = _hard_decisions(symbols.real)
     if m == 1:
         return re
     if m == 2:
-        im = np.where(symbols.imag >= 0.0, 1, -1)
+        im = _hard_decisions(symbols.imag)
         out = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],), dtype=int)
         out[..., 0::2] = re
         out[..., 1::2] = im

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _hard_decisions
 from .errors import DimensionTooLargeError, LengthMismatchError
 
 # Hard clamp on bit-to-factor LLRs, the cascade's prior and ML's outputs.
@@ -352,6 +353,10 @@ def _sbp_step(h: np.ndarray, y: np.ndarray, sigma2: float, m: int):
     maximum goes into tops and the block is folded into a running maximum:
     a step holds D and two blocks. _sbp_max_marginals of the running maximum
     gives the low bits' maxima, and of tops the high bits'.
+
+    Scale: the noise is CN(0, sigma2), whose log-likelihood is -|y - Hs|^2 /
+    sigma2, so every soft output is half the exact LLR of the simulated
+    model wherever max-log is exact (one BPSK transmitter).
     """
     d = _residual_power(h, y, m)
     d /= -(2.0 * sigma2)
@@ -459,27 +464,38 @@ def build_edge_sets(h: np.ndarray, spec: DetectorSpec, m: int = 1) -> np.ndarray
     return sets
 
 
-def _lump(edge_sets: np.ndarray):
-    """The Gaussian lump's sums for explicit edges edge_sets (..., Nr, Nbits,
-    R_D), as lump(terms (..., Nr, Nbits)) -> (..., Nr, Nbits). Entry (j, i)
-    sums terms[j, t] over the bits t != i outside Psi_{j,i}: the factor's
-    total minus the sum over the kept bits, i and Psi_{j,i}. Both add in
-    ascending t, the total from +0 (_ascending_sum) and the kept sum from its
-    lowest bit, so where nothing is lumped the two are equal and the lump is
-    exactly +0. A call costs O(Nr Nbits R_D). At R_D = 0 the kept sum is
-    terms itself, and at R_D = 1 it is one gather plus terms: a two-term sum
-    is the same float in either order."""
-    factors, n_bits, rd = edge_sets.shape[:-2], edge_sets.shape[-2], edge_sets.shape[-1]
+def _edge_positions(edge_sets: np.ndarray) -> np.ndarray:
+    """The flat positions of explicit edges edge_sets (..., Nr, Nbits, R_D)
+    in a (..., Nr, Nbits) array, edge-major (R_D, ..., Nr, Nbits) and
+    C-contiguous: entry (r, ..., j, i) is (..., j, edge_sets[..., j, i, r])'s.
+    A relaxed batch builds it once; its lump and every lane's step read it."""
+    factors, n_bits = edge_sets.shape[:-2], edge_sets.shape[-2]
     base = np.arange(math.prod(factors)).reshape(factors + (1,)) * n_bits
+    return np.add(base, np.moveaxis(edge_sets, -1, 0),
+                  out=np.empty((edge_sets.shape[-1],) + edge_sets.shape[:-1], dtype=np.intp))
+
+
+def _lump(positions: np.ndarray):
+    """The Gaussian lump's sums for the explicit edges at positions, an
+    _edge_positions table (R_D, ..., Nr, Nbits), as lump(terms (..., Nr,
+    Nbits)) -> (..., Nr, Nbits). Entry (j, i) sums terms[j, t] over the bits
+    t != i outside Psi_{j,i}: the factor's total minus the sum over the kept
+    bits, i and Psi_{j,i}. Both add in ascending t, the total from +0
+    (_ascending_sum) and the kept sum from its lowest bit, so where nothing
+    is lumped the two are equal and the lump is exactly +0. A call costs
+    O(Nr Nbits R_D). At R_D = 0 the kept sum is terms itself, and at R_D = 1
+    it is one gather through positions plus terms: a two-term sum is the
+    same float in either order. At R_D >= 2 the lump holds its own index,
+    bit i's position sorted in among its edges'."""
+    rd = len(positions)
     if rd >= 2:
-        own = np.broadcast_to(np.arange(n_bits)[:, None], edge_sets.shape[:-1] + (1,))
-        kept = np.moveaxis(np.concatenate([own, edge_sets], axis=-1), -1, 0).copy()
-        for p in range(len(kept)):  # odd-even transposition sort, kept-major
-            lo, hi = kept[p % 2:-1:2], kept[p % 2 + 1::2]
+        own = np.arange(positions[0].size).reshape((1,) + positions.shape[1:])
+        flat = np.concatenate([own, positions])
+        for p in range(len(flat)):  # odd-even transposition sort, kept-major
+            lo, hi = flat[p % 2:-1:2], flat[p % 2 + 1::2]
             lo[...], hi[...] = np.minimum(lo, hi), np.maximum(lo, hi)
-        flat = base + kept
     else:                           # bit i's own term needs no gather: the edge alone
-        flat = base + np.moveaxis(edge_sets, -1, 0)
+        flat = positions
 
     def lump(terms):
         total = _ascending_sum(terms, -1)[..., None]
@@ -521,7 +537,7 @@ def _message_lump(psi, h_row: np.ndarray, i: int, m: int):
     if not (0 <= i < n_bits and np.all((psi >= 0) & (psi < n_bits) & (psi != i))
             and len(np.unique(psi)) == len(psi)):
         raise ValueError(f"message {i} of {n_bits} bits cannot keep edges {psi.tolist()}")
-    return _lump(np.broadcast_to(psi, (1, 1, n_bits, len(psi)))), gains
+    return _lump(_edge_positions(np.broadcast_to(psi, (1, 1, n_bits, len(psi))))), gains
 
 
 def interference_mean(alpha_col: np.ndarray, psi: np.ndarray, h_row: np.ndarray,
@@ -550,11 +566,12 @@ def interference_variance(psi: np.ndarray, h_row: np.ndarray, i: int,
     return float(_lump_variance(lump, gains, sigma2)[0, 0, i])
 
 
-def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray,
+def _relaxed_step(gains: np.ndarray, positions: np.ndarray, sigma2_z: np.ndarray,
                   y: np.ndarray):
     """The relaxed beta update of a batch (gains, sigma2_z (B, Nr, Nbits),
-    edge_sets (B, Nr, Nbits, R_D), y (B, Nr)), as step(alpha (B, Nbits, Nr),
-    u (B, Nr, Nbits), fresh=False) -> beta (B, Nr, Nbits).
+    y (B, Nr), the explicit edges at positions (R_D, B, Nr, Nbits), from
+    _edge_positions), as step(alpha (B, Nbits, Nr), u (B, Nr, Nbits),
+    fresh=False) -> beta (B, Nr, Nbits).
 
     Bit i is enumerated jointly with its explicit edges r; the lump enters
     through u and sigma2_z. With c = y - u, half = 2 sigma2_z and I_h = sum_r
@@ -575,14 +592,15 @@ def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray
     and four blocks. At R_D = 1, S is (e_0 + 0.0, +0) and plus is stored as
     0.0 - plus, never -0, so e_0 + plus_0 is (e_0 + 0.0) - plus_0 bit for
     bit. fresh says alpha is +0.
+
+    Scale: half = 2 sigma2_z where the lump-plus-noise is CN(0, sigma2_z), so
+    as in _sbp_step every soft output is half the exact LLR of the simulated
+    model wherever that is exact (one BPSK transmitter, nothing lumped).
     """
-    b, n_rx, n_bits, rd = edge_sets.shape
+    rd = len(positions)
     y, scale, half = y[:, :, None], 2.0 / sigma2_z, 2.0 * sigma2_z
     if rd:
-        # edge-major (R_D, B, Nr, Nbits) positions of (b, j, sets) in (B, Nr, Nbits)
-        flat = np.moveaxis(np.arange(b * n_rx).reshape(b, n_rx, 1, 1) * n_bits + edge_sets,
-                           -1, 0).copy()
-        g_re, g_im = np.take(gains.real, flat), np.take(gains.imag, flat)
+        g_re, g_im = np.take(gains.real, positions), np.take(gains.imag, positions)
         mid = 1 << (rd - 1)
         i_re, i_im = [_doubling_sums(np.empty((mid,) + half.shape), [*zip(g, -g[:-1]), g[-1:]])
                       for g in (g_re, g_im)]
@@ -616,7 +634,7 @@ def _relaxed_step(gains: np.ndarray, edge_sets: np.ndarray, sigma2_z: np.ndarray
         terms = c.real * g_re
         terms += c.imag * g_im
         if not fresh:
-            terms += np.take(alpha.transpose(0, 2, 1), flat)
+            terms += np.take(alpha.transpose(0, 2, 1), positions)
         # the best with x_i = +1 minus the best with x_i = -1, over slabs
         if rd == 1:
             best = np.add(terms[0], plus[0])
@@ -651,7 +669,7 @@ def rbp_beta_update(alpha: np.ndarray, gains: np.ndarray, edge_sets: np.ndarray,
     _check_length(y, n_rx)
     _check_noise(sigma2_z)
     _table_bytes("RBP", rd, (1, n_rx, n_bits))
-    step = _relaxed_step(gains[None], edge_sets[None], sigma2_z[None], y[None])
+    step = _relaxed_step(gains[None], _edge_positions(edge_sets[None]), sigma2_z[None], y[None])
     return step(alpha[None], u[None])[0]
 
 
@@ -673,6 +691,10 @@ def _mmse_llrs(s_hat: np.ndarray, mse: np.ndarray, m: int) -> np.ndarray:
     2 Re(s_hat_k)/K_kk at M = 1. At M = 2 the first bit of a symbol reads the
     real part and the second the imaginary part, both scaled by sqrt(2) for
     the unit-energy mapping.
+
+    Scale: sigma^2/2 times the Gaussian-approximation LLR, 4 Re(s_hat_k) /
+    (sigma^2 K_kk) at M = 1 (times sqrt(2) per axis at M = 2): at Nt = 1 it
+    is sigma^2/2 times the exact LLR.
     """
     if m == 1:
         return 2.0 * s_hat.real / mse
@@ -694,11 +716,6 @@ def _check_noise(sigma2) -> None:
     """Every detector divides by its noise variances: refuse any not finite and > 0."""
     if not np.all(np.isfinite(sigma2) & (np.asarray(sigma2) > 0.0)):
         raise ValueError("sigma2 must be > 0 and finite")
-
-
-def _hard_decisions(soft: np.ndarray) -> np.ndarray:
-    """The +-1 decision on each soft LLR: its sign, ties (0) toward +1."""
-    return np.where(soft >= 0.0, 1, -1)
 
 
 def _one_trial(spec: DetectorSpec, h, y, sigma2, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,7 @@ from .detectors import (
     sbp_beta_update,
     alpha_update,
     build_edge_sets,
+    _edge_positions,
     _lump,
     _lump_mean,
     _lump_variance,
@@ -68,19 +69,20 @@ def _check_sbp_oracle(rng) -> tuple[bool, str]:
 
 
 def _relaxed_trials(rng, spec: DetectorSpec, count: int):
-    """(h, y, sigma2, edge sets, lump, lump variances) of count 4x4 BPSK
-    trials, built as the engine builds relaxed BP; at BPSK the gains are H."""
+    """(h, y, sigma2, explicit-edge positions, lump, lump variances) of count
+    4x4 BPSK trials, built as the engine builds relaxed BP; at BPSK the gains
+    are H."""
     h, y, sigma2 = _trials(rng, 4, count)
-    sets = build_edge_sets(h, spec)
-    lump = _lump(sets)
-    return h, y, sigma2, sets, lump, _lump_variance(lump, h, sigma2)
+    positions = _edge_positions(build_edge_sets(h, spec))
+    lump = _lump(positions)
+    return h, y, sigma2, positions, lump, _lump_variance(lump, h, sigma2)
 
 
 def _check_full_relaxation_is_sbp(rng) -> tuple[bool, str]:
     """The relaxed step with full edge sets, where nothing is lumped, against
     SBP's step, both fed SBP's alphas of 5 iterations on 20 trials."""
-    h, y, sigma2, sets, lump, sigma2_z = _relaxed_trials(rng, DetectorSpec.rbp(3, 1), 20)
-    relaxed, sbp = _relaxed_step(h, sets, sigma2_z, y), _sbp_step(h, y, sigma2, 1)
+    h, y, sigma2, positions, lump, sigma2_z = _relaxed_trials(rng, DetectorSpec.rbp(3, 1), 20)
+    relaxed, sbp = _relaxed_step(h, positions, sigma2_z, y), _sbp_step(h, y, sigma2, 1)
     alpha, worst = np.zeros((20, 4, 4)), 0.0
     for _ in range(5):
         want = sbp(alpha)
@@ -93,10 +95,10 @@ def _check_full_relaxation_is_sbp(rng) -> tuple[bool, str]:
 def _check_closed_form(rng) -> tuple[bool, str]:
     """The relaxed step without explicit edges against the matched filter
     (2/sigma2_z) Re(conj(g) (y - u)) written out, 200 trials: equal floats."""
-    h, y, _, sets, lump, sigma2_z = _relaxed_trials(rng, DetectorSpec.rbp(0, 0), 200)
+    h, y, _, positions, lump, sigma2_z = _relaxed_trials(rng, DetectorSpec.rbp(0, 0), 200)
     alpha = rng.uniform(-8, 8, size=(200, 4, 4))
     u = _lump_mean(lump, h, alpha)
-    got = _relaxed_step(h, sets, sigma2_z, y)(alpha, u)
+    got = _relaxed_step(h, positions, sigma2_z, y)(alpha, u)
     want = (2.0 / sigma2_z) * (h.conj() * (y[:, :, None] - u)).real
     return bool(np.array_equal(got, want)), f"max gap {float(np.abs(got - want).max()):.2e}"
 

@@ -18,12 +18,12 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .channel import SystemDims, modulate, demodulate, snr_to_noise_variance
+from .channel import SystemDims, _hard_decisions, modulate, demodulate, snr_to_noise_variance
 from .detectors import (
     LLR_CLAMP,
     DetectorSpec,
     _ascending_sum,
-    _hard_decisions,
+    _edge_positions,
     _lump,
     _lump_mean,
     _lump_variance,
@@ -210,9 +210,10 @@ def _bp_prior(spec: DetectorSpec, h, y, sigma2, m, front: dict):
 
 
 def _relaxed_front(h, spec: DetectorSpec, m: int):
-    """(gains, edge sets, lump) of a relaxed spec's batch."""
-    sets = _engine_edge_sets(h, spec, m)
-    return bit_gains(h, m), sets, _lump(sets)
+    """(gains, explicit-edge positions, lump) of a relaxed spec's batch: one
+    _edge_positions table, read by the lump and by every lane's step."""
+    positions = _edge_positions(_engine_edge_sets(h, spec, m))
+    return bit_gains(h, m), positions, _lump(positions)
 
 
 def _bp_messages(spec: DetectorSpec, h, y, sigma2, m, front: dict):
@@ -236,9 +237,9 @@ def _bp_messages(spec: DetectorSpec, h, y, sigma2, m, front: dict):
     if spec.exhaustive(n_tx, m):
         step = _sbp_step(h, y, sigma2, m)
     else:
-        gains, sets, lump = _shared(front, ("edges", spec.rd1, spec.rd2),
-                                    lambda: _relaxed_front(h, spec, m))
-        relaxed = _relaxed_step(gains, sets, _lump_variance(lump, gains, sigma2, prior), y)
+        gains, positions, lump = _shared(front, ("edges", spec.rd1, spec.rd2),
+                                         lambda: _relaxed_front(h, spec, m))
+        relaxed = _relaxed_step(gains, positions, _lump_variance(lump, gains, sigma2, prior), y)
 
         def step(alpha, fresh):  # u is passed unnamed, so the step frees it once read
             return relaxed(alpha, 0.0 if fresh else _lump_mean(lump, gains, alpha), fresh)

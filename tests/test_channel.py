@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mimobp.channel import SystemDims, demodulate, modulate, snr_to_noise_variance
+from mimobp.detectors import _hard_decisions
 from mimobp.simulator import _draw_batch
 from reference_impl import naive_modulate
 
@@ -66,6 +67,23 @@ class TestModulation:
 
     def test_demap_zero_breaks_to_plus_one(self):
         np.testing.assert_array_equal(demodulate(np.array([0.0 + 0.0j]), 1), [1])
+
+    def test_demap_and_llr_decisions_share_one_tie_rule(self):
+        """MMSE-SIC's slicer and the LLR decisions give +1 at +0.0 and -0.0
+        and agree on random values, a quarter of them signed zeros."""
+        zeros = np.array([0.0, -0.0])
+        np.testing.assert_array_equal(_hard_decisions(zeros), [1, 1])
+        corners = np.array([complex(a, b) for a in zeros for b in zeros])
+        np.testing.assert_array_equal(demodulate(corners, 1), [1, 1, 1, 1])
+        np.testing.assert_array_equal(demodulate(corners, 2), np.ones((8,)))
+        rng = np.random.default_rng(66)
+        x = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+        x.real[rng.uniform(size=x.shape) < 0.25] = -0.0
+        x.imag[rng.uniform(size=x.shape) < 0.25] = 0.0
+        np.testing.assert_array_equal(demodulate(x, 1), _hard_decisions(x.real))
+        both = demodulate(x, 2)
+        np.testing.assert_array_equal(both[:, 0::2], _hard_decisions(x.real))
+        np.testing.assert_array_equal(both[:, 1::2], _hard_decisions(x.imag))
 
 
 class TestDrawBatch:

@@ -1,4 +1,5 @@
-"""BER curves against a closed form: maximal-ratio combining at Nt = 1.
+"""BER curves against a closed form: maximal-ratio combining at Nt = 1, and
+the soft outputs' scale against the exact LLR there (README's "LLR scale").
 
 With one transmit antenna, every exact detector reduces to maximal-ratio
 combining (MRC) over Nr Rayleigh branches: ML, SBP (the symbol's bits do
@@ -26,11 +27,12 @@ QPSK, 5 dB (MRC 3.72e-3: +26%, z = +4.0); the exact detectors stayed within
 """
 import math
 
+import numpy as np
 import pytest
 
-from mimobp.channel import SystemDims
-from mimobp.detectors import DetectorSpec
-from mimobp.simulator import SweepConfig, run_sweep
+from mimobp.channel import SystemDims, snr_to_noise_variance
+from mimobp.detectors import DetectorSpec, detect
+from mimobp.simulator import SweepConfig, _batch_rng, _draw_batch, run_sweep
 
 SEED = 31
 BITS = 1 << 17
@@ -52,6 +54,37 @@ def test_mrc_ber_at_one_branch_is_the_rayleigh_bpsk_formula():
     """L = 1 is (1 - mu) / 2, which at 10 dB is 0.0232."""
     assert mrc_ber(10.0, 1, 1) == pytest.approx((1.0 - math.sqrt(10.0 / 11.0)) / 2.0)
     assert mrc_ber(10.0, 1, 1) == pytest.approx(0.02327, abs=1e-5)
+
+
+# (detector, soft output / exact LLR as a function of sigma^2): README's "LLR scale"
+LLR_SCALES = [(DetectorSpec.sbp(), lambda sigma2: 0.5),
+              (DetectorSpec.rbp(0, 0), lambda sigma2: 0.5),
+              (DetectorSpec.mmse_rbp(0, 0), lambda sigma2: 0.5),
+              (DetectorSpec.mmse(), lambda sigma2: sigma2 / 2.0),
+              (DetectorSpec.mmse_sic(), lambda sigma2: sigma2 / 2.0)]
+
+
+@pytest.mark.parametrize("n_rx", [1, 2, 4], ids=lambda n: f"1x{n}-BPSK")
+@pytest.mark.parametrize("spec,scale", LLR_SCALES, ids=[s.name for s, _ in LLR_SCALES])
+def test_soft_output_is_a_fixed_multiple_of_the_exact_llr(n_rx, spec, scale):
+    """At one BPSK transmitter the exact LLR of the simulated model, noise
+    CN(0, sigma^2), is 4 Re(h^H y) / sigma^2. detect()'s soft output is half
+    of it for the BP kinds and sigma^2/2 of it for MMSE and MMSE-SIC, to
+    rounding, at every SNR; draws with |exact| < 1e-3 are skipped."""
+    dims = SystemDims(1, n_rx, 1)
+    checked = 0
+    for snr_db in (0.0, 6.0, 12.0):
+        sigma2 = snr_to_noise_variance(snr_db, dims)
+        _, h, y = _draw_batch(dims, sigma2, _batch_rng(27, snr_db, 0), 40)
+        for hb, yb in zip(h, y):
+            exact = 4.0 * (hb[:, 0].conj() @ yb).real / sigma2
+            if abs(exact) < 1e-3:
+                continue
+            soft = detect(spec, hb, yb, sigma2).soft_llrs
+            assert soft.shape == (1,)
+            assert soft[0] / exact == pytest.approx(scale(sigma2), rel=1e-12), (snr_db, exact)
+            checked += 1
+    assert checked >= 100
 
 
 @pytest.mark.parametrize("n_rx,m,snr_db", POINTS, ids=[

@@ -26,6 +26,7 @@ from mimobp.channel import SystemDims, snr_to_noise_variance
 from mimobp.detectors import (
     DetectorSpec,
     _ascending_sum,
+    _edge_positions,
     _lump,
     _lump_mean,
     _lump_variance,
@@ -227,12 +228,12 @@ def _relaxed_kernel_softs(spec, h, y, sigma2, m):
     n_rx = h.shape[1]
     prior = _bp_prior(spec, h, y, sigma2, m, {})
     gains = bit_gains(h, m)
-    sets = build_edge_sets(h, spec, m)
-    lump = _lump(sets)
+    positions = _edge_positions(build_edge_sets(h, spec, m))
+    lump = _lump(positions)
     power = np.abs(gains) ** 2
     if prior is not None:
         power = power * (1.0 - np.tanh(prior / 2.0) ** 2)[:, None, :]
-    step = _relaxed_step(gains, sets, np.maximum(lump(power), 0.0) + sigma2, y)
+    step = _relaxed_step(gains, positions, np.maximum(lump(power), 0.0) + sigma2, y)
     alpha = (np.zeros((h.shape[0], gains.shape[-1], n_rx)) if prior is None
              else np.repeat(prior[:, :, None], n_rx, axis=2))
     softs = []
@@ -275,7 +276,7 @@ def test_lump_matches_naive_sums_in_large_mimo(n, m, rd1, rd2):
     bit_var = rng.uniform(0.0, 1.0, size=(2, n * m))
     gains = bit_gains(h, m)
     sets = build_edge_sets(h, DetectorSpec.rbp(rd1, rd2), m)
-    lump = _lump(sets)
+    lump = _lump(_edge_positions(sets))
     u = lump(gains * np.tanh(alpha / 2.0).transpose(0, 2, 1))
     power = np.abs(gains) ** 2
     plain = np.maximum(lump(power), 0.0) + sigma2
@@ -316,7 +317,7 @@ def test_lump_is_the_oracle_bit_for_bit(n, m, rd1, rd2, rd, dtype):
     terms[zeros] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zeros)))
     if dtype is np.complex128:
         terms.imag[rng.uniform(size=terms.shape) < 0.25] = -0.0
-    got, want = _lump(sets)(terms), lump_sums_oracle(terms, sets)
+    got, want = _lump(_edge_positions(sets))(terms), lump_sums_oracle(terms, sets)
     assert got.tobytes() == want.tobytes()   # np.array_equal, and the sign of every zero
 
 
@@ -335,7 +336,7 @@ def test_message_views_are_the_batch_lump_bit_for_bit(n, m, rd1, rd2, rd):
     alpha[zeros] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zeros)))
     gains, sets = bit_gains(h, m), build_edge_sets(h, DetectorSpec.rbp(rd1, rd2), m)
     assert sets.shape[-1] == rd
-    lump = _lump(sets)
+    lump = _lump(_edge_positions(sets))
     u, s2z = _lump_mean(lump, gains, alpha), _lump_variance(lump, gains, sigma2)
     for b, j, i in np.ndindex(sets.shape[:-1]):
         got_u = np.complex128(interference_mean(alpha[b, :, j], sets[b, j, i], h[b, j], i, m))
@@ -384,10 +385,13 @@ def test_last_iteration_forms_no_alpha(monkeypatch):
 
 
 def _one_batch_peak(dims, spec, seed):
-    """tracemalloc's allocation peak over one batch of spec at 8 dB."""
+    """tracemalloc's allocation peak over one batch of spec at 8 dB, after one
+    untraced draw: a process's first draw imports a module, about 0.7 MiB
+    that would count against whichever case ran first."""
+    sigma2 = snr_to_noise_variance(8.0, dims)
+    _draw_batch(dims, sigma2, _batch_rng(seed, 8.0, 0), BATCH_TRIALS)
     tracemalloc.start()
     try:
-        sigma2 = snr_to_noise_variance(8.0, dims)
         bits, h, y = _draw_batch(dims, sigma2, _batch_rng(seed, 8.0, 0), BATCH_TRIALS)
         _run_batch(spec, bits, h, y, sigma2, dims.bits_per_symbol, False, (spec.iterations,), {})
         return tracemalloc.get_traced_memory()[1]
@@ -422,6 +426,48 @@ def test_relaxed_batch_peaks_no_higher_than_sbp():
     rbp, sbp = (min(_one_batch_peak(dims, spec, 99) for _ in range(2))
                 for spec in (DetectorSpec.rbp(2, 0), DetectorSpec.sbp()))
     assert rbp <= sbp, f"RBP(2,0) {rbp / 2**20:.2f} MiB, SBP {sbp / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("n,m,rd1,rd2,rd", [(8, 1, 1, 0, 1), (4, 2, 2, 0, 4)],
+                         ids=["8x8-BPSK-(1,0)", "4x4-QPSK-(2,0)"])
+def test_lanes_of_one_key_share_one_position_table(monkeypatch, n, m, rd1, rd2, rd):
+    """RBP and MMSE-RBP of one (rd1, rd2) key on one batch: the front entry is
+    (gains, positions, lump) and holds no (B, Nr, Nbits, R_D) edge sets;
+    positions is _edge_positions of the edge sets, C-contiguous, and both
+    lanes' steps read that very table. At R_D <= 1 the lump gathers through
+    it too; at R_D >= 2 it holds its own sorted index."""
+    dims = SystemDims(n, n, m)
+    sigma2 = snr_to_noise_variance(8.0, dims)
+    bits, h, y = _draw_batch(dims, sigma2, _batch_rng(99, 8.0, 0), 64)
+    read = []
+
+    def recorded(gains, positions, sigma2_z, y):
+        read.append(positions)
+        return _relaxed_step(gains, positions, sigma2_z, y)
+
+    monkeypatch.setattr(simulator, "_relaxed_step", recorded)
+    front = {}
+    for kind in KINDS:
+        spec = DetectorSpec(kind, iterations=2, rd1=rd1, rd2=rd2)
+        _run_batch(spec, bits, h, y, sigma2, m, False, (2,), front)
+    gains, positions, lump = front[("edges", rd1, rd2)]
+    sets = build_edge_sets(h, DetectorSpec.rbp(rd1, rd2), m)
+    assert sets.shape[-1] == rd
+    assert all(np.shape(part) != sets.shape for part in front[("edges", rd1, rd2)])
+    assert positions.flags.c_contiguous
+    assert np.array_equal(positions, _edge_positions(sets))
+    assert len(read) == 2 and all(p is positions for p in read)
+    indices = [c.cell_contents for c in lump.__closure__
+               if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.dtype == np.intp]
+    assert any(np.shares_memory(i, positions) for i in indices) == (rd <= 1)
+
+
+def test_relaxed_batch_holds_one_position_table():
+    """8x8 BPSK MMSE-RBP(1,0) at seed 99: one warmed batch peaked at 4.70 MiB
+    when the front end kept the edge sets and the lump and each step built
+    their own index, and at 4.20 MiB with one shared position table."""
+    peak = _one_batch_peak(SystemDims(8, 8, 1), DetectorSpec.mmse_rbp(1, 0), 99)
+    assert peak < 4.45 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("m", [1, 2])

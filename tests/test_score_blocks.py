@@ -19,6 +19,7 @@ from mimobp.channel import SystemDims, snr_to_noise_variance
 from mimobp.detectors import (
     DetectorSpec,
     _block_rows,
+    _edge_positions,
     _lump,
     _lump_mean,
     _lump_variance,
@@ -109,14 +110,15 @@ def test_relaxed_blocks_give_the_one_block_betas(n_tx, m, rd1, rd2):
     dims = SystemDims(n_tx, n_tx, m)
     sigma2 = snr_to_noise_variance(8.0, dims)
     _, h, y = _draw_batch(dims, sigma2, _batch_rng(7, 8.0, 0), TRIALS)
-    gains, sets = bit_gains(h, m), build_edge_sets(h, DetectorSpec.rbp(rd1, rd2), m)
-    lump = _lump(sets)
+    gains = bit_gains(h, m)
+    positions = _edge_positions(build_edge_sets(h, DetectorSpec.rbp(rd1, rd2), m))
+    lump = _lump(positions)
     sigma2_z = _lump_variance(lump, gains, sigma2)
     alphas = _alphas((TRIALS, dims.n_bits, n_tx), 23 + rd1)
 
     def betas(rows):
         with _blocks_of(rows, gains.real.nbytes):
-            step = _relaxed_step(gains, sets, sigma2_z, y)
+            step = _relaxed_step(gains, positions, sigma2_z, y)
             return ([step(np.zeros_like(alphas[0]), 0.0, fresh=True)]
                     + [step(a, _lump_mean(lump, gains, a)) for a in alphas])
 
