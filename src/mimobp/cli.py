@@ -146,7 +146,11 @@ def _resolve(args: argparse.Namespace, mode: str) -> dict:
                              f"got ({entry['rd1']},{entry['rd2']})")
     # no layer set it: the environment, else the default; the complexity table runs no pool
     if settings["workers"] is None and mode != "complexity":
-        settings["workers"] = int(os.environ.get(WORKERS_ENV, _RUN_KEYS["workers"][1]))
+        text = os.environ.get(WORKERS_ENV, _RUN_KEYS["workers"][1])
+        try:
+            settings["workers"] = int(text)
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
     return settings
 
 

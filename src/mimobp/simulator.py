@@ -1,7 +1,7 @@
 """Monte Carlo BER/AMI harness: the trial draw (_draw_batch), the batched
 engine, the only implementation of every detector (_engine_soft), the batch
-worker (_run_batch), the batch-major loop behind points, sweeps and
-convergence runs (_run_lanes_at, _run_lanes), and CSV I/O.
+worker (_run_batch), the one batch-major run loop behind points,
+sweeps and convergence runs (_run_lanes), and CSV I/O.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import itertools
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,9 +42,6 @@ from .metrics import BerAccumulator
 # names of this module that a traced run wraps; the engine calls them by these names
 from .detectors import build_edge_sets as _engine_edge_sets
 from .metrics import ami_sum as _ami_sum
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 # Trials per batch; fixed so batch boundaries (and therefore stopping points
 # and RNG streams) do not depend on worker count.
@@ -82,6 +79,9 @@ class SweepConfig:
             if not usable:
                 raise ValueError(f"SNR points must be finite and give a noise variance in "
                                  f"(0, inf), got {snr_db}")
+        keys = collections.Counter(map(_snr_key, self.snr_points_db))  # a key, a stream
+        if shared := [v for v in self.snr_points_db if keys[_snr_key(v)] > 1]:
+            raise ValueError(f"SNR points {shared} share one random stream (keyed by milli-dB)")
         if not self.detectors:
             raise ValueError("need at least one detector")
         if self.errors_target < 1 or self.bits_max < 1 or self.trials_min < 1:
@@ -416,91 +416,72 @@ class _Lane:
         return records
 
 
-def _pool(workers: int):
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1:
-        return contextlib.nullcontext()
-    # imported here: concurrent.futures.process pulls in multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=workers)
-
-
-def _run_lanes_at(cfg: SweepConfig, snr_db: float, lanes: list, workers: int = 1,
-                  pool: ProcessPoolExecutor | None = None) -> list:
-    """Every lane (spec, depths) at one SNR point, batch-major: per lane, its
-    records (one per depth) or the exception that ended it.
-
-    Batch i is drawn once and runs every lane still running (_Lane.add stops
-    a lane). With a pool, up to 2 x workers batches run ahead, each for the
-    lanes running when it was submitted, and are tallied in batch order, so
-    every lane sees exactly the serial results. A lane's wall_seconds is its
-    share of the loop's time, draw included, in proportion to its own
-    _run_batch time in the batches it used; the shares sum to the loop's time.
-    """
-    sigma2 = snr_to_noise_variance(snr_db, cfg.dims)
-    tally = [_Lane(spec, depths) for spec, depths in lanes]
-
-    def submit(index: int):
-        running = [lane for lane in tally if lane.running]
-        args = (cfg.dims, snr_db, sigma2, cfg.master_seed, index, cfg.record_ami,
-                [(lane.spec, lane.depths) for lane in running])
-        return running, (pool.submit(_run_lanes_on_batch, *args) if pool
-                         else _run_lanes_on_batch(*args))
-
-    pending: collections.deque = collections.deque()
-    indices = itertools.count()
-    last = time.perf_counter()
-    try:
-        while any(lane.running for lane in tally):
-            while len(pending) < (2 * workers if pool else 1):
-                pending.append(submit(next(indices)))
-            running, result = pending.popleft()
-            outcomes, costs = result.result() if pool else result
-            # lanes that stopped at an earlier batch skip this one
-            live = [k for k, lane in enumerate(running) if lane.running]
-            now = time.perf_counter()
-            scale = (now - last) / sum(costs[k] for k in live)
-            last = now
-            for k in live:
-                running[k].wall += costs[k] * scale
-                running[k].add(outcomes[k], cfg)
-    finally:  # batches run ahead for lanes that have stopped since
-        for _, future in pending:
-            future.cancel()
-    return [lane.failure or lane.records(cfg, snr_db) for lane in tally]
-
-
 def _run_lanes(cfg: SweepConfig, lanes: list, workers: int = 1,
                progress: bool = False) -> tuple[list[SweepRecord], list[Exception]]:
     """Every lane (spec, depths) at every SNR point: (records by (lane, snr,
     depth), the failures of the failed (lane, snr) points, in run order).
 
-    The SNR points run in ascending order, each as one batch-major loop over
-    every lane (_run_lanes_at), all on one worker pool. A failing point is
-    reported on stderr and skipped; the rest still runs. Progress lines
-    arrive SNR point by SNR point.
+    The points run in ascending SNR order on one worker pool, each as one
+    batch-major loop: batch i is drawn once and runs every lane still running
+    (_Lane.add stops a lane). A pool runs up to 2 x workers batches ahead,
+    each for the lanes running when it was submitted, tallied in batch order
+    so every lane sees the serial results; those pending at the point's end
+    are cancelled. A lane's wall_seconds is its share of the point's loop
+    time, draw included, in proportion to its own _run_batch time; the shares
+    sum to the loop's time. A failed point is reported on stderr and skipped.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    pool = None
+    if workers > 1:  # imported here: concurrent.futures.process pulls in multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
     rows: list[list[SweepRecord]] = [[] for _ in lanes]
     failed = []
-    with _pool(workers) as pool:
+    with pool or contextlib.nullcontext():
         for snr_db in sorted(cfg.snr_points_db):
+            sigma2 = snr_to_noise_variance(snr_db, cfg.dims)
+            tally = [_Lane(spec, depths) for spec, depths in lanes]
+            pending: collections.deque = collections.deque()
+            indices = itertools.count()
+            last = time.perf_counter()
             try:
-                outcomes = _run_lanes_at(cfg, snr_db, lanes, workers, pool)
-            except Exception as exc:  # outside any detector (a broken pool): all failed
-                outcomes = [exc] * len(lanes)
-            for (detector, _), row, outcome in zip(lanes, rows, outcomes):
-                if isinstance(outcome, Exception):  # keep going; a run is many points
-                    print(f"[mimobp] point failed: {detector.name} @ {snr_db} dB: {outcome}",
+                while any(lane.running for lane in tally):
+                    while len(pending) < (2 * workers if pool else 1):
+                        running = [lane for lane in tally if lane.running]
+                        args = (cfg.dims, snr_db, sigma2, cfg.master_seed, next(indices),
+                                cfg.record_ami, [(lane.spec, lane.depths) for lane in running])
+                        pending.append((running, pool.submit(_run_lanes_on_batch, *args) if pool
+                                        else _run_lanes_on_batch(*args)))
+                    running, result = pending.popleft()
+                    outcomes, costs = result.result() if pool else result
+                    # lanes that stopped at an earlier batch skip this one
+                    live = [k for k, lane in enumerate(running) if lane.running]
+                    now = time.perf_counter()
+                    scale = (now - last) / sum(costs[k] for k in live)
+                    last = now
+                    for k in live:
+                        running[k].wall += costs[k] * scale
+                        running[k].add(outcomes[k], cfg)
+            except Exception as exc:  # outside any detector (a draw, a broken pool): all failed
+                for lane in tally:
+                    lane.failure = exc
+            finally:  # batches run ahead for lanes that have stopped since
+                for _, future in pending:
+                    future.cancel()
+            running = live = args = None  # freed with their point, not in the next one
+            for (detector, _), row, lane in zip(lanes, rows, tally):
+                if lane.failure is not None:  # keep going; a run is many points
+                    print(f"[mimobp] point failed: {detector.name} @ {snr_db} dB: {lane.failure}",
                           file=sys.stderr)
-                    failed.append(outcome)
+                    failed.append(lane.failure)
                     continue
-                row.extend(outcome)
-                if progress:
-                    for rec in outcome:
-                        print(f"[mimobp] {detector.name} L={rec.iterations} "
-                              f"snr={rec.snr_db:g} dB  ber={rec.ber:.3e}  errors={rec.errors}  "
-                              f"bits={rec.bits}", file=sys.stderr)
+                records = lane.records(cfg, snr_db)
+                row.extend(records)
+                for rec in records if progress else ():
+                    print(f"[mimobp] {detector.name} L={rec.iterations} "
+                          f"snr={rec.snr_db:g} dB  ber={rec.ber:.3e}  errors={rec.errors}  "
+                          f"bits={rec.bits}", file=sys.stderr)
     return [rec for row in rows for rec in row], failed
 
 
@@ -516,14 +497,13 @@ def _convergence_lane(detector: DetectorSpec, l_values: Sequence[int]) -> tuple:
 
 def _run_alone(cfg: SweepConfig, spec: DetectorSpec, depths: tuple, snr_db: float,
                workers: int) -> list[SweepRecord]:
-    """One lane's records at snr_db, run on a one-point copy of cfg that
-    SweepConfig checks as it checks every run; the lane's failure raises."""
+    """One lane's records at snr_db, run by _run_lanes on a one-point copy of
+    cfg that SweepConfig checks as it checks every run; the lane's failure raises."""
     cfg = dataclasses.replace(cfg, snr_points_db=(snr_db,), detectors=(spec,))
-    with _pool(workers) as pool:
-        [outcome] = _run_lanes_at(cfg, cfg.snr_points_db[0], [(spec, depths)], workers, pool)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    records, failed = _run_lanes(cfg, [(spec, depths)], workers)
+    if failed:
+        raise failed[0]
+    return records
 
 
 def run_point(cfg: SweepConfig, detector: DetectorSpec, snr_db: float,
@@ -591,29 +571,30 @@ def write_csv(records: Sequence[SweepRecord], path) -> None:
             os.remove(tmp)
 
 
+# read_csv's converter per CSV_FIELDS column; an empty rd1, rd2 or ami cell is None
+_CSV_CELLS = dict(zip(CSV_FIELDS, [str] + [int] * 3 + [float] + [int] * 2 + [float] * 5))
+
+
 def read_csv(path) -> list[SweepRecord]:
-    """Parse a results file back into records (floats at file precision)."""
+    """Parse a results file back into records (floats at file precision).
+    IoFailure names the file, and the row (the header is row 1) if one is bad."""
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != list(CSV_FIELDS):
-                raise IoFailure(f"unexpected header in {path}: {reader.fieldnames}")
-            records = []
-            for row in reader:
-                records.append(SweepRecord(
-                    detector=row["detector"],
-                    rd1=int(row["rd1"]) if row["rd1"] else None,
-                    rd2=int(row["rd2"]) if row["rd2"] else None,
-                    iterations=int(row["iterations"]),
-                    snr_db=float(row["snr_db"]),
-                    bits=int(row["bits"]),
-                    errors=int(row["errors"]),
-                    ber=float(row["ber"]),
-                    ber_ci_low=float(row["ber_ci_low"]),
-                    ber_ci_high=float(row["ber_ci_high"]),
-                    ami=float(row["ami"]) if row["ami"] else None,
-                    wall_seconds=float(row["wall_seconds"]),
-                ))
-            return records
+            header, *rows = list(csv.reader(fh)) or [None]
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    if header != list(CSV_FIELDS):
+        raise IoFailure(f"unexpected header in {path}: {header}")
+    records = []
+    for number, row in enumerate(rows, 2):
+        if not row:  # a blank line
+            continue
+        try:
+            if len(row) != len(CSV_FIELDS):
+                raise ValueError(f"{len(row)} cells, not {len(CSV_FIELDS)}")
+            records.append(SweepRecord(**{
+                name: None if not cell and name in ("rd1", "rd2", "ami") else convert(cell)
+                for (name, convert), cell in zip(_CSV_CELLS.items(), row)}))
+        except ValueError as exc:
+            raise IoFailure(f"bad row {number} in {path}: {exc}") from exc
+    return records

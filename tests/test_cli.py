@@ -194,7 +194,7 @@ class TestResolutionOrder:
 
     def test_workers_env_is_read_only_when_no_layer_sets_workers(self, monkeypatch, tmp_path):
         monkeypatch.setenv(WORKERS_ENV, "abc")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"{WORKERS_ENV} must be an integer, got 'abc'"):
             _settings(["ber-sweep"])
         assert _settings(["ber-sweep", "--workers", "2"])["workers"] == 2
         ini = tmp_path / "run.ini"
@@ -404,7 +404,7 @@ class TestEndToEnd:
         assert main(["complexity"]) == 0
         assert "Nt=4 Nr=4 M=1 L=5" in capsys.readouterr().out
         assert main(["ber-sweep", "--out", str(tmp_path / "never.csv")]) == 1
-        assert "invalid literal for int()" in capsys.readouterr().err
+        assert f"{WORKERS_ENV} must be an integer, got 'abc'" in capsys.readouterr().err
         assert not (tmp_path / "never.csv").exists()
 
     def test_complexity_refused_rd1_prints_nothing_to_stdout(self, capsys):

@@ -3,6 +3,7 @@ import collections
 import dataclasses
 import gc
 import os
+import re
 import time
 import tracemalloc
 
@@ -64,6 +65,14 @@ class TestConfigValidation:
     def test_snr_points_coerced_to_floats(self):
         cfg = _cfg(snr_points_db=(4, 8))
         assert cfg.snr_points_db == (4.0, 8.0)
+
+    @pytest.mark.parametrize("points,shared", [((4.0, 4.0004, 4.0), "[4.0, 4.0004, 4.0]"),
+                                               ((2.0, 0.0, -0.0), "[0.0, -0.0]")])
+    def test_refuses_snr_points_that_share_a_stream(self, points, shared):
+        """Streams are keyed by SNR in milli-dB: such points would run the same trials."""
+        with pytest.raises(ValueError, match=re.escape(f"SNR points {shared} share one")):
+            _cfg(snr_points_db=points)
+        _cfg(snr_points_db=(4.0, 4.001))          # a milli-dB apart: two streams
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_rejects_non_finite_snr_points(self, bad):
@@ -500,6 +509,30 @@ class TestRunSweep:
         assert [r.detector for r in records] == ["MMSE"]
         assert "point failed" in capsys.readouterr().err
 
+    def test_a_failure_outside_any_detector_fails_every_lane_of_its_point(self, capsys,
+                                                                          monkeypatch):
+        """A draw that raises at one SNR fails both lanes there; the other point runs."""
+        cfg = _cfg(detectors=(DetectorSpec.ml(), DetectorSpec.mmse()),
+                   snr_points_db=(0.0, 4.0), errors_target=5)
+        clean = run_sweep(cfg)
+        real = simulator._draw_batch
+
+        def draw(dims, sigma2, rng, count):
+            if sigma2 == snr_to_noise_variance(4.0, dims):
+                raise MemoryError("no room for the batch")
+            return real(dims, sigma2, rng, count)
+
+        monkeypatch.setattr(simulator, "_draw_batch", draw)
+        records = run_sweep(cfg)
+        assert [_row(r) for r in records] == [_row(r) for r in clean if r.snr_db == 0.0]
+        err = capsys.readouterr().err
+        assert "[mimobp] point failed: ML @ 4.0 dB: no room for the batch" in err
+        assert "[mimobp] point failed: MMSE @ 4.0 dB: no room for the batch" in err
+        assert err.count("point failed") == 2
+        with pytest.raises(MemoryError, match="no room for the batch"):
+            run_point(cfg, cfg.detectors[0], 4.0)
+        assert capsys.readouterr().err.count("point failed: ML @ 4.0 dB") == 1  # as a sweep's
+
 
 def _lane_cfg(**kw):
     """Detectors that share the MMSE estimate (MMSE, MMSE-SIC, MMSE-RBP) and
@@ -808,6 +841,24 @@ class TestCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(IoFailure):
             read_csv(path)
+
+    @pytest.mark.parametrize("row,why", [("SBP,,,5,8", "5 cells, not 12"),
+                                         ("SBP,,,x,8,1024,3,0.003,0.001,0.008,,0.5",
+                                          "invalid literal for int")])
+    def test_read_names_the_file_and_row_of_a_malformed_row(self, tmp_path, row, why):
+        path = tmp_path / "bad.csv"
+        write_csv(self._records(), path)
+        with open(path, "a") as fh:
+            fh.write(row + "\n")
+        rows = len(self._records()) + 2
+        with pytest.raises(IoFailure, match=f"bad row {rows} in {re.escape(str(path))}: {why}"):
+            read_csv(path)
+
+    def test_read_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(self._records(), path)
+        path.write_text(path.read_text().replace("\n", "\n\n", 1))
+        assert len(read_csv(path)) == len(self._records())
 
     def test_read_missing_file_raises_io_error(self, tmp_path):
         with pytest.raises(IoFailure):
